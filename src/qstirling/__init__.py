@@ -9,6 +9,7 @@ from .cycles import (
     FridgeCycle,
     FridgeSpec,
     StrokeLedger,
+    cycle_ledger,
     engine_carnot_bound,
     engine_ledger,
     engine_work_closed_form,
@@ -16,6 +17,7 @@ from .cycles import (
     fridge_work_closed_form,
     isochoric_heat,
     isothermal_heat,
+    work_closed_form,
 )
 from .errors import (
     ConfigError,
@@ -32,6 +34,7 @@ from .performance import (
     SweepResult,
     SweepSummary,
     SweepTemplate,
+    cycle_performance,
     engine_performance,
     equivalence_report,
     fridge_performance,
@@ -68,12 +71,14 @@ from .timing import (
     StrokeTime,
     TimingReport,
     closed_form_cycle_time,
+    cycle_time,
     engine_cycle_time,
     engine_regime_extents,
     fridge_cycle_time,
     fridge_regime_extents,
     isochoric_time,
     isothermal_time,
+    regime_extents,
 )
 
 __version__ = "0.1.0"

@@ -9,21 +9,22 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import RunConfig, load_run_config
 from .cycles import (
+    CYCLE_KINDS,
     EngineSpec,
-    engine_ledger,
-    engine_work_closed_form,
-    fridge_ledger,
-    fridge_work_closed_form,
+    StrokeLedger,
+    cycle_ledger,
     isochoric_heat,
     isothermal_heat,
+    work_closed_form,
 )
 from .errors import (
     ConfigError,
@@ -36,23 +37,22 @@ from .performance import (
     Mode,
     PerformanceReport,
     SweepTemplate,
-    engine_performance,
+    _relative_deviation,
+    cycle_performance,
     equivalence_report,
-    fridge_performance,
     power_sweep,
 )
-from .relaxation import GevaKosloff, rates
+from .relaxation import GevaKosloff, conduction_ratio, rates
 from .statistics import PathSpec, Statistics, integrate_path
 
 _LN2 = math.log(2.0)
 _ON_CURVE_TOL = 1e-12
+_THREADS_HELP = "accepted for compatibility; every command runs single-threaded"
 
-ENGINE_COLUMNS = ("q_iso_hot", "q_iso_cold", "q_isochore_low", "q_isochore_high",
-                  "delta_q", "delta", "q_h", "q_c", "w_tot", "eta", "power",
-                  "sigma", "tau", "status")
-FRIDGE_COLUMNS = ("q_iso_hot", "q_iso_cold", "q_isochore_low", "q_isochore_high",
-                  "delta_q", "delta", "q_h", "q_c", "w_tot", "epsilon", "power",
-                  "cooling_rate", "tau", "status")
+_LEDGER_FIELDS = tuple(f.name for f in dataclasses.fields(StrokeLedger))
+COLUMNS = {name: _LEDGER_FIELDS + (kind.merit, "power", kind.rate_column, "tau", "status")
+           for name, kind in CYCLE_KINDS.items()}
+ENGINE_COLUMNS, FRIDGE_COLUMNS = COLUMNS["engine"], COLUMNS["fridge"]
 SWEEP_COLUMNS = ("x", "eta", "p_star", "ca_bound", "ref_curve")
 REGIME_MAP_COLUMNS = ("q", "x", "l_r", "region")
 
@@ -98,15 +98,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="override output.format from the config")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for grids")
+        p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
-    engine = sub.add_parser("engine", help="run one engine operating point")
-    add_common(engine)
-    engine.set_defaults(handler=_cmd_engine)
-
-    fridge = sub.add_parser("fridge", help="run one refrigerator operating point")
-    add_common(fridge)
-    fridge.set_defaults(handler=_cmd_fridge)
+    for kind, machine in (("engine", "engine"), ("fridge", "refrigerator")):
+        cycle = sub.add_parser(kind, help=f"run one {machine} operating point")
+        add_common(cycle)
+        cycle.set_defaults(handler=functools.partial(_cmd_cycle, kind=kind))
 
     regime = sub.add_parser("regime-map", help="grid of the conduction-coefficient ratio")
     regime.add_argument("--q-min", type=float, required=True)
@@ -115,7 +112,7 @@ def _build_parser() -> _Parser:
     regime.add_argument("--x-max", type=float, required=True)
     regime.add_argument("--grid", type=int, required=True, metavar="N")
     regime.add_argument("--out", default=None)
-    regime.add_argument("--threads", type=int, default=1)
+    regime.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     regime.set_defaults(handler=_cmd_regime_map)
 
     sweep = sub.add_parser("power-sweep", help="efficiency/power sweep over beta1*omega1")
@@ -137,10 +134,7 @@ def main(argv=None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ParameterError as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OrderingError as exc:
@@ -158,71 +152,23 @@ def _require_geva_kosloff(cfg: RunConfig, command: str):
 
 
 def _run_report(cfg: RunConfig) -> PerformanceReport:
-    if cfg.kind == "engine":
-        return engine_performance(cfg.spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)
-    return fridge_performance(cfg.spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)
+    return cycle_performance(cfg.spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)
 
 
-def _report_row(report: PerformanceReport, count: int):
+def _report_values(report: PerformanceReport, count: int) -> tuple[dict, dict]:
+    """Ledger and performance values, extensive ones scaled by the particle count."""
     n = float(count)
-    ledger = report.ledger
-    row = [ledger.q_iso_hot * n, ledger.q_iso_cold * n, ledger.q_isochore_low * n,
-           ledger.q_isochore_high * n, ledger.delta_q * n, ledger.delta,
-           ledger.q_h * n, ledger.q_c * n, ledger.w_tot * n,
-           report.figure_of_merit, report.power * n]
-    if report.kind == "engine":
-        row.append(report.sigma * n)
-    else:
-        row.append(report.cooling_rate * n)
-    row.extend([report.tau, report.status])
-    return row
-
-
-def _report_payload(report: PerformanceReport, cfg: RunConfig):
-    n = float(cfg.particle_count)
-    ledger = report.ledger
-    merit_key = "eta" if report.kind == "engine" else "epsilon"
+    ledger = {name: value if name == "delta" else value * n
+              for name, value in vars(report.ledger).items()}
     performance = {
-        merit_key: report.figure_of_merit,
+        CYCLE_KINDS[report.kind].merit: report.figure_of_merit,
         "power": report.power * n,
         "sigma": report.sigma * n,
         "tau": report.tau,
     }
     if report.cooling_rate is not None:
         performance["cooling_rate"] = report.cooling_rate * n
-    return {
-        "kind": report.kind,
-        "statistics": report.statistics.value,
-        "regime": report.regime.value,
-        "status": report.status,
-        "particle_count": cfg.particle_count,
-        "ledger": {
-            "q_iso_hot": ledger.q_iso_hot * n,
-            "q_iso_cold": ledger.q_iso_cold * n,
-            "q_isochore_low": ledger.q_isochore_low * n,
-            "q_isochore_high": ledger.q_isochore_high * n,
-            "delta_q": ledger.delta_q * n,
-            "delta": ledger.delta,
-            "q_h": ledger.q_h * n,
-            "q_c": ledger.q_c * n,
-            "w_tot": ledger.w_tot * n,
-        },
-        "performance": performance,
-        "timing": {
-            "t1": report.timing.t1,
-            "t2": report.timing.t2,
-            "t3": report.timing.t3,
-            "t4": report.timing.t4,
-            "tau": report.timing.tau,
-            "error_estimates": list(report.timing.error_estimates),
-        },
-        "regime_extents": {
-            "x_min": report.x_min,
-            "x_max": report.x_max,
-            "x_low_threshold": cfg.x_low_threshold,
-            "x_high_threshold": cfg.x_high_threshold,
-        },
-    }
+    return ledger, performance
 
 
 def _cmd_cycle(args, kind: str) -> int:
@@ -233,21 +179,29 @@ def _cmd_cycle(args, kind: str) -> int:
     report = _run_report(cfg)
     out_format = args.format or cfg.out_format
     out_path = args.out or cfg.out_path
+    ledger, performance = _report_values(report, cfg.particle_count)
     if out_format == "csv":
-        columns = ENGINE_COLUMNS if kind == "engine" else FRIDGE_COLUMNS
-        text = _csv_text(columns, [_report_row(report, cfg.particle_count)])
+        values = {**ledger, **performance, "status": report.status}
+        text = _csv_text(COLUMNS[kind], [[values[c] for c in COLUMNS[kind]]])
     else:
-        text = _json_text(_report_payload(report, cfg))
+        text = _json_text({
+            "kind": report.kind,
+            "statistics": report.statistics.value,
+            "regime": report.regime.value,
+            "status": report.status,
+            "particle_count": cfg.particle_count,
+            "ledger": ledger,
+            "performance": performance,
+            "timing": dataclasses.asdict(report.timing),
+            "regime_extents": {
+                "x_min": report.x_min,
+                "x_max": report.x_max,
+                "x_low_threshold": cfg.x_low_threshold,
+                "x_high_threshold": cfg.x_high_threshold,
+            },
+        })
     _emit(text, out_path)
     return 0
-
-
-def _cmd_engine(args) -> int:
-    return _cmd_cycle(args, "engine")
-
-
-def _cmd_fridge(args) -> int:
-    return _cmd_cycle(args, "fridge")
 
 
 def _classify(q: float, x: float) -> str:
@@ -268,15 +222,7 @@ def _cmd_regime_map(args) -> int:
     qs = [args.q_min + (args.q_max - args.q_min) * i / (n - 1) for i in range(n)]
     xs = [args.x_min + (args.x_max - args.x_min) * j / (n - 1) for j in range(n)]
 
-    def rows_for(q):
-        return [(q, x, 2.0 * math.exp(q * x), _classify(q, x)) for x in xs]
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            chunks = list(pool.map(rows_for, qs))
-    else:
-        chunks = [rows_for(q) for q in qs]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [(q, x, conduction_ratio(q, x), _classify(q, x)) for q in qs for x in xs]
     _emit(_csv_text(REGIME_MAP_COLUMNS, rows), args.out)
     return 0
 
@@ -321,17 +267,8 @@ def _cmd_power_sweep(args) -> int:
     template = _sweep_template(cfg)
     grid = _parse_x_grid(args.x_grid)
     result = power_sweep(template, grid)
-    rows = [(r.x, r.eta, r.p_star, r.ca_bound, r.ref_curve) for r in result.records]
-    summary = {
-        "x_star": result.summary.x_star,
-        "p_star_max": result.summary.p_star_max,
-        "eta_at_max": result.summary.eta_at_max,
-        "ca_bound": result.summary.ca_bound,
-        "ref_curve_at_max": result.summary.ref_curve_at_max,
-        "eta_below_ref_curve": result.summary.eta_below_ref_curve,
-        "eta_below_ca_bound": result.summary.eta_below_ca_bound,
-        "grid_argmax_x": result.summary.grid_argmax_x,
-    }
+    rows = [dataclasses.astuple(r) for r in result.records]
+    summary = dataclasses.asdict(result.summary)
     out_format = args.format or cfg.out_format
     out_path = args.out or cfg.out_path
     if out_format == "json":
@@ -350,29 +287,18 @@ def _cmd_power_sweep(args) -> int:
     return 0
 
 
-def _relative(a: float, b: float) -> float:
-    if a == b:
-        return 0.0
-    return abs(a - b) / max(abs(a), abs(b))
-
-
 def _cmd_validate(args) -> int:
     cfg = load_run_config(args.config)
     spec = cfg.spec
     checks = []
 
     # first-law closure: stroke-heat sum against the closed-form total work
-    if cfg.kind == "engine":
-        cycle = engine_ledger(spec)
-        closed = engine_work_closed_form(spec)
-        hot_t, cold_t = 1.0 / spec.beta1, 1.0 / spec.beta2
-        iso_omega_i, iso_omega_f = spec.omega2, spec.omega1
-    else:
-        cycle = fridge_ledger(spec)
-        closed = fridge_work_closed_form(spec)
-        hot_t, cold_t = 1.0 / spec.beta1p, 1.0 / spec.beta2p
-        iso_omega_i, iso_omega_f = spec.omega1, spec.omega2
-    dev = _relative(cycle.ledger.w_tot, closed)
+    kind = CYCLE_KINDS[cfg.kind]
+    hot_stroke = kind.stroke("q_iso_hot")
+    hot_t = 1.0 / getattr(spec, hot_stroke.fixed)
+    cold_t = 1.0 / getattr(spec, kind.stroke("q_iso_cold").fixed)
+    iso_omega_i, iso_omega_f = getattr(spec, hot_stroke.start), getattr(spec, hot_stroke.end)
+    dev = _relative_deviation(cycle_ledger(spec).ledger.w_tot, work_closed_form(spec))
     checks.append(("first_law_closure", dev <= 1e-12, f"relative deviation {dev:.3e}"))
 
     # quadrature spot checks of both stroke-heat closed forms
@@ -382,7 +308,7 @@ def _cmd_validate(args) -> int:
                     lambda u: (1.0 / hot_t) + 0.0 * u, steps)
     oracle = integrate_path(path).heat
     closed_iso = isothermal_heat(spec.stat, hot_t, iso_omega_i, iso_omega_f)
-    dev = _relative(closed_iso, oracle)
+    dev = _relative_deviation(closed_iso, oracle)
     checks.append(("isothermal_heat_oracle", dev <= 1e-8, f"relative deviation {dev:.3e}"))
 
     beta_lo, beta_hi = 1.0 / hot_t, 1.0 / cold_t
@@ -390,7 +316,7 @@ def _cmd_validate(args) -> int:
                     lambda u: beta_lo + (beta_hi - beta_lo) * u, steps)
     oracle = integrate_path(path).heat
     closed_iso = isochoric_heat(spec.stat, spec.omega1, hot_t, cold_t)
-    dev = _relative(closed_iso, oracle)
+    dev = _relative_deviation(closed_iso, oracle)
     checks.append(("isochoric_heat_oracle", dev <= 1e-8, f"relative deviation {dev:.3e}"))
 
     # detailed balance of the configured bath model
@@ -403,10 +329,10 @@ def _cmd_validate(args) -> int:
 
     if isinstance(cfg.model, GevaKosloff):
         report = _run_report(cfg)
-        dev = _relative(report.power * report.tau, abs(report.w_tot))
+        dev = _relative_deviation(report.power * report.tau, abs(report.w_tot))
         checks.append(("power_tau_identity", dev <= 1e-12, f"relative deviation {dev:.3e}"))
-        spec_b = _with_stat(spec, Statistics.BOSONIC)
-        spec_f = _with_stat(spec, Statistics.FERMIONIC)
+        spec_b = dataclasses.replace(spec, stat=Statistics.BOSONIC)
+        spec_f = dataclasses.replace(spec, stat=Statistics.FERMIONIC)
         eq = equivalence_report(spec_b, spec_f, cfg.model, cfg.regen, cfg.quad, Mode.EXACT)
         if eq.x_min >= cfg.x_low_threshold:
             worst = max(eq.deviations.values())
@@ -438,12 +364,6 @@ def _cmd_validate(args) -> int:
     if args.out is not None:
         sys.stdout.write(text)
     return 0 if failed == 0 else 3
-
-
-def _with_stat(spec, stat: Statistics):
-    fields = {name: getattr(spec, name) for name in spec.__dataclass_fields__}
-    fields["stat"] = stat
-    return type(spec)(**fields)
 
 
 if __name__ == "__main__":

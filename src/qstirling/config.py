@@ -9,15 +9,16 @@ is an error.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
-from .cycles import EngineSpec, FridgeSpec
+from .cycles import CYCLE_KINDS, EngineSpec, FridgeSpec
 from .errors import ConfigError, OrderingError, ParameterError
 from .performance import Mode
 from .quadrature import QuadratureConfig
 from .relaxation import GevaKosloff, ThermalField
 from .statistics import Statistics
-from .timing import LinearEngineRegenerator, LinearFridgeRegenerator
+from .timing import REGENERATORS, LinearEngineRegenerator, LinearFridgeRegenerator
 
 _SCHEMA = {
     "working_medium": {"statistics"},
@@ -68,46 +69,42 @@ def _read_ini(path: str) -> configparser.ConfigParser:
 
 
 class _Section:
-    """Typed accessors over one section with section.key error messages."""
+    """Typed accessors over one section with section.key error messages.
 
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        if not parser.has_section(name):
+    An optional section that is absent reads as empty, so every key takes
+    its default.
+    """
+
+    def __init__(self, parser: configparser.ConfigParser, name: str, required: bool = True):
+        if required and not parser.has_section(name):
             raise ConfigError(f"missing section [{name}]")
         self._name = name
-        self._section = parser[name]
+        self._section = parser[name] if parser.has_section(name) else {}
 
     def has(self, key: str) -> bool:
         return key in self._section
 
-    def raw(self, key: str) -> str:
-        if key not in self._section:
-            raise ConfigError(f"missing key {self._name}.{key}")
-        return self._section[key].strip()
-
-    def text(self, key: str, default: str | None = None) -> str:
+    def text(self, key: str, default=None) -> str:
         if key not in self._section:
             if default is None:
                 raise ConfigError(f"missing key {self._name}.{key}")
             return default
-        return self.raw(key)
+        return self._section[key].strip()
 
     def number(self, key: str, default: float | None = None) -> float:
-        if key not in self._section and default is not None:
-            return default
-        raw = self.raw(key)
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{self._name}.{key}: invalid number {raw!r}") from exc
+        return self._convert(key, default, float, "number")
 
     def integer(self, key: str, default: int | None = None) -> int:
-        if key not in self._section and default is not None:
-            return default
-        raw = self.raw(key)
+        return self._convert(key, default, int, "integer")
+
+    def _convert(self, key: str, default, convert, what: str):
+        raw = self.text(key, default)
+        if key not in self._section:
+            return raw
         try:
-            return int(raw)
+            return convert(raw)
         except ValueError as exc:
-            raise ConfigError(f"{self._name}.{key}: invalid integer {raw!r}") from exc
+            raise ConfigError(f"{self._name}.{key}: invalid {what} {raw!r}") from exc
 
 
 def _exactly_one(section: _Section, name: str, first: tuple, second: tuple):
@@ -141,40 +138,30 @@ def load_run_config(path: str) -> RunConfig:
     bath = _Section(parser, "bath")
     regen_section = _Section(parser, "regenerator")
 
-    stat = _statistics(medium.raw("statistics"))
-    kind = cycle.raw("kind").lower()
-    if kind not in ("engine", "fridge"):
+    stat = _statistics(medium.text("statistics"))
+    kind = cycle.text("kind").lower()
+    if kind not in CYCLE_KINDS:
         raise ConfigError(f"cycle.kind: expected engine or fridge, got {kind!r}")
     omega1 = cycle.number("omega1")
     omega2 = cycle.number("omega2")
 
     try:
-        if kind == "engine":
-            beta1 = cycle.number("beta1")
-            beta2 = cycle.number("beta2")
-            which = _exactly_one(cycle, "cycle", ("beta_h", "beta_c"), ("alpha_h", "alpha_c"))
-            if which == "first":
-                beta_h = cycle.number("beta_h")
-                beta_c = cycle.number("beta_c")
-            else:
-                beta_h = cycle.number("alpha_h") * beta1
-                beta_c = cycle.number("alpha_c") * beta2
-            spec = EngineSpec(stat, omega1, omega2, beta_h, beta1, beta2, beta_c)
-            regen = _build(LinearEngineRegenerator, "regenerator",
-                           regen_section.number("gamma1"), regen_section.number("gamma2"))
+        # medium inverse temperatures of the hot and cold isotherms
+        # (beta1/beta2 or beta1p/beta2p); the alpha ratios scale them
+        hot = CYCLE_KINDS[kind].stroke("q_iso_hot").fixed
+        cold = CYCLE_KINDS[kind].stroke("q_iso_cold").fixed
+        betas = {hot: cycle.number(hot), cold: cycle.number(cold)}
+        which = _exactly_one(cycle, "cycle", ("beta_h", "beta_c"), ("alpha_h", "alpha_c"))
+        if which == "first":
+            betas["beta_h"] = cycle.number("beta_h")
+            betas["beta_c"] = cycle.number("beta_c")
         else:
-            beta1p = cycle.number("beta1p")
-            beta2p = cycle.number("beta2p")
-            which = _exactly_one(cycle, "cycle", ("beta_h", "beta_c"), ("alpha_h", "alpha_c"))
-            if which == "first":
-                beta_h = cycle.number("beta_h")
-                beta_c = cycle.number("beta_c")
-            else:
-                beta_h = cycle.number("alpha_h") * beta1p
-                beta_c = cycle.number("alpha_c") * beta2p
-            spec = FridgeSpec(stat, omega1, omega2, beta1p, beta_h, beta_c, beta2p)
-            regen = _build(LinearFridgeRegenerator, "regenerator",
-                           regen_section.number("b"), regen_section.number("bp"))
+            betas["beta_h"] = cycle.number("alpha_h") * betas[hot]
+            betas["beta_c"] = cycle.number("alpha_c") * betas[cold]
+        spec = CYCLE_KINDS[kind].spec(stat, omega1, omega2, **betas)
+        regen_type = REGENERATORS[kind]
+        regen = _build(regen_type, "regenerator",
+                       *(regen_section.number(f.name) for f in fields(regen_type)))
     except ParameterError as exc:
         raise ConfigError(f"cycle: {exc}") from exc
     except OrderingError:
@@ -186,41 +173,36 @@ def load_run_config(path: str) -> RunConfig:
     else:
         model = _build(ThermalField, "bath", bath.number("rho0"), bath.number("m"))
 
-    if parser.has_section("numerics"):
-        numerics = _Section(parser, "numerics")
-        try:
-            quad = QuadratureConfig(
-                rel_tol=numerics.number("rel_tol", 1e-10),
-                abs_tol=numerics.number("abs_tol", 1e-14),
-                max_subdivisions=numerics.integer("max_subdivisions", 200),
-            )
-        except ParameterError as exc:
-            raise ConfigError(f"numerics: {exc}") from exc
-        mode_raw = numerics.text("regime_mode", "exact").lower()
-        try:
-            mode = Mode(mode_raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"numerics.regime_mode: expected exact, low_temp or high_temp, "
-                f"got {mode_raw!r}") from exc
-        x_low = numerics.number("x_low_threshold", 8.0)
-        x_high = numerics.number("x_high_threshold", 0.1)
-    else:
-        quad = QuadratureConfig()
-        mode = Mode.EXACT
-        x_low, x_high = 8.0, 0.1
+    numerics = _Section(parser, "numerics", required=False)
+    try:
+        quad = QuadratureConfig(
+            rel_tol=numerics.number("rel_tol", 1e-10),
+            abs_tol=numerics.number("abs_tol", 1e-14),
+            max_subdivisions=numerics.integer("max_subdivisions", 200),
+        )
+    except ParameterError as exc:
+        raise ConfigError(f"numerics: {exc}") from exc
+    mode_raw = numerics.text("regime_mode", "exact").lower()
+    try:
+        mode = Mode(mode_raw)
+    except ValueError as exc:
+        raise ConfigError(
+            f"numerics.regime_mode: expected exact, low_temp or high_temp, "
+            f"got {mode_raw!r}") from exc
+    x_low = numerics.number("x_low_threshold", 8.0)
+    x_high = numerics.number("x_high_threshold", 0.1)
+    for key, value in (("x_low_threshold", x_low), ("x_high_threshold", x_high)):
+        if not math.isfinite(value):
+            raise ConfigError(f"numerics.{key}: must be finite, got {value!r}")
 
-    if parser.has_section("output"):
-        output = _Section(parser, "output")
-        out_format = output.text("format", "csv").lower()
-        if out_format not in ("csv", "json"):
-            raise ConfigError(f"output.format: expected csv or json, got {out_format!r}")
-        out_path = output.text("path", "") or None
-        particle_count = output.integer("particle_count", 1)
-        if particle_count < 1:
-            raise ConfigError("output.particle_count: must be at least 1")
-    else:
-        out_format, out_path, particle_count = "csv", None, 1
+    output = _Section(parser, "output", required=False)
+    out_format = output.text("format", "csv").lower()
+    if out_format not in ("csv", "json"):
+        raise ConfigError(f"output.format: expected csv or json, got {out_format!r}")
+    out_path = output.text("path", "") or None
+    particle_count = output.integer("particle_count", 1)
+    if particle_count < 1:
+        raise ConfigError("output.particle_count: must be at least 1")
 
     return RunConfig(stat, kind, spec, model, regen, quad, mode,
                      x_low, x_high, out_format, out_path, particle_count)

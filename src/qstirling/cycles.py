@@ -3,7 +3,9 @@
 Cycle corners follow the n-omega diagrams: the engine visits
 A(omega2, T1) -> B(omega1, T1) -> C(omega1, T2) -> D(omega2, T2) -> A,
 absorbing heat on the hot isotherm A->B; the refrigerator runs the same
-corners in reverse, A -> D -> C -> B -> A.  Every heat is signed into the
+corners in reverse, A -> D -> C -> B -> A.  Both are described by one
+stroke table (:data:`ENGINE`, :data:`FRIDGE`) that the ledger, timing,
+performance and CLI layers iterate.  Every heat is signed into the
 working medium.  The ledger stores ``w_tot = -(sum of stroke heats)``,
 which is negative when the cycle delivers net work (engine) and positive
 when work is consumed (refrigerator).
@@ -13,19 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from typing import Callable, NamedTuple
 
-from .errors import OrderingError, ParameterError
+from .errors import OrderingError
+from .relaxation import _require_positive
 from .statistics import Statistics, population
 
 STATUS_OK = "ok"
 STATUS_NOT_AN_ENGINE = "not_an_engine"
 STATUS_NOT_A_REFRIGERATOR = "not_a_refrigerator"
-
-
-def _require_positive(**values):
-    for name, value in values.items():
-        if not value > 0.0:
-            raise ParameterError(f"{name} must be positive, got {value!r}")
 
 
 def isothermal_heat(stat: Statistics, temperature: float, omega_i: float, omega_f: float) -> float:
@@ -53,10 +51,19 @@ def isochoric_heat(stat: Statistics, omega: float, t_i: float, t_f: float) -> fl
     return omega * (population(stat, omega / t_f) - population(stat, omega / t_i))
 
 
-def _check_chain(kind: str, links: list[tuple[str, float, str, float]]):
-    violated = [f"{a} < {b}" for a, lo, b, hi in links if not lo < hi]
-    if violated:
-        raise OrderingError(f"{kind} ordering violated: requires " + ", ".join(violated))
+def _validate_spec(spec, validate: bool):
+    # the fields after stat: omega1, omega2, then the four inverse
+    # temperatures in the ascending order each cycle kind requires
+    numeric = vars(spec).copy()
+    del numeric["stat"]
+    _require_positive(**numeric)
+    omega1, omega2, first, second, third, fourth = numeric.values()
+    if validate and not (omega1 < omega2 and first < second < third < fourth):
+        items = list(numeric.items())
+        violated = [f"{a} < {b}" for (a, lo), (b, hi) in zip(items, items[1:])
+                    if a != "omega2" and not lo < hi]
+        raise OrderingError(f"{type(spec).__name__} ordering violated: requires "
+                            + ", ".join(violated))
 
 
 @dataclass(frozen=True)
@@ -77,15 +84,7 @@ class EngineSpec:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate):
-        _require_positive(omega1=self.omega1, omega2=self.omega2, beta_h=self.beta_h,
-                          beta1=self.beta1, beta2=self.beta2, beta_c=self.beta_c)
-        if validate:
-            _check_chain("EngineSpec", [
-                ("omega1", self.omega1, "omega2", self.omega2),
-                ("beta_h", self.beta_h, "beta1", self.beta1),
-                ("beta1", self.beta1, "beta2", self.beta2),
-                ("beta2", self.beta2, "beta_c", self.beta_c),
-            ])
+        _validate_spec(self, validate)
 
 
 @dataclass(frozen=True)
@@ -105,15 +104,7 @@ class FridgeSpec:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate):
-        _require_positive(omega1=self.omega1, omega2=self.omega2, beta1p=self.beta1p,
-                          beta_h=self.beta_h, beta_c=self.beta_c, beta2p=self.beta2p)
-        if validate:
-            _check_chain("FridgeSpec", [
-                ("omega1", self.omega1, "omega2", self.omega2),
-                ("beta1p", self.beta1p, "beta_h", self.beta_h),
-                ("beta_h", self.beta_h, "beta_c", self.beta_c),
-                ("beta_c", self.beta_c, "beta2p", self.beta2p),
-            ])
+        _validate_spec(self, validate)
 
 
 @dataclass(frozen=True)
@@ -151,61 +142,125 @@ class FridgeCycle:
     status: str
 
 
-def engine_ledger(spec: EngineSpec) -> EngineCycle:
-    """Assemble the engine stroke heats and efficiency eta = -W_tot/Q_h.
+class Stroke(NamedTuple):
+    """One branch of a cycle; attribute names refer to the spec unless noted.
 
-    The regenerator imbalance ``delta_q = Q_BC + Q_DA`` is charged to the
-    hot bath when positive (delta = 1) and dumped into the cold bath when
-    negative (delta = 0); perfect regeneration keeps delta = 0.
+    An isotherm holds the medium inverse temperature ``fixed`` while the
+    frequency runs ``start`` -> ``end`` against the bath ``drive``; an
+    isochore holds the frequency ``fixed`` while the medium inverse
+    temperature runs ``start`` -> ``end`` against the regenerator slope
+    ``drive`` (an attribute of the regenerator).
     """
-    t1 = 1.0 / spec.beta1
-    t2 = 1.0 / spec.beta2
-    q_ab = isothermal_heat(spec.stat, t1, spec.omega2, spec.omega1)
-    q_cd = isothermal_heat(spec.stat, t2, spec.omega1, spec.omega2)
-    q_bc = isochoric_heat(spec.stat, spec.omega1, t1, t2)
-    q_da = isochoric_heat(spec.stat, spec.omega2, t2, t1)
-    return _assemble_engine(q_ab, q_cd, q_bc, q_da)
+
+    label: str
+    heat: str         # StrokeLedger field
+    isotherm: bool
+    fixed: str
+    start: str
+    end: str
+    drive: str
 
 
-def _assemble_engine(q_ab: float, q_cd: float, q_bc: float, q_da: float) -> EngineCycle:
-    delta_q = q_bc + q_da
-    delta = 1 if delta_q > 0.0 else 0
-    q_h = q_ab + delta * delta_q
-    q_c = q_cd + (1 - delta) * delta_q
-    heat_sum = q_ab + q_bc + q_cd + q_da
-    ledger = StrokeLedger(q_ab, q_cd, q_bc, q_da, delta_q, delta, q_h, q_c, -heat_sum)
-    if q_h <= 0.0 or heat_sum <= 0.0:
-        return EngineCycle(ledger, float("nan"), STATUS_NOT_AN_ENGINE)
-    return EngineCycle(ledger, heat_sum / q_h, STATUS_OK)
+class CycleKind(NamedTuple):
+    """Everything that distinguishes the engine from the refrigerator.
 
-
-def fridge_ledger(spec: FridgeSpec) -> FridgeCycle:
-    """Assemble the refrigerator stroke heats and COP epsilon = Q_c/W_tot.
-
-    Here ``delta_q = Q_AD + Q_CB``; a deficit (delta_q > 0) is made up by
-    the hot bath while a surplus (delta = 1, delta_q < 0) is vented to the
-    cold bath, reducing the useful cooling heat.
+    ``strokes`` are in output order (t1..t4).  ``heat_sum`` adds the stroke
+    heats (hot, cold, low, high) into -w_tot in the kind's own order, which
+    the outputs depend on bitwise.  The regenerator imbalance goes to the
+    hot bath when positive and to the cold bath otherwise; ``delta = 1``
+    flags ``delta_sign * delta_q > 0``.  ``merit_terms`` returns the
+    (gain, cost) whose ratio is the figure of merit, and ``rate_column``
+    names the twelfth CSV column.
     """
-    t1p = 1.0 / spec.beta1p
-    t2p = 1.0 / spec.beta2p
-    q_ba = isothermal_heat(spec.stat, t1p, spec.omega1, spec.omega2)
-    q_dc = isothermal_heat(spec.stat, t2p, spec.omega2, spec.omega1)
-    q_cb = isochoric_heat(spec.stat, spec.omega1, t2p, t1p)
-    q_ad = isochoric_heat(spec.stat, spec.omega2, t1p, t2p)
-    return _assemble_fridge(q_ba, q_dc, q_cb, q_ad)
+
+    name: str
+    spec: type
+    strokes: tuple
+    heat_sum: Callable[[float, float, float, float], float]
+    delta_sign: float
+    merit: str
+    merit_terms: Callable[[StrokeLedger], tuple]
+    rate_column: str
+    cycle: type
+    not_ok: str
+
+    def stroke(self, heat: str) -> Stroke:
+        """The stroke whose heat lands in ledger field ``heat``."""
+        return next(s for s in self.strokes if s.heat == heat)
 
 
-def _assemble_fridge(q_ba: float, q_dc: float, q_cb: float, q_ad: float) -> FridgeCycle:
-    delta_q = q_ad + q_cb
-    delta = 1 if delta_q < 0.0 else 0
-    q_c = q_dc - delta * abs(delta_q)
-    q_h = q_ba + (1 - delta) * delta_q
-    heat_sum = q_ba + q_dc + q_cb + q_ad
-    w_tot = -heat_sum
-    ledger = StrokeLedger(q_ba, q_dc, q_cb, q_ad, delta_q, delta, q_h, q_c, w_tot)
-    if q_c <= 0.0 or w_tot <= 0.0:
-        return FridgeCycle(ledger, float("nan"), STATUS_NOT_A_REFRIGERATOR)
-    return FridgeCycle(ledger, q_c / w_tot, STATUS_OK)
+ENGINE = CycleKind(
+    name="engine", spec=EngineSpec,
+    strokes=(Stroke("A->B", "q_iso_hot", True, "beta1", "omega2", "omega1", "beta_h"),
+             Stroke("B->C", "q_isochore_low", False, "omega1", "beta1", "beta2", "gamma1"),
+             Stroke("C->D", "q_iso_cold", True, "beta2", "omega1", "omega2", "beta_c"),
+             Stroke("D->A", "q_isochore_high", False, "omega2", "beta2", "beta1", "gamma2")),
+    heat_sum=lambda hot, cold, low, high: hot + low + cold + high,
+    delta_sign=1.0, merit="eta", merit_terms=lambda ledger: (-ledger.w_tot, ledger.q_h),
+    rate_column="sigma", cycle=EngineCycle, not_ok=STATUS_NOT_AN_ENGINE)
+
+FRIDGE = CycleKind(
+    name="fridge", spec=FridgeSpec,
+    strokes=(Stroke("D->C", "q_iso_cold", True, "beta2p", "omega2", "omega1", "beta_c"),
+             Stroke("C->B", "q_isochore_low", False, "omega1", "beta2p", "beta1p", "bp"),
+             Stroke("B->A", "q_iso_hot", True, "beta1p", "omega1", "omega2", "beta_h"),
+             Stroke("A->D", "q_isochore_high", False, "omega2", "beta1p", "beta2p", "b")),
+    heat_sum=lambda hot, cold, low, high: hot + cold + low + high,
+    delta_sign=-1.0, merit="epsilon", merit_terms=lambda ledger: (ledger.q_c, ledger.w_tot),
+    rate_column="cooling_rate", cycle=FridgeCycle, not_ok=STATUS_NOT_A_REFRIGERATOR)
+
+CYCLE_KINDS = {kind.name: kind for kind in (ENGINE, FRIDGE)}
+_KIND_OF_SPEC = {kind.spec: kind for kind in (ENGINE, FRIDGE)}
+
+
+def cycle_kind(spec: EngineSpec | FridgeSpec) -> CycleKind:
+    """The stroke table of the cycle kind that ``spec`` parametrizes."""
+    return _KIND_OF_SPEC[type(spec)]
+
+
+def _assemble(kind: CycleKind, q_iso_hot: float, q_iso_cold: float, q_isochore_low: float,
+              q_isochore_high: float, delta: int | None = None):
+    """Ledger and figure of merit from the four stroke heats.
+
+    ``delta`` defaults to the flag the imbalance itself sets; closed-form
+    sets with a regenerator branch baked in pass it explicitly.
+    """
+    heat_sum = kind.heat_sum(q_iso_hot, q_iso_cold, q_isochore_low, q_isochore_high)
+    delta_q = q_isochore_low + q_isochore_high
+    if delta is None:
+        delta = 1 if kind.delta_sign * delta_q > 0.0 else 0
+    to_hot = delta if kind.delta_sign > 0.0 else 1 - delta
+    q_h = q_iso_hot + to_hot * delta_q
+    q_c = q_iso_cold + (1 - to_hot) * delta_q
+    ledger = StrokeLedger(q_iso_hot, q_iso_cold, q_isochore_low, q_isochore_high,
+                          delta_q, delta, q_h, q_c, -heat_sum)
+    gain, cost = kind.merit_terms(ledger)
+    if gain <= 0.0 or cost <= 0.0:
+        return kind.cycle(ledger, float("nan"), kind.not_ok)
+    return kind.cycle(ledger, gain / cost, STATUS_OK)
+
+
+def cycle_ledger(spec: EngineSpec | FridgeSpec) -> EngineCycle | FridgeCycle:
+    """Assemble the exact stroke heats and the figure of merit of either cycle kind.
+
+    The engine's efficiency is eta = -W_tot/Q_h; the refrigerator's COP is
+    epsilon = Q_c/W_tot.  A positive imbalance ``delta_q`` (the two
+    isochore heats) is charged to the hot bath, a negative one dumped into
+    the cold bath.  The engine flags the first with delta = 1, the
+    refrigerator the second, where the vented surplus reduces the useful
+    cooling heat; perfect regeneration keeps delta = 0.
+    """
+    kind, v = cycle_kind(spec), vars(spec)
+    heats = {}
+    for _, heat, isotherm, fixed, start, end, _ in kind.strokes:
+        if isotherm:
+            heats[heat] = isothermal_heat(spec.stat, 1.0 / v[fixed], v[start], v[end])
+        else:
+            heats[heat] = isochoric_heat(spec.stat, v[fixed], 1.0 / v[start], 1.0 / v[end])
+    return _assemble(kind, **heats)
+
+
+engine_ledger = fridge_ledger = cycle_ledger
 
 
 def _log_weight(stat: Statistics, x: float) -> float:
@@ -215,20 +270,18 @@ def _log_weight(stat: Statistics, x: float) -> float:
     return math.log1p(math.exp(-x))
 
 
-def engine_work_closed_form(spec: EngineSpec) -> float:
+def work_closed_form(spec: EngineSpec | FridgeSpec) -> float:
     """Signed total work from the two-isotherm closed form (ledger convention)."""
     lw = lambda x: _log_weight(spec.stat, x)
-    minus_w = (lw(spec.beta1 * spec.omega1) - lw(spec.beta1 * spec.omega2)) / spec.beta1 \
-        + (lw(spec.beta2 * spec.omega2) - lw(spec.beta2 * spec.omega1)) / spec.beta2
-    return -minus_w
+    v, terms = vars(spec), []
+    for _, _, isotherm, fixed, start, end, _ in cycle_kind(spec).strokes:
+        if isotherm:
+            beta = v[fixed]
+            terms.append((lw(beta * v[end]) - lw(beta * v[start])) / beta)
+    return -(terms[0] + terms[1])
 
 
-def fridge_work_closed_form(spec: FridgeSpec) -> float:
-    """Signed total work for the refrigerator cycle (positive = work input)."""
-    lw = lambda x: _log_weight(spec.stat, x)
-    minus_w = (lw(spec.beta2p * spec.omega1) - lw(spec.beta2p * spec.omega2)) / spec.beta2p \
-        + (lw(spec.beta1p * spec.omega2) - lw(spec.beta1p * spec.omega1)) / spec.beta1p
-    return -minus_w
+engine_work_closed_form = fridge_work_closed_form = work_closed_form
 
 
 def engine_carnot_bound(spec: EngineSpec) -> float:

@@ -9,17 +9,16 @@ from enum import Enum
 from typing import Sequence
 
 from .cycles import (
-    STATUS_NOT_A_REFRIGERATOR,
-    STATUS_NOT_AN_ENGINE,
-    STATUS_OK,
+    ENGINE,
+    FRIDGE,
     EngineCycle,
     EngineSpec,
     FridgeCycle,
     FridgeSpec,
     StrokeLedger,
-    _assemble_engine,
-    engine_ledger,
-    fridge_ledger,
+    _assemble,
+    cycle_kind,
+    cycle_ledger,
 )
 from .errors import ParameterError, SingularityError
 from .quadrature import QuadratureConfig
@@ -28,13 +27,10 @@ from .statistics import Statistics
 from .timing import (
     CycleForm,
     LinearEngineRegenerator,
-    LinearFridgeRegenerator,
     TimingReport,
     closed_form_cycle_time,
-    engine_cycle_time,
-    engine_regime_extents,
-    fridge_cycle_time,
-    fridge_regime_extents,
+    cycle_time,
+    regime_extents,
 )
 
 
@@ -99,13 +95,7 @@ def _low_temp_engine_cycle(spec: EngineSpec) -> EngineCycle:
     q_cd = w2 * e22 - w1 * e21 + (e22 - e21) / b2
     q_bc = w1 * (e21 - e11)
     q_da = w2 * (e12 - e22)
-    delta_q = q_bc + q_da
-    heat_sum = q_ab + q_bc + q_cd + q_da
-    ledger = StrokeLedger(q_ab, q_cd, q_bc, q_da, delta_q, 0, q_ab,
-                          q_cd + delta_q, -heat_sum)
-    if q_ab <= 0.0 or heat_sum <= 0.0:
-        return EngineCycle(ledger, float("nan"), STATUS_NOT_AN_ENGINE)
-    return EngineCycle(ledger, heat_sum / q_ab, STATUS_OK)
+    return _assemble(ENGINE, q_ab, q_cd, q_bc, q_da, delta=0)
 
 
 def _high_temp_engine_cycle(spec: EngineSpec) -> EngineCycle:
@@ -124,7 +114,7 @@ def _high_temp_engine_cycle(spec: EngineSpec) -> EngineCycle:
         q_cd = -b2 * span / 8.0
         q_bc = w1 * w1 * (b1 - b2) / 4.0
         q_da = w2 * w2 * (b2 - b1) / 4.0
-    return _assemble_engine(q_ab, q_cd, q_bc, q_da)
+    return _assemble(ENGINE, q_ab, q_cd, q_bc, q_da)
 
 
 def _low_temp_fridge_cycle(spec: FridgeSpec) -> FridgeCycle:
@@ -140,14 +130,7 @@ def _low_temp_fridge_cycle(spec: FridgeSpec) -> FridgeCycle:
     q_dc = w1 * e21 - w2 * e22 + (e21 - e22) / b2p
     q_cb = w1 * (e11 - e21)
     q_ad = w2 * (e22 - e12)
-    delta_q = q_ad + q_cb
-    heat_sum = q_ba + q_dc + q_cb + q_ad
-    w_tot = -heat_sum
-    ledger = StrokeLedger(q_ba, q_dc, q_cb, q_ad, delta_q, 0, q_ba + delta_q,
-                          q_dc, w_tot)
-    if q_dc <= 0.0 or w_tot <= 0.0:
-        return FridgeCycle(ledger, float("nan"), STATUS_NOT_A_REFRIGERATOR)
-    return FridgeCycle(ledger, q_dc / w_tot, STATUS_OK)
+    return _assemble(FRIDGE, q_ba, q_dc, q_cb, q_ad, delta=0)
 
 
 def _sigma(beta_h: float, beta_c: float, q_h: float, q_c: float, tau: float) -> float:
@@ -161,41 +144,49 @@ def _require_pipeline_inputs(model, tau: float | None = None):
         raise SingularityError("cycle period underflowed to zero at these parameters")
 
 
-def engine_performance(spec: EngineSpec, model: GevaKosloff, regen: LinearEngineRegenerator,
-                       cfg: QuadratureConfig | None = None,
-                       mode: Mode = Mode.EXACT) -> PerformanceReport:
-    """Run the engine pipeline in the requested mode.
+def cycle_performance(spec: EngineSpec | FridgeSpec, model: GevaKosloff, regen,
+                      cfg: QuadratureConfig | None = None,
+                      mode: Mode = Mode.EXACT) -> PerformanceReport:
+    """Run the engine or refrigerator pipeline in the requested mode.
 
     EXACT combines the exact ledger with quadrature stroke times; LOW_TEMP
     and HIGH_TEMP evaluate the corresponding closed-form sets (the latter is
-    statistics-specific).  Regime validity is reported via x_min/x_max, not
-    enforced.
+    statistics-specific and exists for the engine only, so a refrigerator
+    in HIGH_TEMP is rejected).  The refrigerator adds the cooling rate
+    R = Q_c/tau.  Regime validity is reported via x_min/x_max, not enforced.
     """
+    kind = cycle_kind(spec)
     _require_pipeline_inputs(model)
     if mode is Mode.EXACT:
-        cycle = engine_ledger(spec)
-        timing = engine_cycle_time(spec, model, regen, cfg)
+        cycle = cycle_ledger(spec)
+        timing = cycle_time(spec, model, regen, cfg)
     elif mode is Mode.LOW_TEMP:
-        cycle = _low_temp_engine_cycle(spec)
-        timing = closed_form_cycle_time(CycleForm.ENGINE_LOW, spec, model, regen)
+        if kind is ENGINE:
+            cycle = _low_temp_engine_cycle(spec)
+            timing = closed_form_cycle_time(CycleForm.ENGINE_LOW, spec, model, regen)
+        else:
+            cycle = _low_temp_fridge_cycle(spec)
+            timing = closed_form_cycle_time(CycleForm.FRIDGE_LOW, spec, model, regen)
     elif mode is Mode.HIGH_TEMP:
+        if kind is not ENGINE:
+            raise ParameterError("no high-temperature closed forms exist for the refrigerator")
         cycle = _high_temp_engine_cycle(spec)
-        kind = (CycleForm.ENGINE_HIGH_BOSONIC if spec.stat is Statistics.BOSONIC
+        form = (CycleForm.ENGINE_HIGH_BOSONIC if spec.stat is Statistics.BOSONIC
                 else CycleForm.ENGINE_HIGH_FERMIONIC)
-        timing = closed_form_cycle_time(kind, spec, model, regen)
+        timing = closed_form_cycle_time(form, spec, model, regen)
     else:
         raise ParameterError(f"unknown mode: {mode!r}")
     _require_pipeline_inputs(model, timing.tau)
-    x_min, x_max = engine_regime_extents(spec, regen)
+    x_min, x_max = regime_extents(spec, regen)
     ledger = cycle.ledger
     return PerformanceReport(
-        kind="engine",
+        kind=kind.name,
         statistics=spec.stat,
         ledger=ledger,
         timing=timing,
-        figure_of_merit=cycle.eta,
+        figure_of_merit=getattr(cycle, kind.merit),
         power=abs(ledger.w_tot) / timing.tau,
-        cooling_rate=None,
+        cooling_rate=ledger.q_c / timing.tau if kind.rate_column == "cooling_rate" else None,
         sigma=_sigma(spec.beta_h, spec.beta_c, ledger.q_h, ledger.q_c, timing.tau),
         tau=timing.tau,
         regime=mode,
@@ -205,43 +196,7 @@ def engine_performance(spec: EngineSpec, model: GevaKosloff, regen: LinearEngine
     )
 
 
-def fridge_performance(spec: FridgeSpec, model: GevaKosloff, regen: LinearFridgeRegenerator,
-                       cfg: QuadratureConfig | None = None,
-                       mode: Mode = Mode.EXACT) -> PerformanceReport:
-    """Run the refrigerator pipeline; adds the cooling rate R = Q_c/tau.
-
-    No high-temperature closed-form set exists for the refrigerator, so
-    HIGH_TEMP is rejected.
-    """
-    _require_pipeline_inputs(model)
-    if mode is Mode.EXACT:
-        cycle = fridge_ledger(spec)
-        timing = fridge_cycle_time(spec, model, regen, cfg)
-    elif mode is Mode.LOW_TEMP:
-        cycle = _low_temp_fridge_cycle(spec)
-        timing = closed_form_cycle_time(CycleForm.FRIDGE_LOW, spec, model, regen)
-    elif mode is Mode.HIGH_TEMP:
-        raise ParameterError("no high-temperature closed forms exist for the refrigerator")
-    else:
-        raise ParameterError(f"unknown mode: {mode!r}")
-    _require_pipeline_inputs(model, timing.tau)
-    x_min, x_max = fridge_regime_extents(spec, regen)
-    ledger = cycle.ledger
-    return PerformanceReport(
-        kind="fridge",
-        statistics=spec.stat,
-        ledger=ledger,
-        timing=timing,
-        figure_of_merit=cycle.epsilon,
-        power=abs(ledger.w_tot) / timing.tau,
-        cooling_rate=ledger.q_c / timing.tau,
-        sigma=_sigma(spec.beta_h, spec.beta_c, ledger.q_h, ledger.q_c, timing.tau),
-        tau=timing.tau,
-        regime=mode,
-        status=cycle.status,
-        x_min=x_min,
-        x_max=x_max,
-    )
+engine_performance = fridge_performance = cycle_performance
 
 
 EQUIVALENCE_QUANTITIES = ("q_h", "q_c", "w_tot", "figure_of_merit", "power", "sigma", "tau")
@@ -278,12 +233,8 @@ def equivalence_report(spec_a, spec_b, model: GevaKosloff, regen,
     for field in numeric:
         if getattr(spec_a, field) != getattr(spec_b, field):
             raise ParameterError(f"specs differ in {field}; only the statistics may differ")
-    if isinstance(spec_a, EngineSpec):
-        run = lambda s: engine_performance(s, model, regen, cfg, mode)
-    else:
-        run = lambda s: fridge_performance(s, model, regen, cfg, mode)
-    first = run(spec_a)
-    second = run(spec_b)
+    first = cycle_performance(spec_a, model, regen, cfg, mode)
+    second = cycle_performance(spec_b, model, regen, cfg, mode)
     quantities = EQUIVALENCE_QUANTITIES
     if first.cooling_rate is not None:
         quantities = quantities + ("cooling_rate",)

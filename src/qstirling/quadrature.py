@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, ParameterError
@@ -47,8 +48,8 @@ class QuadratureConfig:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ParameterError("quadrature tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ParameterError("quadrature tolerances must be positive and finite")
         if self.max_subdivisions < 1:
             raise ParameterError("max_subdivisions must be at least 1")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .cycles import EngineSpec, FridgeSpec
+from .cycles import ENGINE, FRIDGE, EngineSpec, FridgeSpec, cycle_kind
 from .errors import ConvergenceError, ParameterError, SingularityError
 from .quadrature import QuadratureConfig, integrate
 from .relaxation import GevaKosloff
@@ -59,6 +59,9 @@ class LinearFridgeRegenerator:
     def __post_init__(self):
         if not self.b > 0.0 or not self.bp > 0.0:
             raise ParameterError("fridge regenerator constants must be positive")
+
+
+REGENERATORS = {"engine": LinearEngineRegenerator, "fridge": LinearFridgeRegenerator}
 
 
 class StrokeTime(NamedTuple):
@@ -114,14 +117,7 @@ def isothermal_time(stat: Statistics, model: GevaKosloff, beta: float, beta_s: f
     def integrand(omega: float) -> float:
         return _rate_denominator(stat, q, beta * omega, beta_s * omega)
 
-    scale = beta_s / (2.0 * model.a)
-    result = _integrate_scaled(integrand, omega_i, omega_f, cfg, scale)
-    duration = scale * result.value
-    if duration < 0.0:
-        raise ParameterError(
-            "integration direction yields a negative duration; the stroke "
-            "must run toward the bath-driven equilibrium")
-    return StrokeTime(duration, abs(scale) * result.error_estimate)
+    return _duration(integrand, omega_i, omega_f, cfg, beta_s / (2.0 * model.a), "bath")
 
 
 def isochoric_time(stat: Statistics, model: GevaKosloff, regenerator: Callable[[float], float],
@@ -154,23 +150,25 @@ def isochoric_time(stat: Statistics, model: GevaKosloff, regenerator: Callable[[
         seen.append((beta_s, gap))
         return _rate_denominator(stat, q, beta_r * omega, beta_s * omega)
 
-    scale = omega / (2.0 * model.a)
-    result = _integrate_scaled(integrand, beta_i, beta_f, cfg, scale)
+    return _duration(integrand, beta_i, beta_f, cfg, omega / (2.0 * model.a), "regenerator")
+
+
+def _duration(integrand, lo: float, hi: float, cfg, scale: float, driver: str) -> StrokeTime:
+    """``scale`` times the integral, rejecting a stroke run away from equilibrium.
+
+    A convergence failure is rescaled so its partial result is a partial duration.
+    """
+    try:
+        result = integrate(integrand, lo, hi, cfg)
+    except ConvergenceError as exc:
+        raise ConvergenceError(str(exc), scale * exc.partial,
+                               abs(scale) * exc.error_estimate) from exc
     duration = scale * result.value
     if duration < 0.0:
         raise ParameterError(
             "integration direction yields a negative duration; the stroke "
-            "must run toward the regenerator-driven equilibrium")
+            f"must run toward the {driver}-driven equilibrium")
     return StrokeTime(duration, abs(scale) * result.error_estimate)
-
-
-def _integrate_scaled(integrand, lo: float, hi: float, cfg, scale: float):
-    # rescale a convergence failure so the partial result is a partial duration
-    try:
-        return integrate(integrand, lo, hi, cfg)
-    except ConvergenceError as exc:
-        raise ConvergenceError(str(exc), scale * exc.partial,
-                               abs(scale) * exc.error_estimate) from exc
 
 
 def _bisect_crossing(mapping: Callable[[float], float], lo: float, hi: float) -> float:
@@ -203,52 +201,38 @@ def _stroke(label: str, fn, *args) -> StrokeTime:
         raise ParameterError(f"stroke {label}: {exc}") from exc
 
 
-def engine_cycle_time(spec: EngineSpec, model: GevaKosloff, regen: LinearEngineRegenerator,
-                      cfg: QuadratureConfig | None = None) -> TimingReport:
-    """Per-stroke durations of the engine cycle, in A->B->C->D->A order.
+def cycle_time(spec: EngineSpec | FridgeSpec, model: GevaKosloff, regen,
+               cfg: QuadratureConfig | None = None) -> TimingReport:
+    """Per-stroke durations of either cycle kind, in its stroke-table order.
 
-    t1: hot isotherm at beta1 against the beta_h bath (omega2 -> omega1);
-    t2: low-frequency isochore against the gamma1 regenerator branch;
-    t3: cold isotherm at beta2 against beta_c (omega1 -> omega2);
-    t4: high-frequency isochore against the gamma2 branch.
+    Engine (A->B->C->D->A): t1 hot isotherm at beta1 against the beta_h bath
+    (omega2 -> omega1); t2 low-frequency isochore against the gamma1
+    regenerator branch; t3 cold isotherm at beta2 against beta_c
+    (omega1 -> omega2); t4 high-frequency isochore against the gamma2 branch.
+    Refrigerator: t1 cold isotherm D->C at beta2p against beta_c
+    (omega2 -> omega1); t2 low-frequency isochore C->B against the bp branch;
+    t3 hot isotherm B->A at beta1p against beta_h (omega1 -> omega2); t4
+    high-frequency isochore A->D against the b branch.
     """
-    t1 = _stroke("A->B", isothermal_time, spec.stat, model, spec.beta_h, spec.beta1,
-                 spec.omega2, spec.omega1, cfg)
-    t2 = _stroke("B->C", isochoric_time, spec.stat, model,
-                 lambda b: regen.gamma1 * b, spec.omega1, spec.beta1, spec.beta2, cfg)
-    t3 = _stroke("C->D", isothermal_time, spec.stat, model, spec.beta_c, spec.beta2,
-                 spec.omega1, spec.omega2, cfg)
-    t4 = _stroke("D->A", isochoric_time, spec.stat, model,
-                 lambda b: regen.gamma2 * b, spec.omega2, spec.beta2, spec.beta1, cfg)
-    return _report(t1, t2, t3, t4)
+    v = vars(spec)
+    times = []
+    for label, _, isotherm, fixed, start, end, drive in cycle_kind(spec).strokes:
+        if isotherm:
+            times.append(_stroke(label, isothermal_time, spec.stat, model,
+                                 v[drive], v[fixed], v[start], v[end], cfg))
+        else:
+            slope = getattr(regen, drive)
+            times.append(_stroke(label, isochoric_time, spec.stat, model,
+                                 lambda b: slope * b, v[fixed], v[start], v[end], cfg))
+    return _report([t.duration for t in times], tuple(t.error_estimate for t in times))
 
 
-def fridge_cycle_time(spec: FridgeSpec, model: GevaKosloff, regen: LinearFridgeRegenerator,
-                      cfg: QuadratureConfig | None = None) -> TimingReport:
-    """Per-stroke durations of the refrigerator cycle.
-
-    t1: cold isotherm at beta2p against beta_c (omega2 -> omega1, stroke D->C);
-    t2: low-frequency isochore against the bp branch (C->B);
-    t3: hot isotherm at beta1p against beta_h (omega1 -> omega2, B->A);
-    t4: high-frequency isochore against the b branch (A->D).
-    """
-    t1 = _stroke("D->C", isothermal_time, spec.stat, model, spec.beta_c, spec.beta2p,
-                 spec.omega2, spec.omega1, cfg)
-    t2 = _stroke("C->B", isochoric_time, spec.stat, model,
-                 lambda b: regen.bp * b, spec.omega1, spec.beta2p, spec.beta1p, cfg)
-    t3 = _stroke("B->A", isothermal_time, spec.stat, model, spec.beta_h, spec.beta1p,
-                 spec.omega1, spec.omega2, cfg)
-    t4 = _stroke("A->D", isochoric_time, spec.stat, model,
-                 lambda b: regen.b * b, spec.omega2, spec.beta1p, spec.beta2p, cfg)
-    return _report(t1, t2, t3, t4)
+engine_cycle_time = fridge_cycle_time = cycle_time
 
 
-def _report(t1: StrokeTime, t2: StrokeTime, t3: StrokeTime, t4: StrokeTime) -> TimingReport:
-    return TimingReport(
-        t1.duration, t2.duration, t3.duration, t4.duration,
-        t1.duration + t2.duration + t3.duration + t4.duration,
-        (t1.error_estimate, t2.error_estimate, t3.error_estimate, t4.error_estimate),
-    )
+def _report(durations, error_estimates) -> TimingReport:
+    t1, t2, t3, t4 = durations
+    return TimingReport(t1, t2, t3, t4, t1 + t2 + t3 + t4, error_estimates)
 
 
 class CycleForm(Enum):
@@ -262,8 +246,6 @@ class CycleForm(Enum):
 
 def _exp_span(prefactor_rate: float, a: float, x_start: float, x_end: float) -> float:
     # (e^{-k*x_start} - e^{-k*x_end}) / (2*a*k) with k = prefactor_rate
-    if prefactor_rate == 0.0:
-        raise SingularityError("closed-form exponent coefficient vanished")
     return (math.exp(-prefactor_rate * x_start) - math.exp(-prefactor_rate * x_end)) \
         / (2.0 * a * prefactor_rate)
 
@@ -276,71 +258,61 @@ def closed_form_cycle_time(kind: CycleForm, spec, model: GevaKosloff,
     pipeline to judge it.  High-temperature forms exist for the engine only
     and assume the linear regenerator mapping.
     """
+    if not isinstance(kind, CycleForm):
+        raise ParameterError(f"unknown closed-form kind: {kind!r}")
+    fridge = kind is CycleForm.FRIDGE_LOW
+    cycle = FRIDGE if fridge else ENGINE
+    regen_type = REGENERATORS[cycle.name]
+    if not isinstance(spec, cycle.spec) or not isinstance(regen, regen_type):
+        raise ParameterError(
+            f"{kind.value} requires a {cycle.spec.__name__} and {regen_type.__name__}")
     a, q = model.a, model.q
     zeros = (0.0, 0.0, 0.0, 0.0)
-    if kind is CycleForm.ENGINE_LOW:
-        _expect(spec, EngineSpec, regen, LinearEngineRegenerator, kind)
-        alpha_h = spec.beta_h / spec.beta1
-        alpha_c = spec.beta_c / spec.beta2
-        b1, b2, w1, w2 = spec.beta1, spec.beta2, spec.omega1, spec.omega2
-        t1 = _exp_span(1.0 + alpha_h * q, a, b1 * w1, b1 * w2)
-        t2 = _exp_span(regen.gamma1 * (1.0 + q), a, b1 * w1, b2 * w1)
-        t3 = _exp_span(alpha_c * (1.0 + q), a, b2 * w1, b2 * w2)
-        t4 = _exp_span(1.0 + regen.gamma2 * q, a, b1 * w2, b2 * w2)
-        return TimingReport(t1, t2, t3, t4, t1 + t2 + t3 + t4, zeros)
-    if kind is CycleForm.FRIDGE_LOW:
-        _expect(spec, FridgeSpec, regen, LinearFridgeRegenerator, kind)
-        alpha_hp = spec.beta_h / spec.beta1p
-        alpha_cp = spec.beta_c / spec.beta2p
-        b1p, b2p, w1, w2 = spec.beta1p, spec.beta2p, spec.omega1, spec.omega2
-        t1 = _exp_span(1.0 + q * alpha_cp, a, b2p * w1, b2p * w2)
-        t2 = _exp_span(1.0 + q * regen.bp, a, b1p * w1, b2p * w1)
-        t3 = _exp_span((1.0 + q) * alpha_hp, a, b1p * w1, b1p * w2)
-        t4 = _exp_span((1.0 + q) * regen.b, a, b1p * w2, b2p * w2)
-        return TimingReport(t1, t2, t3, t4, t1 + t2 + t3 + t4, zeros)
+    if fridge or kind is CycleForm.ENGINE_LOW:
+        v, slopes = vars(spec), vars(regen)
+        times = []
+        for _, _, isotherm, fixed, start, end, drive in cycle.strokes:
+            # the bath or regenerator sits at c times the medium's beta; its
+            # exponential dominates the integrand for c > 1, the medium's below
+            c = v[drive] / v[fixed] if isotherm else slopes[drive]
+            rate = (1.0 + q) * c if c > 1.0 else 1.0 + q * c
+            x_lo, x_hi = v[fixed] * v[start], v[fixed] * v[end]
+            if x_lo > x_hi:
+                x_lo, x_hi = x_hi, x_lo
+            times.append(_exp_span(rate, a, x_lo, x_hi))
+        return _report(times, zeros)
+    b1, b2, w1, w2 = spec.beta1, spec.beta2, spec.omega1, spec.omega2
     if kind is CycleForm.ENGINE_HIGH_BOSONIC:
-        _expect(spec, EngineSpec, regen, LinearEngineRegenerator, kind)
-        b1, b2, w1, w2 = spec.beta1, spec.beta2, spec.omega1, spec.omega2
         t1 = (w2 - w1) / (2.0 * a * w1 * w2 * (b1 - spec.beta_h))
         t3 = (w2 - w1) / (2.0 * a * w1 * w2 * (spec.beta_c - b2))
         inv_span = 1.0 / b1 - 1.0 / b2
         t2 = inv_span / (2.0 * a * w1 * (regen.gamma1 - 1.0))
         t4 = inv_span / (2.0 * a * w2 * (1.0 - regen.gamma2))
-        return TimingReport(t1, t2, t3, t4, t1 + t2 + t3 + t4, zeros)
-    if kind is CycleForm.ENGINE_HIGH_FERMIONIC:
-        _expect(spec, EngineSpec, regen, LinearEngineRegenerator, kind)
-        b1, b2, w1, w2 = spec.beta1, spec.beta2, spec.omega1, spec.omega2
+    else:
         log_w = math.log(w2 / w1)
         t1 = b1 * log_w / (4.0 * a * (b1 - spec.beta_h))
         t3 = b2 * log_w / (4.0 * a * (spec.beta_c - b2))
         log_b = math.log(b2 / b1)
         t2 = log_b / (4.0 * a * (regen.gamma1 - 1.0))
         t4 = log_b / (4.0 * a * (1.0 - regen.gamma2))
-        return TimingReport(t1, t2, t3, t4, t1 + t2 + t3 + t4, zeros)
-    raise ParameterError(f"unknown closed-form kind: {kind!r}")
+    return _report((t1, t2, t3, t4), zeros)
 
 
-def _expect(spec, spec_type, regen, regen_type, kind: CycleForm):
-    if not isinstance(spec, spec_type) or not isinstance(regen, regen_type):
-        raise ParameterError(
-            f"{kind.value} requires a {spec_type.__name__} and {regen_type.__name__}")
+def regime_extents(spec: EngineSpec | FridgeSpec, regen) -> tuple[float, float]:
+    """Smallest and largest beta*omega product visited by the cycle.
 
-
-def engine_regime_extents(spec: EngineSpec, regen: LinearEngineRegenerator) -> tuple[float, float]:
-    """Smallest and largest beta*omega product visited by the engine cycle.
-
-    Scans bath, medium and regenerator inverse temperatures against both
-    frequencies; used to score low/high-temperature regime validity.
+    Scans the bath, medium and regenerator inverse temperatures at the
+    stroke endpoints against both frequencies; used to score
+    low/high-temperature regime validity.
     """
-    betas = (spec.beta_h, spec.beta1, spec.beta2, spec.beta_c,
-             regen.gamma1 * spec.beta1, regen.gamma1 * spec.beta2,
-             regen.gamma2 * spec.beta1, regen.gamma2 * spec.beta2)
+    v, slopes = vars(spec), vars(regen)
+    betas = []
+    for _, _, isotherm, fixed, start, end, drive in cycle_kind(spec).strokes:
+        if isotherm:
+            betas += (v[drive], v[fixed])
+        else:
+            betas += (slopes[drive] * v[start], slopes[drive] * v[end])
     return min(betas) * spec.omega1, max(betas) * spec.omega2
 
 
-def fridge_regime_extents(spec: FridgeSpec, regen: LinearFridgeRegenerator) -> tuple[float, float]:
-    """Fridge counterpart of :func:`engine_regime_extents`."""
-    betas = (spec.beta1p, spec.beta_h, spec.beta_c, spec.beta2p,
-             regen.b * spec.beta1p, regen.b * spec.beta2p,
-             regen.bp * spec.beta1p, regen.bp * spec.beta2p)
-    return min(betas) * spec.omega1, max(betas) * spec.omega2
+engine_regime_extents = fridge_regime_extents = regime_extents

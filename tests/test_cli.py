@@ -324,6 +324,22 @@ class TestValidateCommand:
         assert rc == 0
         assert "SKIP" in out
 
+    @pytest.mark.parametrize("key,value", [
+        ("rel_tol", "nan"), ("rel_tol", "inf"), ("abs_tol", "nan"), ("abs_tol", "inf"),
+        ("x_low_threshold", "nan"), ("x_low_threshold", "inf"),
+        ("x_high_threshold", "nan"), ("x_high_threshold", "-inf"),
+    ])
+    def test_non_finite_numerics_exit_1(self, tmp_path, capsys, key, value):
+        # a NaN x_low_threshold used to turn statistics_equivalence into a SKIP
+        text = "\n".join(line for line in Path(ENGINE_CFG).read_text(encoding="utf-8")
+                         .splitlines() if not line.startswith(f"{key} ="))
+        text = text.replace("[numerics]", f"[numerics]\n{key} = {value}")
+        rc = main(["validate", "--config", write_cfg(tmp_path, text)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: numerics")
+
 
 class TestEntryPoints:
     def test_module_help(self):

@@ -233,6 +233,24 @@ class TestFridgeRegeneratorTrichotomy:
         assert ledger.delta == 0
 
 
+class TestReversal:
+    @pytest.mark.parametrize("stat", [B, F])
+    def test_fridge_stroke_heats_negate_engine(self, stat, rng):
+        # the refrigerator runs the engine's corners backwards, so on the same
+        # frequencies and medium temperatures every stroke heat flips sign
+        # exactly; ledger heats ignore the baths, so each spec uses its own
+        for _ in range(500):
+            engine = random_engine_spec(rng, stat)
+            b1, b2 = engine.beta1, engine.beta2
+            fridge = FridgeSpec(stat, engine.omega1, engine.omega2, b1,
+                                b1 + (b2 - b1) / 3.0, b1 + 2.0 * (b2 - b1) / 3.0, b2)
+            forward = engine_ledger(engine).ledger
+            backward = fridge_ledger(fridge).ledger
+            for name in ("q_iso_hot", "q_iso_cold", "q_isochore_low", "q_isochore_high",
+                         "delta_q"):
+                assert getattr(backward, name) == -getattr(forward, name), name
+
+
 class TestCarnotCeiling:
     """The bath Carnot bound holds in the regimes the claims are scoped to;
     the intermediate regime genuinely violates it (see decisions ledger)."""

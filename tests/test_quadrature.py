@@ -75,3 +75,8 @@ def test_config_validation():
         QuadratureConfig(abs_tol=-1.0)
     with pytest.raises(ParameterError):
         QuadratureConfig(max_subdivisions=0)
+    # a NaN tolerance never compares <= 0 and an infinite one stops after one panel
+    for tolerances in ({"rel_tol": math.nan}, {"rel_tol": math.inf},
+                       {"abs_tol": math.nan}, {"abs_tol": math.inf}):
+        with pytest.raises(ParameterError):
+            QuadratureConfig(**tolerances)

@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import pytest
 
+import qstirling.timing
 from qstirling import (
     CycleForm,
     EngineSpec,
@@ -13,6 +15,7 @@ from qstirling import (
     SingularityError,
     Statistics,
     closed_form_cycle_time,
+    cycle_performance,
     engine_cycle_time,
     engine_regime_extents,
     fridge_cycle_time,
@@ -20,7 +23,10 @@ from qstirling import (
     isochoric_time,
     isothermal_time,
 )
+from qstirling.config import load_run_config
 from conftest import lowtemp_engine_spec, lowtemp_fridge_spec, rel
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 B = Statistics.BOSONIC
 F = Statistics.FERMIONIC
@@ -318,3 +324,27 @@ class TestRegimeExtents:
         spec = lowtemp_fridge_spec(B, 9.0)
         x_min, x_max = fridge_regime_extents(spec, FRIDGE_REGEN)
         assert rel(x_min, 9.0) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["engine_lowtemp.ini", "fridge_lowtemp.ini"])
+def test_shipped_lowtemp_exact_point_work_budget(name, monkeypatch):
+    # deterministic GK15 work of the shipped EXACT points: 30 panel evaluations
+    # (2*panels - 1 per stroke) and 450 integrand calls; more is a regression
+    counts = {"panel_evals": 0, "integrand_evals": 0}
+    real_integrate = qstirling.timing.integrate
+
+    def counting_integrate(f, a, b, cfg=None):
+        def counted(x):
+            counts["integrand_evals"] += 1
+            return f(x)
+        result = real_integrate(counted, a, b, cfg)
+        counts["panel_evals"] += max(2 * result.panels - 1, 0)
+        return result
+
+    monkeypatch.setattr(qstirling.timing, "integrate", counting_integrate)
+    cfg = load_run_config(str(CONFIG_DIR / name))
+    report = cycle_performance(cfg.spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)
+    assert report.status == "ok"
+    assert 0 < counts["panel_evals"] <= 30
+    assert counts["integrand_evals"] <= 450
+    assert counts["integrand_evals"] == 15 * counts["panel_evals"]
