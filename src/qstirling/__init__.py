@@ -65,7 +65,6 @@ from .statistics import (
     population,
 )
 from .timing import (
-    CycleForm,
     LinearEngineRegenerator,
     LinearFridgeRegenerator,
     StrokeTime,

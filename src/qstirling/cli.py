@@ -100,10 +100,10 @@ def _build_parser() -> _Parser:
                        help="override output.format from the config")
         p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
-    for kind, machine in (("engine", "engine"), ("fridge", "refrigerator")):
-        cycle = sub.add_parser(kind, help=f"run one {machine} operating point")
+    for kind in CYCLE_KINDS.values():
+        cycle = sub.add_parser(kind.name, help=f"run one {kind.machine} operating point")
         add_common(cycle)
-        cycle.set_defaults(handler=functools.partial(_cmd_cycle, kind=kind))
+        cycle.set_defaults(handler=functools.partial(_cmd_cycle, kind=kind.name))
 
     regime = sub.add_parser("regime-map", help="grid of the conduction-coefficient ratio")
     regime.add_argument("--q-min", type=float, required=True)
@@ -211,6 +211,11 @@ def _classify(q: float, x: float) -> str:
     return "above" if gap > 0.0 else "below"
 
 
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """``count`` >= 2 evenly spaced points; the last is ``hi`` exactly, not lo + (hi - lo)."""
+    return [lo + (hi - lo) * i / (count - 1) for i in range(count - 1)] + [hi]
+
+
 def _cmd_regime_map(args) -> int:
     if not (-1.0 < args.q_min < args.q_max < 0.0):
         raise ConfigError("require -1 < q-min < q-max < 0")
@@ -218,10 +223,8 @@ def _cmd_regime_map(args) -> int:
         raise ConfigError("require 0 < x-min < x-max")
     if args.grid < 2:
         raise ConfigError("grid must be at least 2")
-    n = args.grid
-    qs = [args.q_min + (args.q_max - args.q_min) * i / (n - 1) for i in range(n)]
-    xs = [args.x_min + (args.x_max - args.x_min) * j / (n - 1) for j in range(n)]
-
+    qs = _linspace(args.q_min, args.q_max, args.grid)
+    xs = _linspace(args.x_min, args.x_max, args.grid)
     rows = [(q, x, conduction_ratio(q, x), _classify(q, x)) for q in qs for x in xs]
     _emit(_csv_text(REGIME_MAP_COLUMNS, rows), args.out)
     return 0
@@ -242,7 +245,7 @@ def _parse_x_grid(raw: str):
         if start != stop:
             raise ConfigError("--x-grid: single-point grid requires START == STOP")
         return [start]
-    return [start + (stop - start) * i / (count - 1) for i in range(count)]
+    return _linspace(start, stop, count)
 
 
 def _sweep_template(cfg: RunConfig) -> SweepTemplate:

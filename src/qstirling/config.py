@@ -12,13 +12,12 @@ import configparser
 import math
 from dataclasses import dataclass, fields
 
-from .cycles import CYCLE_KINDS, EngineSpec, FridgeSpec
+from .cycles import CYCLE_KINDS, EngineSpec, FridgeSpec, Mode
 from .errors import ConfigError, OrderingError, ParameterError
-from .performance import Mode
 from .quadrature import QuadratureConfig
-from .relaxation import GevaKosloff, ThermalField
+from .relaxation import HIGH_TEMP_THRESHOLD, LOW_TEMP_THRESHOLD, GevaKosloff, ThermalField
 from .statistics import Statistics
-from .timing import REGENERATORS, LinearEngineRegenerator, LinearFridgeRegenerator
+from .timing import LinearEngineRegenerator, LinearFridgeRegenerator
 
 _SCHEMA = {
     "working_medium": {"statistics"},
@@ -145,11 +144,12 @@ def load_run_config(path: str) -> RunConfig:
     omega1 = cycle.number("omega1")
     omega2 = cycle.number("omega2")
 
+    table = CYCLE_KINDS[kind]
     try:
         # medium inverse temperatures of the hot and cold isotherms
         # (beta1/beta2 or beta1p/beta2p); the alpha ratios scale them
-        hot = CYCLE_KINDS[kind].stroke("q_iso_hot").fixed
-        cold = CYCLE_KINDS[kind].stroke("q_iso_cold").fixed
+        hot = table.stroke("q_iso_hot").fixed
+        cold = table.stroke("q_iso_cold").fixed
         betas = {hot: cycle.number(hot), cold: cycle.number(cold)}
         which = _exactly_one(cycle, "cycle", ("beta_h", "beta_c"), ("alpha_h", "alpha_c"))
         if which == "first":
@@ -158,10 +158,9 @@ def load_run_config(path: str) -> RunConfig:
         else:
             betas["beta_h"] = cycle.number("alpha_h") * betas[hot]
             betas["beta_c"] = cycle.number("alpha_c") * betas[cold]
-        spec = CYCLE_KINDS[kind].spec(stat, omega1, omega2, **betas)
-        regen_type = REGENERATORS[kind]
-        regen = _build(regen_type, "regenerator",
-                       *(regen_section.number(f.name) for f in fields(regen_type)))
+        spec = table.spec(stat, omega1, omega2, **betas)
+        regen = _build(table.regen, "regenerator",
+                       *(regen_section.number(f.name) for f in fields(table.regen)))
     except ParameterError as exc:
         raise ConfigError(f"cycle: {exc}") from exc
     except OrderingError:
@@ -176,9 +175,10 @@ def load_run_config(path: str) -> RunConfig:
     numerics = _Section(parser, "numerics", required=False)
     try:
         quad = QuadratureConfig(
-            rel_tol=numerics.number("rel_tol", 1e-10),
-            abs_tol=numerics.number("abs_tol", 1e-14),
-            max_subdivisions=numerics.integer("max_subdivisions", 200),
+            rel_tol=numerics.number("rel_tol", QuadratureConfig.rel_tol),
+            abs_tol=numerics.number("abs_tol", QuadratureConfig.abs_tol),
+            max_subdivisions=numerics.integer("max_subdivisions",
+                                              QuadratureConfig.max_subdivisions),
         )
     except ParameterError as exc:
         raise ConfigError(f"numerics: {exc}") from exc
@@ -189,8 +189,8 @@ def load_run_config(path: str) -> RunConfig:
         raise ConfigError(
             f"numerics.regime_mode: expected exact, low_temp or high_temp, "
             f"got {mode_raw!r}") from exc
-    x_low = numerics.number("x_low_threshold", 8.0)
-    x_high = numerics.number("x_high_threshold", 0.1)
+    x_low = numerics.number("x_low_threshold", LOW_TEMP_THRESHOLD)
+    x_high = numerics.number("x_high_threshold", HIGH_TEMP_THRESHOLD)
     for key, value in (("x_low_threshold", x_low), ("x_high_threshold", x_high)):
         if not math.isfinite(value):
             raise ConfigError(f"numerics.{key}: must be finite, got {value!r}")

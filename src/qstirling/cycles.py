@@ -5,7 +5,8 @@ A(omega2, T1) -> B(omega1, T1) -> C(omega1, T2) -> D(omega2, T2) -> A,
 absorbing heat on the hot isotherm A->B; the refrigerator runs the same
 corners in reverse, A -> D -> C -> B -> A.  Both are described by one
 stroke table (:data:`ENGINE`, :data:`FRIDGE`) that the ledger, timing,
-performance and CLI layers iterate.  Every heat is signed into the
+performance and CLI layers iterate; it also names each kind's regenerator
+class and the regime closed-form sets that exist for it.  Every heat is signed into the
 working medium.  The ledger stores ``w_tot = -(sum of stroke heats)``,
 which is negative when the cycle delivers net work (engine) and positive
 when work is consumed (refrigerator).
@@ -15,15 +16,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from enum import Enum
 from typing import Callable, NamedTuple
 
-from .errors import OrderingError
+from .errors import OrderingError, ParameterError
 from .relaxation import _require_positive
 from .statistics import Statistics, population
 
 STATUS_OK = "ok"
 STATUS_NOT_AN_ENGINE = "not_an_engine"
 STATUS_NOT_A_REFRIGERATOR = "not_a_refrigerator"
+
+
+class Mode(Enum):
+    """Pipeline selector: exact quadrature or a regime closed-form set."""
+
+    EXACT = "exact"
+    LOW_TEMP = "low_temp"
+    HIGH_TEMP = "high_temp"
+
+
+def _log_weight(stat: Statistics, x: float) -> float:
+    # +-ln(1 +- e^{-x}); the per-statistics piece of the isothermal log term
+    if stat is Statistics.BOSONIC:
+        e = math.exp(-x)
+        # where e^{-x} rounds to 1, log1p(-e) would be log(0); expm1 keeps x
+        return -math.log1p(-e) if e < 1.0 else -math.log(-math.expm1(-x))
+    return math.log1p(math.exp(-x))
 
 
 def isothermal_heat(stat: Statistics, temperature: float, omega_i: float, omega_f: float) -> float:
@@ -38,10 +57,7 @@ def isothermal_heat(stat: Statistics, temperature: float, omega_i: float, omega_
     x_f = omega_f / temperature
     n_i = population(stat, x_i)
     n_f = population(stat, x_f)
-    if stat is Statistics.BOSONIC:
-        logs = -temperature * (math.log1p(-math.exp(-x_f)) - math.log1p(-math.exp(-x_i)))
-    else:
-        logs = temperature * (math.log1p(math.exp(-x_f)) - math.log1p(math.exp(-x_i)))
+    logs = temperature * (_log_weight(stat, x_f) - _log_weight(stat, x_i))
     return omega_f * n_f - omega_i * n_i + logs
 
 
@@ -107,6 +123,47 @@ class FridgeSpec:
         _validate_spec(self, validate)
 
 
+def _require_slopes(regen):
+    # both regenerators: first slope above 1, second in (0, 1)
+    (name1, slope1), (name2, slope2) = vars(regen).items()
+    if not slope1 > 1.0:
+        raise ParameterError(f"{name1} must exceed 1, got {slope1!r}")
+    if not 0.0 < slope2 < 1.0:
+        raise ParameterError(f"{name2} must lie in (0, 1), got {slope2!r}")
+
+
+@dataclass(frozen=True)
+class LinearEngineRegenerator:
+    """Regenerator temperature proportional to the medium's: beta_r = c*beta_s.
+
+    gamma1 > 1 keeps the regenerator colder than the medium while it absorbs
+    heat on the low-frequency isochore; gamma2 < 1 keeps it hotter while it
+    returns heat on the high-frequency one.
+    """
+
+    gamma1: float
+    gamma2: float
+
+    def __post_init__(self):
+        _require_slopes(self)
+
+
+@dataclass(frozen=True)
+class LinearFridgeRegenerator:
+    """Refrigerator analogue with beta'_1r = b*beta_s and beta'_2r = bp*beta_s.
+
+    b > 1 keeps the regenerator colder than the medium while it absorbs heat
+    on the high-frequency isochore; 0 < bp < 1 keeps it hotter while it
+    returns heat on the low-frequency one.
+    """
+
+    b: float
+    bp: float
+
+    def __post_init__(self):
+        _require_slopes(self)
+
+
 @dataclass(frozen=True)
 class StrokeLedger:
     """Per-cycle heat bookkeeping.
@@ -161,63 +218,6 @@ class Stroke(NamedTuple):
     drive: str
 
 
-class CycleKind(NamedTuple):
-    """Everything that distinguishes the engine from the refrigerator.
-
-    ``strokes`` are in output order (t1..t4).  ``heat_sum`` adds the stroke
-    heats (hot, cold, low, high) into -w_tot in the kind's own order, which
-    the outputs depend on bitwise.  The regenerator imbalance goes to the
-    hot bath when positive and to the cold bath otherwise; ``delta = 1``
-    flags ``delta_sign * delta_q > 0``.  ``merit_terms`` returns the
-    (gain, cost) whose ratio is the figure of merit, and ``rate_column``
-    names the twelfth CSV column.
-    """
-
-    name: str
-    spec: type
-    strokes: tuple
-    heat_sum: Callable[[float, float, float, float], float]
-    delta_sign: float
-    merit: str
-    merit_terms: Callable[[StrokeLedger], tuple]
-    rate_column: str
-    cycle: type
-    not_ok: str
-
-    def stroke(self, heat: str) -> Stroke:
-        """The stroke whose heat lands in ledger field ``heat``."""
-        return next(s for s in self.strokes if s.heat == heat)
-
-
-ENGINE = CycleKind(
-    name="engine", spec=EngineSpec,
-    strokes=(Stroke("A->B", "q_iso_hot", True, "beta1", "omega2", "omega1", "beta_h"),
-             Stroke("B->C", "q_isochore_low", False, "omega1", "beta1", "beta2", "gamma1"),
-             Stroke("C->D", "q_iso_cold", True, "beta2", "omega1", "omega2", "beta_c"),
-             Stroke("D->A", "q_isochore_high", False, "omega2", "beta2", "beta1", "gamma2")),
-    heat_sum=lambda hot, cold, low, high: hot + low + cold + high,
-    delta_sign=1.0, merit="eta", merit_terms=lambda ledger: (-ledger.w_tot, ledger.q_h),
-    rate_column="sigma", cycle=EngineCycle, not_ok=STATUS_NOT_AN_ENGINE)
-
-FRIDGE = CycleKind(
-    name="fridge", spec=FridgeSpec,
-    strokes=(Stroke("D->C", "q_iso_cold", True, "beta2p", "omega2", "omega1", "beta_c"),
-             Stroke("C->B", "q_isochore_low", False, "omega1", "beta2p", "beta1p", "bp"),
-             Stroke("B->A", "q_iso_hot", True, "beta1p", "omega1", "omega2", "beta_h"),
-             Stroke("A->D", "q_isochore_high", False, "omega2", "beta1p", "beta2p", "b")),
-    heat_sum=lambda hot, cold, low, high: hot + cold + low + high,
-    delta_sign=-1.0, merit="epsilon", merit_terms=lambda ledger: (ledger.q_c, ledger.w_tot),
-    rate_column="cooling_rate", cycle=FridgeCycle, not_ok=STATUS_NOT_A_REFRIGERATOR)
-
-CYCLE_KINDS = {kind.name: kind for kind in (ENGINE, FRIDGE)}
-_KIND_OF_SPEC = {kind.spec: kind for kind in (ENGINE, FRIDGE)}
-
-
-def cycle_kind(spec: EngineSpec | FridgeSpec) -> CycleKind:
-    """The stroke table of the cycle kind that ``spec`` parametrizes."""
-    return _KIND_OF_SPEC[type(spec)]
-
-
 def _assemble(kind: CycleKind, q_iso_hot: float, q_iso_cold: float, q_isochore_low: float,
               q_isochore_high: float, delta: int | None = None):
     """Ledger and figure of merit from the four stroke heats.
@@ -238,6 +238,134 @@ def _assemble(kind: CycleKind, q_iso_hot: float, q_iso_cold: float, q_isochore_l
     if gain <= 0.0 or cost <= 0.0:
         return kind.cycle(ledger, float("nan"), kind.not_ok)
     return kind.cycle(ledger, gain / cost, STATUS_OK)
+
+
+def _low_temp_engine_cycle(spec: EngineSpec) -> EngineCycle:
+    """Low-temperature closed-form set, evaluated literally.
+
+    The set has the delta = 0 regenerator branch baked in (the imbalance is
+    negative inside the validity window, and sweep plots extend the
+    same equations below it), so Q_h is the hot-isotherm form and the full
+    imbalance is vented to the cold bath.
+    """
+    b1, b2, w1, w2 = spec.beta1, spec.beta2, spec.omega1, spec.omega2
+    e11 = math.exp(-b1 * w1)
+    e12 = math.exp(-b1 * w2)
+    e21 = math.exp(-b2 * w1)
+    e22 = math.exp(-b2 * w2)
+    q_ab = (w1 + 1.0 / b1) * e11 - (w2 + 1.0 / b1) * e12
+    q_cd = w2 * e22 - w1 * e21 + (e22 - e21) / b2
+    q_bc = w1 * (e21 - e11)
+    q_da = w2 * (e12 - e22)
+    return _assemble(ENGINE, q_ab, q_cd, q_bc, q_da, delta=0)
+
+
+def _high_temp_engine_cycle(spec: EngineSpec) -> EngineCycle:
+    b1, b2, w1, w2 = spec.beta1, spec.beta2, spec.omega1, spec.omega2
+    if spec.stat is Statistics.BOSONIC:
+        # equipartition: perfect regeneration, Carnot-like efficiency
+        log_w = math.log(w2 / w1)
+        q_ab = log_w / b1
+        q_cd = -log_w / b2
+        q_bc = 1.0 / b2 - 1.0 / b1
+        q_da = 1.0 / b1 - 1.0 / b2
+    else:
+        # two-level medium: regeneration deficit charged to the hot bath
+        span = w2 * w2 - w1 * w1
+        q_ab = b1 * span / 8.0
+        q_cd = -b2 * span / 8.0
+        q_bc = w1 * w1 * (b1 - b2) / 4.0
+        q_da = w2 * w2 * (b2 - b1) / 4.0
+    return _assemble(ENGINE, q_ab, q_cd, q_bc, q_da)
+
+
+def _low_temp_fridge_cycle(spec: FridgeSpec) -> FridgeCycle:
+    """Low-temperature closed-form set for the refrigerator, delta = 0 baked in
+    (the imbalance is positive inside the window, so the cooling heat is the
+    undisturbed cold-isotherm form and the deficit is charged to the hot bath)."""
+    b1p, b2p, w1, w2 = spec.beta1p, spec.beta2p, spec.omega1, spec.omega2
+    e11 = math.exp(-b1p * w1)
+    e12 = math.exp(-b1p * w2)
+    e21 = math.exp(-b2p * w1)
+    e22 = math.exp(-b2p * w2)
+    q_ba = w2 * e12 - w1 * e11 + (e12 - e11) / b1p
+    q_dc = w1 * e21 - w2 * e22 + (e21 - e22) / b2p
+    q_cb = w1 * (e11 - e21)
+    q_ad = w2 * (e22 - e12)
+    return _assemble(FRIDGE, q_ba, q_dc, q_cb, q_ad, delta=0)
+
+
+class CycleKind(NamedTuple):
+    """Everything that distinguishes the engine from the refrigerator.
+
+    ``strokes`` are in output order (t1..t4).  ``regen`` is the regenerator
+    class whose slopes drive the isochores, and ``closed_forms`` maps each
+    regime ``Mode`` that has a closed-form set to its ledger function; no
+    other closed-form set exists.  ``heat_sum`` adds the stroke heats (hot,
+    cold, low, high) into -w_tot in the kind's own order, which the outputs
+    depend on bitwise.  The regenerator imbalance goes to the hot bath when
+    positive and to the cold bath otherwise; ``delta = 1`` flags
+    ``delta_sign * delta_q > 0``.  ``merit_terms`` returns the (gain, cost)
+    whose ratio is the figure of merit, and ``rate_column`` names the
+    twelfth CSV column.
+    """
+
+    name: str
+    machine: str
+    spec: type
+    regen: type
+    strokes: tuple
+    closed_forms: dict
+    heat_sum: Callable[[float, float, float, float], float]
+    delta_sign: float
+    merit: str
+    merit_terms: Callable[[StrokeLedger], tuple]
+    rate_column: str
+    cycle: type
+    not_ok: str
+
+    def stroke(self, heat: str) -> Stroke:
+        """The stroke whose heat lands in ledger field ``heat``."""
+        return next(s for s in self.strokes if s.heat == heat)
+
+    def closed_form(self, mode: Mode) -> Callable:
+        """The ledger function of the closed-form set for ``mode``; ParameterError if none."""
+        ledger = self.closed_forms.get(mode)
+        if ledger is None:
+            regime = getattr(mode, "value", repr(mode)).replace("_temp", "-temperature")
+            raise ParameterError(f"no {regime} closed forms exist for the {self.machine}")
+        return ledger
+
+
+ENGINE = CycleKind(
+    name="engine", machine="engine", spec=EngineSpec, regen=LinearEngineRegenerator,
+    strokes=(Stroke("A->B", "q_iso_hot", True, "beta1", "omega2", "omega1", "beta_h"),
+             Stroke("B->C", "q_isochore_low", False, "omega1", "beta1", "beta2", "gamma1"),
+             Stroke("C->D", "q_iso_cold", True, "beta2", "omega1", "omega2", "beta_c"),
+             Stroke("D->A", "q_isochore_high", False, "omega2", "beta2", "beta1", "gamma2")),
+    closed_forms={Mode.LOW_TEMP: _low_temp_engine_cycle, Mode.HIGH_TEMP: _high_temp_engine_cycle},
+    heat_sum=lambda hot, cold, low, high: hot + low + cold + high,
+    delta_sign=1.0, merit="eta", merit_terms=lambda ledger: (-ledger.w_tot, ledger.q_h),
+    rate_column="sigma", cycle=EngineCycle, not_ok=STATUS_NOT_AN_ENGINE)
+
+FRIDGE = CycleKind(
+    name="fridge", machine="refrigerator", spec=FridgeSpec, regen=LinearFridgeRegenerator,
+    strokes=(Stroke("D->C", "q_iso_cold", True, "beta2p", "omega2", "omega1", "beta_c"),
+             Stroke("C->B", "q_isochore_low", False, "omega1", "beta2p", "beta1p", "bp"),
+             Stroke("B->A", "q_iso_hot", True, "beta1p", "omega1", "omega2", "beta_h"),
+             Stroke("A->D", "q_isochore_high", False, "omega2", "beta1p", "beta2p", "b")),
+    closed_forms={Mode.LOW_TEMP: _low_temp_fridge_cycle},
+    heat_sum=lambda hot, cold, low, high: hot + cold + low + high,
+    delta_sign=-1.0, merit="epsilon", merit_terms=lambda ledger: (ledger.q_c, ledger.w_tot),
+    rate_column="cooling_rate", cycle=FridgeCycle, not_ok=STATUS_NOT_A_REFRIGERATOR)
+
+CYCLE_KINDS = {kind.name: kind for kind in (ENGINE, FRIDGE)}
+_KIND_OF_SPEC = {kind.spec: kind for kind in (ENGINE, FRIDGE)}
+
+
+def cycle_kind(spec: EngineSpec | FridgeSpec) -> CycleKind:
+    """The stroke table of the cycle kind that ``spec`` parametrizes."""
+    return _KIND_OF_SPEC[type(spec)]
 
 
 def cycle_ledger(spec: EngineSpec | FridgeSpec) -> EngineCycle | FridgeCycle:
@@ -261,13 +389,6 @@ def cycle_ledger(spec: EngineSpec | FridgeSpec) -> EngineCycle | FridgeCycle:
 
 
 engine_ledger = fridge_ledger = cycle_ledger
-
-
-def _log_weight(stat: Statistics, x: float) -> float:
-    # +-ln(1 +- e^{-x}); the per-statistics piece of the isothermal log term
-    if stat is Statistics.BOSONIC:
-        return -math.log1p(-math.exp(-x))
-    return math.log1p(math.exp(-x))
 
 
 def work_closed_form(spec: EngineSpec | FridgeSpec) -> float:

@@ -5,18 +5,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
-from .cycles import (
-    ENGINE,
-    FRIDGE,
-    EngineCycle,
+from .cycles import (  # Mode stays importable from here
     EngineSpec,
-    FridgeCycle,
     FridgeSpec,
+    LinearEngineRegenerator,
+    Mode,
     StrokeLedger,
-    _assemble,
     cycle_kind,
     cycle_ledger,
 )
@@ -24,22 +20,7 @@ from .errors import ParameterError, SingularityError
 from .quadrature import QuadratureConfig
 from .relaxation import GevaKosloff
 from .statistics import Statistics
-from .timing import (
-    CycleForm,
-    LinearEngineRegenerator,
-    TimingReport,
-    closed_form_cycle_time,
-    cycle_time,
-    regime_extents,
-)
-
-
-class Mode(Enum):
-    """Pipeline selector: exact quadrature or a regime closed-form set."""
-
-    EXACT = "exact"
-    LOW_TEMP = "low_temp"
-    HIGH_TEMP = "high_temp"
+from .timing import TimingReport, closed_form_cycle_time, cycle_time, regime_extents
 
 
 @dataclass(frozen=True)
@@ -78,70 +59,8 @@ class PerformanceReport:
         return self.ledger.w_tot
 
 
-def _low_temp_engine_cycle(spec: EngineSpec) -> EngineCycle:
-    """Low-temperature closed-form set, evaluated literally.
-
-    The set has the delta = 0 regenerator branch baked in (the imbalance is
-    negative inside the validity window, and sweep plots extend the
-    same equations below it), so Q_h is the hot-isotherm form and the full
-    imbalance is vented to the cold bath.
-    """
-    b1, b2, w1, w2 = spec.beta1, spec.beta2, spec.omega1, spec.omega2
-    e11 = math.exp(-b1 * w1)
-    e12 = math.exp(-b1 * w2)
-    e21 = math.exp(-b2 * w1)
-    e22 = math.exp(-b2 * w2)
-    q_ab = (w1 + 1.0 / b1) * e11 - (w2 + 1.0 / b1) * e12
-    q_cd = w2 * e22 - w1 * e21 + (e22 - e21) / b2
-    q_bc = w1 * (e21 - e11)
-    q_da = w2 * (e12 - e22)
-    return _assemble(ENGINE, q_ab, q_cd, q_bc, q_da, delta=0)
-
-
-def _high_temp_engine_cycle(spec: EngineSpec) -> EngineCycle:
-    b1, b2, w1, w2 = spec.beta1, spec.beta2, spec.omega1, spec.omega2
-    if spec.stat is Statistics.BOSONIC:
-        # equipartition: perfect regeneration, Carnot-like efficiency
-        log_w = math.log(w2 / w1)
-        q_ab = log_w / b1
-        q_cd = -log_w / b2
-        q_bc = 1.0 / b2 - 1.0 / b1
-        q_da = 1.0 / b1 - 1.0 / b2
-    else:
-        # two-level medium: regeneration deficit charged to the hot bath
-        span = w2 * w2 - w1 * w1
-        q_ab = b1 * span / 8.0
-        q_cd = -b2 * span / 8.0
-        q_bc = w1 * w1 * (b1 - b2) / 4.0
-        q_da = w2 * w2 * (b2 - b1) / 4.0
-    return _assemble(ENGINE, q_ab, q_cd, q_bc, q_da)
-
-
-def _low_temp_fridge_cycle(spec: FridgeSpec) -> FridgeCycle:
-    """Low-temperature closed-form set for the refrigerator, delta = 0 baked in
-    (the imbalance is positive inside the window, so the cooling heat is the
-    undisturbed cold-isotherm form and the deficit is charged to the hot bath)."""
-    b1p, b2p, w1, w2 = spec.beta1p, spec.beta2p, spec.omega1, spec.omega2
-    e11 = math.exp(-b1p * w1)
-    e12 = math.exp(-b1p * w2)
-    e21 = math.exp(-b2p * w1)
-    e22 = math.exp(-b2p * w2)
-    q_ba = w2 * e12 - w1 * e11 + (e12 - e11) / b1p
-    q_dc = w1 * e21 - w2 * e22 + (e21 - e22) / b2p
-    q_cb = w1 * (e11 - e21)
-    q_ad = w2 * (e22 - e12)
-    return _assemble(FRIDGE, q_ba, q_dc, q_cb, q_ad, delta=0)
-
-
 def _sigma(beta_h: float, beta_c: float, q_h: float, q_c: float, tau: float) -> float:
     return -(beta_h * q_h + beta_c * q_c) / tau
-
-
-def _require_pipeline_inputs(model, tau: float | None = None):
-    if not isinstance(model, GevaKosloff):
-        raise ParameterError("cycle pipelines require the Geva-Kosloff rate model")
-    if tau is not None and tau <= 0.0:
-        raise SingularityError("cycle period underflowed to zero at these parameters")
 
 
 def cycle_performance(spec: EngineSpec | FridgeSpec, model: GevaKosloff, regen,
@@ -150,33 +69,22 @@ def cycle_performance(spec: EngineSpec | FridgeSpec, model: GevaKosloff, regen,
     """Run the engine or refrigerator pipeline in the requested mode.
 
     EXACT combines the exact ledger with quadrature stroke times; LOW_TEMP
-    and HIGH_TEMP evaluate the corresponding closed-form sets (the latter is
-    statistics-specific and exists for the engine only, so a refrigerator
-    in HIGH_TEMP is rejected).  The refrigerator adds the cooling rate
+    and HIGH_TEMP evaluate the closed-form set the kind's stroke table lists
+    for that mode (the engine has both, the refrigerator LOW_TEMP only; any
+    other mode is rejected).  The refrigerator adds the cooling rate
     R = Q_c/tau.  Regime validity is reported via x_min/x_max, not enforced.
     """
     kind = cycle_kind(spec)
-    _require_pipeline_inputs(model)
+    if not isinstance(model, GevaKosloff):
+        raise ParameterError("cycle pipelines require the Geva-Kosloff rate model")
     if mode is Mode.EXACT:
         cycle = cycle_ledger(spec)
         timing = cycle_time(spec, model, regen, cfg)
-    elif mode is Mode.LOW_TEMP:
-        if kind is ENGINE:
-            cycle = _low_temp_engine_cycle(spec)
-            timing = closed_form_cycle_time(CycleForm.ENGINE_LOW, spec, model, regen)
-        else:
-            cycle = _low_temp_fridge_cycle(spec)
-            timing = closed_form_cycle_time(CycleForm.FRIDGE_LOW, spec, model, regen)
-    elif mode is Mode.HIGH_TEMP:
-        if kind is not ENGINE:
-            raise ParameterError("no high-temperature closed forms exist for the refrigerator")
-        cycle = _high_temp_engine_cycle(spec)
-        form = (CycleForm.ENGINE_HIGH_BOSONIC if spec.stat is Statistics.BOSONIC
-                else CycleForm.ENGINE_HIGH_FERMIONIC)
-        timing = closed_form_cycle_time(form, spec, model, regen)
     else:
-        raise ParameterError(f"unknown mode: {mode!r}")
-    _require_pipeline_inputs(model, timing.tau)
+        cycle = kind.closed_form(mode)(spec)
+        timing = closed_form_cycle_time(mode, spec, model, regen)
+    if timing.tau <= 0.0:
+        raise SingularityError("cycle period underflowed to zero at these parameters")
     x_min, x_max = regime_extents(spec, regen)
     ledger = cycle.ledger
     return PerformanceReport(

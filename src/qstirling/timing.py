@@ -16,52 +16,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, NamedTuple
 
-from .cycles import ENGINE, FRIDGE, EngineSpec, FridgeSpec, cycle_kind
+from .cycles import (  # the regenerator classes stay importable from here
+    CycleKind,
+    EngineSpec,
+    FridgeSpec,
+    LinearEngineRegenerator,
+    LinearFridgeRegenerator,
+    Mode,
+    cycle_kind,
+)
 from .errors import ConvergenceError, ParameterError, SingularityError
 from .quadrature import QuadratureConfig, integrate
 from .relaxation import GevaKosloff
 from .statistics import Statistics
-
-
-@dataclass(frozen=True)
-class LinearEngineRegenerator:
-    """Regenerator temperature proportional to the medium's: beta_r = c*beta_s.
-
-    gamma1 > 1 keeps the regenerator colder than the medium while it absorbs
-    heat on the low-frequency isochore; gamma2 < 1 keeps it hotter while it
-    returns heat on the high-frequency one.
-    """
-
-    gamma1: float
-    gamma2: float
-
-    def __post_init__(self):
-        if not self.gamma1 > 1.0:
-            raise ParameterError(f"gamma1 must exceed 1, got {self.gamma1!r}")
-        if not 0.0 < self.gamma2 < 1.0:
-            raise ParameterError(f"gamma2 must lie in (0, 1), got {self.gamma2!r}")
-
-
-@dataclass(frozen=True)
-class LinearFridgeRegenerator:
-    """Refrigerator analogue with beta'_1r = b*beta_s and beta'_2r = bp*beta_s.
-
-    Only positivity is checked here; whether each mapping stays on the
-    correct side of the medium temperature is detected at evaluation time.
-    """
-
-    b: float
-    bp: float
-
-    def __post_init__(self):
-        if not self.b > 0.0 or not self.bp > 0.0:
-            raise ParameterError("fridge regenerator constants must be positive")
-
-
-REGENERATORS = {"engine": LinearEngineRegenerator, "fridge": LinearFridgeRegenerator}
 
 
 class StrokeTime(NamedTuple):
@@ -133,21 +102,22 @@ def isochoric_time(stat: Statistics, model: GevaKosloff, regenerator: Callable[[
     if omega <= 0.0 or beta_i <= 0.0 or beta_f <= 0.0:
         raise ParameterError("frequency and temperatures must be positive")
     q = model.q
-    seen: list[tuple[float, float]] = []  # (beta_s, regenerator gap) at evaluations
+    last = None  # (beta_s, regenerator gap) at the previous evaluation
 
     def integrand(beta_s: float) -> float:
+        nonlocal last
         beta_r = regenerator(beta_s)
         gap = beta_r - beta_s
         if gap == 0.0:
             raise SingularityError(
                 f"regenerator temperature crosses the medium temperature at "
                 f"beta_s = {beta_s!r}")
-        if seen and (gap > 0.0) != (seen[-1][1] > 0.0):
-            crossing = _bisect_crossing(regenerator, seen[-1][0], beta_s)
+        if last is not None and (gap > 0.0) != (last[1] > 0.0):
+            crossing = _bisect_crossing(regenerator, last[0], beta_s)
             raise SingularityError(
                 f"regenerator temperature crosses the medium temperature at "
                 f"beta_s = {crossing:.12g}")
-        seen.append((beta_s, gap))
+        last = (beta_s, gap)
         return _rate_denominator(stat, q, beta_r * omega, beta_s * omega)
 
     return _duration(integrand, beta_i, beta_f, cfg, omega / (2.0 * model.a), "regenerator")
@@ -201,6 +171,15 @@ def _stroke(label: str, fn, *args) -> StrokeTime:
         raise ParameterError(f"stroke {label}: {exc}") from exc
 
 
+def _checked_kind(spec: EngineSpec | FridgeSpec, regen) -> CycleKind:
+    """The stroke table of ``spec``, once ``regen`` is known to be the kind's regenerator."""
+    kind = cycle_kind(spec)
+    if not isinstance(regen, kind.regen):
+        raise ParameterError(f"{kind.spec.__name__} requires a {kind.regen.__name__}, "
+                             f"got {type(regen).__name__}")
+    return kind
+
+
 def cycle_time(spec: EngineSpec | FridgeSpec, model: GevaKosloff, regen,
                cfg: QuadratureConfig | None = None) -> TimingReport:
     """Per-stroke durations of either cycle kind, in its stroke-table order.
@@ -216,7 +195,7 @@ def cycle_time(spec: EngineSpec | FridgeSpec, model: GevaKosloff, regen,
     """
     v = vars(spec)
     times = []
-    for label, _, isotherm, fixed, start, end, drive in cycle_kind(spec).strokes:
+    for label, _, isotherm, fixed, start, end, drive in _checked_kind(spec, regen).strokes:
         if isotherm:
             times.append(_stroke(label, isothermal_time, spec.stat, model,
                                  v[drive], v[fixed], v[start], v[end], cfg))
@@ -235,67 +214,45 @@ def _report(durations, error_estimates) -> TimingReport:
     return TimingReport(t1, t2, t3, t4, t1 + t2 + t3 + t4, error_estimates)
 
 
-class CycleForm(Enum):
-    """Closed-form cycle-period families."""
-
-    ENGINE_LOW = "engine_low"
-    FRIDGE_LOW = "fridge_low"
-    ENGINE_HIGH_BOSONIC = "engine_high_bosonic"
-    ENGINE_HIGH_FERMIONIC = "engine_high_fermionic"
-
-
-def _exp_span(prefactor_rate: float, a: float, x_start: float, x_end: float) -> float:
-    # (e^{-k*x_start} - e^{-k*x_end}) / (2*a*k) with k = prefactor_rate
-    return (math.exp(-prefactor_rate * x_start) - math.exp(-prefactor_rate * x_end)) \
-        / (2.0 * a * prefactor_rate)
-
-
-def closed_form_cycle_time(kind: CycleForm, spec, model: GevaKosloff,
+def closed_form_cycle_time(mode: Mode, spec: EngineSpec | FridgeSpec, model: GevaKosloff,
                            regen) -> TimingReport:
     """Evaluate the low- or high-temperature closed-form stroke times.
 
-    Validity of the regime is not enforced; compare against the quadrature
-    pipeline to judge it.  High-temperature forms exist for the engine only
-    and assume the linear regenerator mapping.
+    The cycle kind comes from ``spec``, and a ``mode`` its stroke table has
+    no closed-form set for is rejected.  Each stroke's time follows from its
+    table row; the high-temperature times depend on ``spec.stat`` and
+    assume the linear regenerator mapping.  Validity of the regime is not
+    enforced; compare against the quadrature pipeline to judge it.
     """
-    if not isinstance(kind, CycleForm):
-        raise ParameterError(f"unknown closed-form kind: {kind!r}")
-    fridge = kind is CycleForm.FRIDGE_LOW
-    cycle = FRIDGE if fridge else ENGINE
-    regen_type = REGENERATORS[cycle.name]
-    if not isinstance(spec, cycle.spec) or not isinstance(regen, regen_type):
-        raise ParameterError(
-            f"{kind.value} requires a {cycle.spec.__name__} and {regen_type.__name__}")
+    kind = _checked_kind(spec, regen)
+    kind.closed_form(mode)  # rejects a mode without a closed-form set
     a, q = model.a, model.q
-    zeros = (0.0, 0.0, 0.0, 0.0)
-    if fridge or kind is CycleForm.ENGINE_LOW:
-        v, slopes = vars(spec), vars(regen)
-        times = []
-        for _, _, isotherm, fixed, start, end, drive in cycle.strokes:
-            # the bath or regenerator sits at c times the medium's beta; its
-            # exponential dominates the integrand for c > 1, the medium's below
-            c = v[drive] / v[fixed] if isotherm else slopes[drive]
+    low_temp = mode is Mode.LOW_TEMP
+    bosonic = spec.stat is Statistics.BOSONIC
+    v, slopes = vars(spec), vars(regen)
+    times = []
+    for _, _, isotherm, fixed, start, end, drive in kind.strokes:
+        held, lo, hi = v[fixed], v[start], v[end]
+        if lo > hi:
+            lo, hi = hi, lo
+        # the bath or regenerator sits at c times the medium's beta
+        c = v[drive] / held if isotherm else slopes[drive]
+        if low_temp:
+            # its exponential dominates the integrand for c > 1, the medium's below
             rate = (1.0 + q) * c if c > 1.0 else 1.0 + q * c
-            x_lo, x_hi = v[fixed] * v[start], v[fixed] * v[end]
-            if x_lo > x_hi:
-                x_lo, x_hi = x_hi, x_lo
-            times.append(_exp_span(rate, a, x_lo, x_hi))
-        return _report(times, zeros)
-    b1, b2, w1, w2 = spec.beta1, spec.beta2, spec.omega1, spec.omega2
-    if kind is CycleForm.ENGINE_HIGH_BOSONIC:
-        t1 = (w2 - w1) / (2.0 * a * w1 * w2 * (b1 - spec.beta_h))
-        t3 = (w2 - w1) / (2.0 * a * w1 * w2 * (spec.beta_c - b2))
-        inv_span = 1.0 / b1 - 1.0 / b2
-        t2 = inv_span / (2.0 * a * w1 * (regen.gamma1 - 1.0))
-        t4 = inv_span / (2.0 * a * w2 * (1.0 - regen.gamma2))
-    else:
-        log_w = math.log(w2 / w1)
-        t1 = b1 * log_w / (4.0 * a * (b1 - spec.beta_h))
-        t3 = b2 * log_w / (4.0 * a * (spec.beta_c - b2))
-        log_b = math.log(b2 / b1)
-        t2 = log_b / (4.0 * a * (regen.gamma1 - 1.0))
-        t4 = log_b / (4.0 * a * (1.0 - regen.gamma2))
-    return _report((t1, t2, t3, t4), zeros)
+            times.append((math.exp(-rate * (held * lo)) - math.exp(-rate * (held * hi)))
+                         / (2.0 * a * rate))
+        # high temperature: e^x ~ 1 + x leaves 1/[(x - x_s) x_s] (bosonic)
+        # or 1/[2 (x - x_s)] (fermionic) as the integrand
+        elif isotherm:
+            gap = abs(held - v[drive])
+            times.append((hi - lo) / (2.0 * a * lo * hi * gap) if bosonic
+                         else held * math.log(hi / lo) / (4.0 * a * gap))
+        else:
+            gap = abs(c - 1.0)
+            times.append((1.0 / lo - 1.0 / hi) / (2.0 * a * held * gap) if bosonic
+                         else math.log(hi / lo) / (4.0 * a * gap))
+    return _report(times, (0.0, 0.0, 0.0, 0.0))
 
 
 def regime_extents(spec: EngineSpec | FridgeSpec, regen) -> tuple[float, float]:

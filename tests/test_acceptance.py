@@ -53,7 +53,6 @@ from qstirling import (
     relaxation_rate,
     RelaxationSetup,
 )
-from qstirling.timing import CycleForm
 from conftest import (
     lowtemp_engine_spec,
     lowtemp_fridge_spec,
@@ -221,20 +220,20 @@ def test_criterion_07_cycle_time_asymptotics():
         for stat in (B, F):
             spec = lowtemp_engine_spec(stat, x_min)
             tau = engine_cycle_time(spec, MODEL, ENGINE_REGEN, TIGHT).tau
-            closed = closed_form_cycle_time(CycleForm.ENGINE_LOW, spec, MODEL, ENGINE_REGEN).tau
+            closed = closed_form_cycle_time(Mode.LOW_TEMP, spec, MODEL, ENGINE_REGEN).tau
             dev = rel(tau, closed)
             ok &= dev <= tol
             details.append(f"engine {stat.value} x_min={x_min:g}: {dev:.2e}")
             fspec = lowtemp_fridge_spec(stat, x_min)
             tau = fridge_cycle_time(fspec, MODEL, FRIDGE_REGEN, TIGHT).tau
-            closed = closed_form_cycle_time(CycleForm.FRIDGE_LOW, fspec, MODEL, FRIDGE_REGEN).tau
+            closed = closed_form_cycle_time(Mode.LOW_TEMP, fspec, MODEL, FRIDGE_REGEN).tau
             dev = rel(tau, closed)
             ok &= dev <= tol
             details.append(f"fridge {stat.value} x_min={x_min:g}: {dev:.2e}")
     beta1 = 1e-3 / (2.8 * 2.0)  # x_max = 1e-3
     spec = EngineSpec(B, 1.0, 2.0, 0.6 * beta1, beta1, 2 * beta1, 2.8 * beta1)
     tau = engine_cycle_time(spec, MODEL, ENGINE_REGEN, TIGHT).tau
-    closed = closed_form_cycle_time(CycleForm.ENGINE_HIGH_BOSONIC, spec, MODEL, ENGINE_REGEN).tau
+    closed = closed_form_cycle_time(Mode.HIGH_TEMP, spec, MODEL, ENGINE_REGEN).tau
     dev = rel(tau, closed)
     ok &= dev <= 0.01
     details.append(f"bosonic high-temp: {dev:.2e}")

@@ -61,6 +61,17 @@ class TestEngineCommand:
         assert rc == 3
         assert "stroke" in capsys.readouterr().err
 
+    def test_vanishing_beta1_exits_3(self, tmp_path, capsys):
+        # x = beta1*omega1 ~ 1e-300: the isothermal log term stays finite and
+        # the stroke time, not the heat ledger, is what fails
+        text = Path(ENGINE_CFG).read_text(encoding="utf-8").replace(
+            "beta1 = 16.666666666666668", "beta1 = 1e-300")
+        rc = main(["engine", "--config", write_cfg(tmp_path, text)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: stroke B->C: quadrature error")
+        assert "after 200 subdivisions" in err
+
     def test_thermal_field_bath_rejected(self, tmp_path, capsys):
         text = Path(ENGINE_CFG).read_text(encoding="utf-8").replace(
             "a = 1.0\nq = -0.05", "rho0 = 1.0\nm = 1.0")
@@ -177,6 +188,15 @@ class TestFridgeCommand:
             "q = -0.05", "q = -1.5")
         assert main(["fridge", "--config", write_cfg(tmp_path, text)]) == 1
 
+    @pytest.mark.parametrize("mode", ["exact", "low_temp"])
+    def test_regenerator_slope_out_of_range_exits_1(self, tmp_path, capsys, mode):
+        # b = 0.9 leaves the regenerator hotter than the medium it should cool;
+        # both modes reject it while loading the config
+        text = Path(FRIDGE_CFG).read_text(encoding="utf-8").replace(
+            "b = 1.4", "b = 0.9").replace("regime_mode = exact", f"regime_mode = {mode}")
+        assert main(["fridge", "--config", write_cfg(tmp_path, text)]) == 1
+        assert capsys.readouterr().err == "error: regenerator: b must exceed 1, got 0.9\n"
+
 
 class TestRegimeMapCommand:
     def test_on_curve_classification(self, tmp_path):
@@ -231,6 +251,16 @@ class TestRegimeMapCommand:
             # 17-significant-digit formatting must reproduce the exact doubles
             assert l_r == qstirling.conduction_ratio(q, x)
 
+    def test_grid_ends_exactly_at_the_upper_bounds(self, tmp_path):
+        # q_min + (q_max - q_min) rounds to 0.0 here, outside (-1, 0)
+        out = tmp_path / "map.csv"
+        rc = main(["regime-map", "--q-min=-0.9", "--q-max=-1e-20", "--x-min", "0.7",
+                   "--x-max", "2.9", "--grid", "3", "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert float(rows[-1][0]) == -1e-20
+        assert float(rows[-1][1]) == 2.9
+
     def test_threads_do_not_change_output(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -265,6 +295,15 @@ class TestPowerSweepCommand:
         assert rc == 0
         summary = json.loads((tmp_path / "one.csv.summary.json").read_text(encoding="utf-8"))
         assert summary["x_star"] == 0.7
+
+    def test_grid_ends_exactly_at_stop(self, tmp_path):
+        # 0.7 + (2.9 - 0.7) is 2.9000000000000004
+        out = tmp_path / "sweep.json"
+        rc = main(["power-sweep", "--config", SWEEP_CFG, "--x-grid", "0.7:2.9:3",
+                   "--format", "json", "--out", str(out)])
+        assert rc == 0
+        records = json.loads(out.read_text(encoding="utf-8"))["records"]
+        assert (records[0]["x"], records[-1]["x"]) == (0.7, 2.9)
 
     def test_descending_grid_exits_1(self):
         assert main(["power-sweep", "--config", SWEEP_CFG, "--x-grid", "10:0.5:96"]) == 1

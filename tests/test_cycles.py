@@ -112,7 +112,7 @@ class TestEngineLedger:
 
     @pytest.mark.parametrize("stat", [B, F])
     def test_low_temperature_matches_closed_form(self, stat):
-        from qstirling.performance import _low_temp_engine_cycle
+        from qstirling.cycles import _low_temp_engine_cycle
         spec = lowtemp_engine_spec(stat, 10.0)
         exact = engine_ledger(spec)
         low = _low_temp_engine_cycle(spec)
@@ -136,7 +136,7 @@ class TestFridgeLedger:
         assert out.ledger.delta_q == 0.0
 
     def test_fermionic_low_temperature_cop_matches_closed_form(self):
-        from qstirling.performance import _low_temp_fridge_cycle
+        from qstirling.cycles import _low_temp_fridge_cycle
         spec = lowtemp_fridge_spec(F, 10.0)
         exact = fridge_ledger(spec)
         low = _low_temp_fridge_cycle(spec)

@@ -5,11 +5,11 @@ import pytest
 
 import qstirling.timing
 from qstirling import (
-    CycleForm,
     EngineSpec,
     GevaKosloff,
     LinearEngineRegenerator,
     LinearFridgeRegenerator,
+    Mode,
     ParameterError,
     QuadratureConfig,
     SingularityError,
@@ -136,14 +136,14 @@ class TestEngineCycleTime:
     def test_low_temperature_closed_form(self, x_min, tol):
         spec = lowtemp_engine_spec(B, x_min)
         report = engine_cycle_time(spec, MODEL, ENGINE_REGEN, TIGHT)
-        closed = closed_form_cycle_time(CycleForm.ENGINE_LOW, spec, MODEL, ENGINE_REGEN)
+        closed = closed_form_cycle_time(Mode.LOW_TEMP, spec, MODEL, ENGINE_REGEN)
         assert rel(report.tau, closed.tau) < tol
 
     def test_high_temperature_bosonic_closed_form(self):
         beta1 = 1e-4 / (2.8 * 2.0)
         spec = EngineSpec(B, 1.0, 2.0, 0.6 * beta1, beta1, 2 * beta1, 2.8 * beta1)
         report = engine_cycle_time(spec, MODEL, ENGINE_REGEN, TIGHT)
-        closed = closed_form_cycle_time(CycleForm.ENGINE_HIGH_BOSONIC, spec, MODEL, ENGINE_REGEN)
+        closed = closed_form_cycle_time(Mode.HIGH_TEMP, spec, MODEL, ENGINE_REGEN)
         assert rel(report.tau, closed.tau) < 0.01
 
     @pytest.mark.parametrize("x_min", [8.0, 12.0])
@@ -167,7 +167,7 @@ class TestEngineCycleTime:
         for x_min in (8.0, 10.0, 15.0, 20.0):
             spec = lowtemp_engine_spec(B, x_min)
             report = engine_cycle_time(spec, MODEL, ENGINE_REGEN, TIGHT)
-            closed = closed_form_cycle_time(CycleForm.ENGINE_LOW, spec, MODEL, ENGINE_REGEN)
+            closed = closed_form_cycle_time(Mode.LOW_TEMP, spec, MODEL, ENGINE_REGEN)
             deviations.append(rel(report.tau, closed.tau))
         assert all(b < a for a, b in zip(deviations, deviations[1:]))
 
@@ -200,7 +200,7 @@ class TestFridgeCycleTime:
     def test_low_temperature_closed_form(self, x_min, tol):
         spec = lowtemp_fridge_spec(B, x_min)
         report = fridge_cycle_time(spec, MODEL, FRIDGE_REGEN, TIGHT)
-        closed = closed_form_cycle_time(CycleForm.FRIDGE_LOW, spec, MODEL, FRIDGE_REGEN)
+        closed = closed_form_cycle_time(Mode.LOW_TEMP, spec, MODEL, FRIDGE_REGEN)
         assert rel(report.tau, closed.tau) < tol
 
     @pytest.mark.parametrize("x_min", [8.0, 12.0])
@@ -214,13 +214,19 @@ class TestFridgeCycleTime:
         report = fridge_cycle_time(spec, MODEL, FRIDGE_REGEN, TIGHT)
         assert min(report.t1, report.t2, report.t3, report.t4) > 0.0
 
+    def test_foreign_regenerator_rejected(self):
+        with pytest.raises(ParameterError, match="requires a LinearFridgeRegenerator"):
+            fridge_cycle_time(lowtemp_fridge_spec(B, 9.0), MODEL, ENGINE_REGEN, TIGHT)
+        with pytest.raises(ParameterError, match="requires a LinearEngineRegenerator"):
+            engine_cycle_time(lowtemp_engine_spec(B, 9.0), MODEL, FRIDGE_REGEN, TIGHT)
+
 
 class TestClosedForms:
     def test_engine_low_q_to_zero_collapse(self):
         spec = reference_engine_spec(B, 5.0)
         model = GevaKosloff(1.0, -1e-12)
         regen = ENGINE_REGEN
-        report = closed_form_cycle_time(CycleForm.ENGINE_LOW, spec, model, regen)
+        report = closed_form_cycle_time(Mode.LOW_TEMP, spec, model, regen)
         b1, b2, w1, w2 = spec.beta1, spec.beta2, spec.omega1, spec.omega2
         t1 = (math.exp(-b1 * w1) - math.exp(-b1 * w2)) / 2.0
         t2 = (math.exp(-1.4 * b1 * w1) - math.exp(-1.4 * b2 * w1)) / (2.0 * 1.4)
@@ -234,16 +240,20 @@ class TestClosedForms:
             beta1 = 1e-4
             spec = EngineSpec(B, 1.0, 2.0, beta1 * (1.0 - gap), beta1, 2 * beta1,
                               2.8 * beta1)
-            return closed_form_cycle_time(CycleForm.ENGINE_HIGH_BOSONIC, spec, MODEL,
-                                          ENGINE_REGEN)
+            return closed_form_cycle_time(Mode.HIGH_TEMP, spec, MODEL, ENGINE_REGEN)
         wide = tau_with_gap(0.2)
         narrow = tau_with_gap(0.1)
         assert rel(narrow.t1, 2.0 * wide.t1) < 1e-12
 
     def test_mismatched_spec_kind_rejected(self):
+        # the cycle kind comes from the spec: the engine's regenerator and a
+        # mode without a fridge closed-form set are both rejected
         spec = lowtemp_fridge_spec(B, 9.0)
-        with pytest.raises(ParameterError):
-            closed_form_cycle_time(CycleForm.ENGINE_LOW, spec, MODEL, FRIDGE_REGEN)
+        with pytest.raises(ParameterError, match="requires a LinearFridgeRegenerator"):
+            closed_form_cycle_time(Mode.LOW_TEMP, spec, MODEL, ENGINE_REGEN)
+        with pytest.raises(ParameterError,
+                           match="no high-temperature closed forms exist for the refrigerator"):
+            closed_form_cycle_time(Mode.HIGH_TEMP, spec, MODEL, FRIDGE_REGEN)
 
     def test_unknown_kind_rejected(self):
         spec = reference_engine_spec(B, 9.0)
@@ -253,7 +263,7 @@ class TestClosedForms:
     def test_golden_value_reference_family(self):
         # self-generated golden: EngineLow at the reference sweep parameter set, x = 10
         spec = reference_engine_spec(B, 10.0)
-        report = closed_form_cycle_time(CycleForm.ENGINE_LOW, spec, MODEL, ENGINE_REGEN)
+        report = closed_form_cycle_time(Mode.LOW_TEMP, spec, MODEL, ENGINE_REGEN)
         assert report.tau > 0.0
         assert rel(report.tau, 3.221893916514918e-05) < 1e-12
 
@@ -309,8 +319,10 @@ class TestRegeneratorValidation:
             LinearEngineRegenerator(1.4, 1.2)
 
     def test_fridge_regenerator_domain(self):
-        with pytest.raises(ParameterError):
-            LinearFridgeRegenerator(-1.0, 0.6)
+        # b > 1 and 0 < bp < 1, as gamma1 and gamma2 for the engine
+        for b, bp in ((-1.0, 0.6), (0.9, 0.6), (1.0, 0.6), (1.4, 0.0), (1.4, 1.0), (1.4, 1.1)):
+            with pytest.raises(ParameterError):
+                LinearFridgeRegenerator(b, bp)
 
 
 class TestRegimeExtents:
