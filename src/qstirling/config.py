@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .cycles import CYCLE_KINDS, EngineSpec, FridgeSpec, Mode
-from .errors import ConfigError, OrderingError, ParameterError
+from .errors import ConfigError, ParameterError
 from .quadrature import QuadratureConfig
 from .relaxation import HIGH_TEMP_THRESHOLD, LOW_TEMP_THRESHOLD, GevaKosloff, ThermalField
 from .statistics import Statistics
@@ -163,8 +163,6 @@ def load_run_config(path: str) -> RunConfig:
                        *(regen_section.number(f.name) for f in fields(table.regen)))
     except ParameterError as exc:
         raise ConfigError(f"cycle: {exc}") from exc
-    except OrderingError:
-        raise  # physics validation error, distinct exit code
 
     which_bath = _exactly_one(bath, "bath", ("a", "q"), ("rho0", "m"))
     if which_bath == "first":

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from .errors import OrderingError, ParameterError
 from .relaxation import _require_positive
-from .statistics import Statistics, population
+from .statistics import Statistics, log_weight, population, require_statistics
 
 STATUS_OK = "ok"
 STATUS_NOT_AN_ENGINE = "not_an_engine"
@@ -36,15 +36,6 @@ class Mode(Enum):
     HIGH_TEMP = "high_temp"
 
 
-def _log_weight(stat: Statistics, x: float) -> float:
-    # +-ln(1 +- e^{-x}); the per-statistics piece of the isothermal log term
-    if stat is Statistics.BOSONIC:
-        e = math.exp(-x)
-        # where e^{-x} rounds to 1, log1p(-e) would be log(0); expm1 keeps x
-        return -math.log1p(-e) if e < 1.0 else -math.log(-math.expm1(-x))
-    return math.log1p(math.exp(-x))
-
-
 def isothermal_heat(stat: Statistics, temperature: float, omega_i: float, omega_f: float) -> float:
     """Heat absorbed while the frequency sweeps omega_i -> omega_f at fixed T_s.
 
@@ -57,7 +48,7 @@ def isothermal_heat(stat: Statistics, temperature: float, omega_i: float, omega_
     x_f = omega_f / temperature
     n_i = population(stat, x_i)
     n_f = population(stat, x_f)
-    logs = temperature * (_log_weight(stat, x_f) - _log_weight(stat, x_i))
+    logs = temperature * (log_weight(stat, x_f) - log_weight(stat, x_i))
     return omega_f * n_f - omega_i * n_i + logs
 
 
@@ -70,9 +61,12 @@ def isochoric_heat(stat: Statistics, omega: float, t_i: float, t_f: float) -> fl
 def _validate_spec(spec, validate: bool):
     # the fields after stat: omega1, omega2, then the four inverse
     # temperatures in the ascending order each cycle kind requires
+    require_statistics(spec.stat)
     numeric = vars(spec).copy()
     del numeric["stat"]
-    _require_positive(**numeric)
+    for name, value in numeric.items():
+        if not 0.0 < value < math.inf:
+            raise ParameterError(f"{name} must be positive and finite, got {value!r}")
     omega1, omega2, first, second, third, fourth = numeric.values()
     if validate and not (omega1 < omega2 and first < second < third < fourth):
         items = list(numeric.items())
@@ -128,6 +122,8 @@ def _require_slopes(regen):
     (name1, slope1), (name2, slope2) = vars(regen).items()
     if not slope1 > 1.0:
         raise ParameterError(f"{name1} must exceed 1, got {slope1!r}")
+    if slope1 == math.inf:
+        raise ParameterError(f"{name1} must be finite, got {slope1!r}")
     if not 0.0 < slope2 < 1.0:
         raise ParameterError(f"{name2} must lie in (0, 1), got {slope2!r}")
 
@@ -365,7 +361,10 @@ _KIND_OF_SPEC = {kind.spec: kind for kind in (ENGINE, FRIDGE)}
 
 def cycle_kind(spec: EngineSpec | FridgeSpec) -> CycleKind:
     """The stroke table of the cycle kind that ``spec`` parametrizes."""
-    return _KIND_OF_SPEC[type(spec)]
+    kind = _KIND_OF_SPEC.get(type(spec))
+    if kind is None:
+        raise ParameterError(f"expected an EngineSpec or FridgeSpec, got {type(spec).__name__}")
+    return kind
 
 
 def cycle_ledger(spec: EngineSpec | FridgeSpec) -> EngineCycle | FridgeCycle:
@@ -393,7 +392,7 @@ engine_ledger = fridge_ledger = cycle_ledger
 
 def work_closed_form(spec: EngineSpec | FridgeSpec) -> float:
     """Signed total work from the two-isotherm closed form (ledger convention)."""
-    lw = lambda x: _log_weight(spec.stat, x)
+    lw = lambda x: log_weight(spec.stat, x)
     v, terms = vars(spec), []
     for _, _, isotherm, fixed, start, end, _ in cycle_kind(spec).strokes:
         if isotherm:

@@ -85,6 +85,8 @@ def cycle_performance(spec: EngineSpec | FridgeSpec, model: GevaKosloff, regen,
         timing = closed_form_cycle_time(mode, spec, model, regen)
     if timing.tau <= 0.0:
         raise SingularityError("cycle period underflowed to zero at these parameters")
+    if not timing.tau < math.inf:
+        raise SingularityError(f"cycle period is not finite at these parameters: {timing.tau!r}")
     x_min, x_max = regime_extents(spec, regen)
     ledger = cycle.ledger
     return PerformanceReport(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ParameterError
-from .statistics import Statistics, population
+from .statistics import Statistics, population, require_statistics, weight
 
 # Beyond this product the direct exp(beta*omega) factor would overflow and
 # the rates are computed from explicit exponents instead.
@@ -74,16 +74,10 @@ class ThermalField:
 
     def rates(self, stat: Statistics, beta: float, omega: float) -> tuple[float, float]:
         _require_positive(beta=beta, omega=omega)
+        require_statistics(stat)
         x = beta * omega
-        rho = self.rho0 * omega ** self.m
-        decay = math.exp(-x)
-        if stat is Statistics.BOSONIC:
-            gamma_minus = rho / (-math.expm1(-x))
-        elif stat is Statistics.FERMIONIC:
-            gamma_minus = rho / (1.0 + decay)
-        else:
-            raise ParameterError(f"unknown statistics kind: {stat!r}")
-        return gamma_minus * decay, gamma_minus
+        gamma_minus = self.rho0 * omega ** self.m / weight(stat, x)
+        return gamma_minus * math.exp(-x), gamma_minus
 
 
 RateModel = GevaKosloff | ThermalField
@@ -115,6 +109,7 @@ class RelaxationSetup:
     n0: float
 
     def __post_init__(self):
+        require_statistics(self.stat)
         _require_positive(beta=self.beta, omega=self.omega)
         if self.n0 < 0.0 or (self.stat is Statistics.FERMIONIC and self.n0 > 0.5):
             raise ParameterError("n0 outside the statistics domain")
@@ -157,16 +152,11 @@ def heat_current(stat: Statistics, model: GevaKosloff, beta: float, beta_s: floa
     if not isinstance(model, GevaKosloff):
         raise ParameterError("heat_current is defined for the Geva-Kosloff parametrization only")
     _require_positive(beta=beta, beta_s=beta_s, omega=omega)
+    require_statistics(stat)
     x = beta * omega
     x_s = beta_s * omega
     growth = math.expm1(x - x_s)
-    if stat is Statistics.BOSONIC:
-        den = -math.expm1(-x_s)
-    elif stat is Statistics.FERMIONIC:
-        den = 1.0 + math.exp(-x_s)
-    else:
-        raise ParameterError(f"unknown statistics kind: {stat!r}")
-    return -2.0 * omega * model.a * math.exp(model.q * x) * growth / den
+    return -2.0 * omega * model.a * math.exp(model.q * x) * growth / weight(stat, x_s)
 
 
 class Regime(Enum):

@@ -5,10 +5,11 @@ energies are plain positive floats, and every formula depends only on
 products beta * omega.  Heat is positive when it flows into the working
 medium; work is negative when done by the medium.
 
-The two oscillator families never share a signed formula: each function
-dispatches explicitly on :class:`Statistics` so the opposite sign
-conventions of the bosonic and fermionic distributions cannot leak into
-each other.
+This module owns every Bose/Fermi scalar factor of the package (occupation,
+the weight ``1 -+ e^{-x}`` and its signed logarithm) and the one check that
+rejects a value that is not a :class:`Statistics` member.  Public entry
+points run that check once per call, so each inner dispatch is two-way;
+other modules branch on the statistics only where the physical laws differ.
 """
 
 from __future__ import annotations
@@ -30,6 +31,28 @@ class Statistics(Enum):
     FERMIONIC = "fermionic"
 
 
+def require_statistics(stat) -> None:
+    """Reject ``stat`` unless it is a :class:`Statistics` member."""
+    if not isinstance(stat, Statistics):
+        raise ParameterError(f"unknown statistics kind: {stat!r}")
+
+
+def weight(stat: Statistics, x: float) -> float:
+    """The factor ``1 -+ e^{-x}``, bosonic upper sign; ``stat`` is not checked."""
+    if stat is Statistics.BOSONIC:
+        return -math.expm1(-x)
+    return 1.0 + math.exp(-x)
+
+
+def log_weight(stat: Statistics, x: float) -> float:
+    """``+-ln(1 +- e^{-x})``, the per-statistics piece of the isothermal log term."""
+    if stat is Statistics.BOSONIC:
+        e = math.exp(-x)
+        # where e^{-x} rounds to 1, log1p(-e) would be log(0); expm1 keeps x
+        return -math.log1p(-e) if e < 1.0 else -math.log(-math.expm1(-x))
+    return math.log1p(math.exp(-x))
+
+
 def population(stat: Statistics, x):
     """Mean occupation number at scaled energy ``x = beta_s * omega``.
 
@@ -49,14 +72,13 @@ def population(stat: Statistics, x):
     xa = np.asarray(x, dtype=float)
     if xa.size == 0 or np.any(xa <= 0.0) or not np.all(np.isfinite(xa)):
         raise ParameterError("population requires x = beta_s*omega > 0")
+    require_statistics(stat)
     # exp(-x)/(1 -+ exp(-x)) never overflows, unlike 1/(exp(x) -+ 1)
     decay = np.exp(-xa)
     if stat is Statistics.BOSONIC:
         out = decay / (-np.expm1(-xa))
-    elif stat is Statistics.FERMIONIC:
-        out = decay / (1.0 + decay)
     else:
-        raise ParameterError(f"unknown statistics kind: {stat!r}")
+        out = decay / (1.0 + decay)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -69,15 +91,14 @@ def inverse_population(stat: Statistics, n: float, temperature: float) -> float:
     """
     if temperature <= 0.0:
         raise ParameterError("temperature must be positive")
+    require_statistics(stat)
     if stat is Statistics.BOSONIC:
         if n <= 0.0:
             raise ParameterError("bosonic occupation must be positive")
         return temperature * math.log1p(1.0 / n)
-    if stat is Statistics.FERMIONIC:
-        if not 0.0 < n < 0.5:
-            raise ParameterError("fermionic occupation must lie in (0, 1/2)")
-        return temperature * math.log1p((1.0 - 2.0 * n) / n)
-    raise ParameterError(f"unknown statistics kind: {stat!r}")
+    if not 0.0 < n < 0.5:
+        raise ParameterError("fermionic occupation must lie in (0, 1/2)")
+    return temperature * math.log1p((1.0 - 2.0 * n) / n)
 
 
 def internal_energy(stat: Statistics, omega: float, n: float):
@@ -90,13 +111,12 @@ def internal_energy(stat: Statistics, omega: float, n: float):
         raise ParameterError("omega must be positive")
     if np.any(np.asarray(n) < 0.0):
         raise ParameterError("occupation must be nonnegative")
+    require_statistics(stat)
     if stat is Statistics.BOSONIC:
         return omega * (n + 0.5)
-    if stat is Statistics.FERMIONIC:
-        if np.any(np.asarray(n) > 0.5):
-            raise ParameterError("fermionic occupation cannot exceed 1/2")
-        return omega * (n - 0.5)
-    raise ParameterError(f"unknown statistics kind: {stat!r}")
+    if np.any(np.asarray(n) > 0.5):
+        raise ParameterError("fermionic occupation cannot exceed 1/2")
+    return omega * (n - 0.5)
 
 
 @dataclass(frozen=True)

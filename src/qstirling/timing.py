@@ -30,7 +30,7 @@ from .cycles import (  # the regenerator classes stay importable from here
 from .errors import ConvergenceError, ParameterError, SingularityError
 from .quadrature import QuadratureConfig, integrate
 from .relaxation import GevaKosloff
-from .statistics import Statistics
+from .statistics import Statistics, require_statistics, weight
 
 
 class StrokeTime(NamedTuple):
@@ -50,18 +50,11 @@ class TimingReport:
     error_estimates: tuple[float, float, float, float]
 
 
-def _stat_weight(stat: Statistics, x_s: float) -> float:
-    # 1 -+ e^{-beta_s*omega}: the only statistics-dependent integrand factor
-    if stat is Statistics.BOSONIC:
-        return -math.expm1(-x_s)
-    return 1.0 + math.exp(-x_s)
-
-
 def _rate_denominator(stat: Statistics, q: float, x: float, x_s: float) -> float:
     """Signed e^{q*x} * (e^x - e^{x_s}) * (1 +- e^{-x_s}) without overflow."""
     gap = x - x_s
     magnitude = math.exp(-q * x - max(x, x_s)) / (-math.expm1(-abs(gap)))
-    value = magnitude / _stat_weight(stat, x_s)
+    value = magnitude / weight(stat, x_s)  # the only statistics-dependent factor
     return value if gap > 0.0 else -value
 
 
@@ -78,6 +71,7 @@ def isothermal_time(stat: Statistics, model: GevaKosloff, beta: float, beta_s: f
     """
     if beta <= 0.0 or beta_s <= 0.0 or omega_i <= 0.0 or omega_f <= 0.0:
         raise ParameterError("temperatures and frequencies must be positive")
+    require_statistics(stat)
     if beta == beta_s:
         raise SingularityError("bath and medium temperatures coincide: "
                                "infinite relaxation time")
@@ -101,6 +95,7 @@ def isochoric_time(stat: Statistics, model: GevaKosloff, regenerator: Callable[[
     """
     if omega <= 0.0 or beta_i <= 0.0 or beta_f <= 0.0:
         raise ParameterError("frequency and temperatures must be positive")
+    require_statistics(stat)
     q = model.q
     last = None  # (beta_s, regenerator gap) at the previous evaluation
 
@@ -193,9 +188,9 @@ def cycle_time(spec: EngineSpec | FridgeSpec, model: GevaKosloff, regen,
     t3 hot isotherm B->A at beta1p against beta_h (omega1 -> omega2); t4
     high-frequency isochore A->D against the b branch.
     """
-    v = vars(spec)
+    kind, v = _checked_kind(spec, regen), vars(spec)
     times = []
-    for label, _, isotherm, fixed, start, end, drive in _checked_kind(spec, regen).strokes:
+    for label, _, isotherm, fixed, start, end, drive in kind.strokes:
         if isotherm:
             times.append(_stroke(label, isothermal_time, spec.stat, model,
                                  v[drive], v[fixed], v[start], v[end], cfg))

@@ -198,6 +198,30 @@ class TestFridgeCommand:
         assert capsys.readouterr().err == "error: regenerator: b must exceed 1, got 0.9\n"
 
 
+@pytest.mark.parametrize("command,config,line,edit,mode,code,message", [
+    ("engine", ENGINE_CFG, "omega2 = 2.0", "omega2 = inf", "low_temp", 1,
+     "error: cycle: omega2 must be positive and finite, got inf\n"),
+    ("engine", ENGINE_CFG, "omega2 = 2.0", "omega2 = inf", "high_temp", 1,
+     "error: cycle: omega2 must be positive and finite, got inf\n"),
+    ("engine", ENGINE_CFG, "gamma1 = 1.4", "gamma1 = inf", "exact", 1,
+     "error: regenerator: gamma1 must be finite, got inf\n"),
+    ("fridge", FRIDGE_CFG, "\nb = 1.4", "\nb = inf", "exact", 1,
+     "error: regenerator: b must be finite, got inf\n"),
+    ("engine", ENGINE_CFG, "\na = 1.0", "\na = 1e-320", "exact", 3,
+     "error: cycle period is not finite at these parameters: inf\n"),
+], ids=["omega2-low_temp", "omega2-high_temp", "gamma1", "fridge-b", "a-subnormal"])
+def test_non_finite_cycle_exits_nonzero(tmp_path, capsys, command, config, line, edit,
+                                        mode, code, message):
+    # without the checks each run exits 0 writing nan or inf fields with status ok
+    text = Path(config).read_text(encoding="utf-8")
+    assert line in text
+    text = text.replace(line, edit).replace("regime_mode = exact", f"regime_mode = {mode}")
+    assert main([command, "--config", write_cfg(tmp_path, text)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 class TestRegimeMapCommand:
     def test_on_curve_classification(self, tmp_path):
         x0 = 2.0 * math.log(2.0)

@@ -11,6 +11,9 @@ from qstirling import (
     ParameterError,
     QuadratureConfig,
     Statistics,
+    closed_form_cycle_time,
+    cycle_performance,
+    cycle_time,
     engine_performance,
     equivalence_report,
     fridge_performance,
@@ -40,6 +43,16 @@ REFERENCE = SweepTemplate(beta2_ratio=2.0, omega2_ratio=2.0, alpha_h=0.6, alpha_
 def high_temp_engine_spec(stat, x_max=1e-3):
     beta1 = x_max / (2.8 * 2.0)
     return EngineSpec(stat, 1.0, 2.0, 0.6 * beta1, beta1, 2.0 * beta1, 2.8 * beta1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: cycle_performance(spec, MODEL, ENGINE_REGEN),
+    lambda spec: cycle_time(spec, MODEL, ENGINE_REGEN),
+    lambda spec: closed_form_cycle_time(Mode.LOW_TEMP, spec, MODEL, ENGINE_REGEN),
+], ids=["cycle_performance", "cycle_time", "closed_form_cycle_time"])
+def test_non_spec_rejected_by_type(call):
+    with pytest.raises(ParameterError, match="expected an EngineSpec or FridgeSpec, got NoneType"):
+        call(None)
 
 
 class TestEnginePerformance:

@@ -7,12 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstirling import (
+    EngineSpec,
+    FridgeSpec,
+    GevaKosloff,
     ParameterError,
     PathSpec,
+    RelaxationSetup,
     Statistics,
+    ThermalField,
+    heat_current,
     integrate_path,
     internal_energy,
     inverse_population,
+    isochoric_time,
+    isothermal_time,
     population,
 )
 from conftest import rel
@@ -20,6 +28,35 @@ from conftest import rel
 B = Statistics.BOSONIC
 F = Statistics.FERMIONIC
 LN2 = math.log(2.0)
+
+
+MODEL = GevaKosloff(1.0, -0.5)
+
+# every public entry that takes a statistics value, called with valid other arguments
+STATISTICS_ENTRIES = {
+    "population": lambda stat: population(stat, 1.0),
+    "inverse_population": lambda stat: inverse_population(stat, 0.25, 1.0),
+    "internal_energy": lambda stat: internal_energy(stat, 1.0, 0.25),
+    "EngineSpec": lambda stat: EngineSpec(stat, 1.0, 2.0, 0.5, 1.0, 2.0, 3.0),
+    "FridgeSpec": lambda stat: FridgeSpec(stat, 1.0, 2.0, 0.5, 1.0, 2.0, 3.0),
+    "RelaxationSetup": lambda stat: RelaxationSetup(stat, MODEL, 1.0, 1.0, 0.1),
+    "isothermal_time": lambda stat: isothermal_time(stat, MODEL, 0.5, 1.0, 2.0, 1.0),
+    "isochoric_time": lambda stat: isochoric_time(stat, MODEL, lambda b: 1.4 * b,
+                                                  1.0, 1.0, 2.0),
+    "heat_current": lambda stat: heat_current(stat, MODEL, 0.5, 1.0, 1.0),
+    "ThermalField.rates": lambda stat: ThermalField(1.0, 1.0).rates(stat, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STATISTICS_ENTRIES))
+def test_every_entry_rejects_a_non_member_statistics(entry):
+    # a member's value is not the member; past the check, "bosonic" would take
+    # the fermionic side of every two-way dispatch
+    call = STATISTICS_ENTRIES[entry]
+    for stat in (B, F):
+        call(stat)
+    with pytest.raises(ParameterError, match="unknown statistics kind: 'bosonic'"):
+        call("bosonic")
 
 
 class TestPopulation:

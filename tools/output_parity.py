@@ -1,0 +1,117 @@
+"""Byte-for-byte CLI parity of the working tree against another revision.
+
+Exports ``src/`` of ``--base REV`` with ``git archive`` into a temporary
+directory and runs ``python -m qstirling`` on both trees over a fixed set of
+cases: ``engine``/``fridge`` on the three cycle configs in every regime mode,
+both statistics and both output formats; ``validate`` on all four configs;
+``power-sweep`` in csv (with ``--out``) and json; and ``regime-map``.  Each
+case compares exit code, stdout, stderr and every file written under the
+output directory.  Prints one line per differing case and exits 1 if any
+case differs, 0 otherwise.
+
+    python3 tools/output_parity.py --base HEAD~1
+
+Needs git; takes about half a minute.
+"""
+
+from __future__ import annotations
+
+import argparse
+import configparser
+import io
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+CYCLE_CONFIGS = ("engine_lowtemp.ini", "engine_hightemp_bosonic.ini", "fridge_lowtemp.ini")
+MODES = ("exact", "low_temp", "high_temp")  # the fridge has no high_temp set; parity covers its error too
+STATISTICS = ("bosonic", "fermionic")
+FORMATS = ("csv", "json")
+
+
+def _export(rev: str, dest: Path) -> Path:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
+    return dest / "src"
+
+
+def _edited_config(source: Path, dest: Path, stat: str, mode: str) -> Path:
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(source, encoding="utf-8")
+    parser["working_medium"]["statistics"] = stat
+    parser["numerics"]["regime_mode"] = mode
+    with open(dest, "w", encoding="utf-8") as handle:
+        parser.write(handle)
+    return dest
+
+
+def _cases(work: Path):
+    """(name, argv) pairs; ``{out}`` in an argument is the per-run output directory."""
+    for name in CYCLE_CONFIGS:
+        kind = configparser.ConfigParser(interpolation=None)
+        kind.read(CONFIGS / name, encoding="utf-8")
+        command = kind["cycle"]["kind"]
+        for mode in MODES:
+            for stat in STATISTICS:
+                config = _edited_config(CONFIGS / name, work / f"{name[:-4]}-{mode}-{stat}.ini",
+                                        stat, mode)
+                for fmt in FORMATS:
+                    yield (f"{command} {name} {mode} {stat} {fmt}",
+                           [command, "--config", str(config), "--format", fmt])
+    for config in sorted(CONFIGS.glob("*.ini")):
+        yield f"validate {config.name}", ["validate", "--config", str(config)]
+    sweep = str(CONFIGS / "power_sweep_reference.ini")
+    grid = ["--x-grid", "0.5:10:96"]
+    yield ("power-sweep csv --out",
+           ["power-sweep", "--config", sweep, *grid, "--format", "csv", "--out", "{out}/sweep.csv"])
+    yield "power-sweep json", ["power-sweep", "--config", sweep, *grid, "--format", "json"]
+    yield ("regime-map --grid 200 --threads 2",
+           ["regime-map", "--q-min", "-0.9", "--q-max", "-0.1", "--x-min", "0.5",
+            "--x-max", "12", "--grid", "200", "--threads", "2"])
+
+
+def _run(src: Path, argv: list[str], out: Path):
+    """Exit code, stdout, stderr and the files written, with ``out`` emptied first."""
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "qstirling",
+                           *(a.replace("{out}", str(out)) for a in argv)],
+                          capture_output=True, env=env, cwd=out)
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, metavar="REV",
+                        help="git revision whose src/ the working tree is compared against")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="output_parity_") as tmp:
+        work = Path(tmp)
+        base_src = _export(args.base, work / "base")
+        out = work / "out"
+        differing = total = 0
+        for name, case in _cases(work):
+            total += 1
+            base = _run(base_src, case, out)
+            head = _run(ROOT / "src", case, out)
+            if base != head:
+                parts = ("exit code", "stdout", "stderr", "output files")
+                what = ", ".join(p for p, b, h in zip(parts, base, head) if b != h)
+                print(f"DIFFERS {name}: {what}")
+                differing += 1
+    print(f"{total - differing} of {total} cases identical to {args.base}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
