@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .cycles import CYCLE_KINDS, EngineSpec, FridgeSpec, Mode
@@ -201,6 +202,8 @@ def load_run_config(path: str) -> RunConfig:
     particle_count = output.integer("particle_count", 1)
     if particle_count < 1:
         raise ConfigError("output.particle_count: must be at least 1")
+    if particle_count > sys.float_info.max:  # extensive outputs are scaled by float(count)
+        raise ConfigError(f"output.particle_count: must not exceed {sys.float_info.max!r}")
 
     return RunConfig(stat, kind, spec, model, regen, quad, mode,
                      x_low, x_high, out_format, out_path, particle_count)

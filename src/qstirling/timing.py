@@ -6,8 +6,17 @@ each branch.  All integrands share the structure
     1 / [ e^{q*beta*omega} * (e^{beta*omega} - e^{beta_s*omega}) * (1 +- e^{-beta_s*omega}) ]
 
 where ``beta`` is the bath (isotherms) or regenerator (isochores) inverse
-temperature.  The exponential difference is evaluated in log space,
-``sign * e^{max} * (1 - e^{-|dx|})``, so large products never overflow.
+temperature.  Every stroke of the cycles is linear in its integration
+variable u: x = A*u and x_s = B*u, with u = omega, A = beta, B = beta_s on
+isotherms and u = beta_s, A = c*omega, B = omega on linear-regenerator
+isochores.  Such a stroke is summed as an exponential series
+(:mod:`qstirling.series`) to machine precision, whatever ``rel_tol`` says;
+a stroke that would need more than ``SERIES_TERM_BUDGET`` terms, and any
+isochore with a regenerator callable, is integrated by adaptive GK15
+instead.  The gap ``x - x_s`` of a linear stroke is carried as
+``(A - B)*u``, so a slope within ulps of 1 keeps its digits.  In the GK15
+integrand the exponential difference is evaluated in log space,
+``sign * e^{max} * (1 - e^{-|gap|})``, so large products never overflow.
 Callers integrate along the physical stroke direction, which always yields
 a positive duration.
 """
@@ -30,6 +39,7 @@ from .cycles import (  # the regenerator classes stay importable from here
 from .errors import ConvergenceError, ParameterError, SingularityError
 from .quadrature import QuadratureConfig, integrate
 from .relaxation import GevaKosloff
+from .series import integrate_linear
 from .statistics import Statistics, require_statistics, weight
 
 
@@ -40,7 +50,11 @@ class StrokeTime(NamedTuple):
 
 @dataclass(frozen=True)
 class TimingReport:
-    """Stroke durations in cycle order plus their quadrature error estimates."""
+    """Stroke durations in cycle order plus each one's error estimate.
+
+    A series stroke reports a bound (its tail bound plus a rounding
+    allowance); a GK15 stroke reports the quadrature's error estimate.
+    """
 
     t1: float
     t2: float
@@ -50,9 +64,8 @@ class TimingReport:
     error_estimates: tuple[float, float, float, float]
 
 
-def _rate_denominator(stat: Statistics, q: float, x: float, x_s: float) -> float:
-    """Signed e^{q*x} * (e^x - e^{x_s}) * (1 +- e^{-x_s}) without overflow."""
-    gap = x - x_s
+def _rate_denominator(stat: Statistics, q: float, x: float, x_s: float, gap: float) -> float:
+    """Signed e^{q*x} * (e^x - e^{x_s}) * (1 +- e^{-x_s}) without overflow; gap = x - x_s."""
     magnitude = math.exp(-q * x - max(x, x_s)) / (-math.expm1(-abs(gap)))
     value = magnitude / weight(stat, x_s)  # the only statistics-dependent factor
     return value if gap > 0.0 else -value
@@ -75,27 +88,36 @@ def isothermal_time(stat: Statistics, model: GevaKosloff, beta: float, beta_s: f
     if beta == beta_s:
         raise SingularityError("bath and medium temperatures coincide: "
                                "infinite relaxation time")
-    q = model.q
-
-    def integrand(omega: float) -> float:
-        return _rate_denominator(stat, q, beta * omega, beta_s * omega)
-
-    return _duration(integrand, omega_i, omega_f, cfg, beta_s / (2.0 * model.a), "bath")
+    return _linear_time(stat, model, beta, 1.0, beta_s, beta - beta_s, omega_i, omega_f,
+                        cfg, "bath")
 
 
-def isochoric_time(stat: Statistics, model: GevaKosloff, regenerator: Callable[[float], float],
+def isochoric_time(stat: Statistics, model: GevaKosloff,
+                   regenerator: Callable[[float], float] | float,
                    omega: float, beta_i: float, beta_f: float,
                    cfg: QuadratureConfig | None = None) -> StrokeTime:
     """Duration of a constant-frequency stroke with beta_s sweeping beta_i -> beta_f.
 
-    ``regenerator`` maps the medium inverse temperature to the regenerator
-    one; it must stay on a single side of the identity over the sweep, else
-    the heat flow would reverse mid-stroke and the denominator changes sign.
-    The crossing point is located by bisection and reported.
+    ``regenerator`` is either the slope c of the linear regenerator
+    ``beta_r = c*beta_s``, which takes the exponential series, or a callable
+    mapping the medium inverse temperature to the regenerator one, which is
+    integrated by GK15.  A callable must stay on a single side of the
+    identity over the sweep, else the heat flow would reverse mid-stroke
+    and the denominator changes sign; the crossing point is located by
+    bisection and reported.
     """
     if omega <= 0.0 or beta_i <= 0.0 or beta_f <= 0.0:
         raise ParameterError("frequency and temperatures must be positive")
     require_statistics(stat)
+    if not callable(regenerator):
+        if not 0.0 < regenerator < math.inf:
+            raise ParameterError(f"regenerator slope must be positive and finite, "
+                                 f"got {regenerator!r}")
+        if regenerator == 1.0:
+            raise SingularityError("regenerator and medium temperatures coincide: "
+                                   "infinite relaxation time")
+        return _linear_time(stat, model, regenerator, omega, omega, (regenerator - 1.0) * omega,
+                            beta_i, beta_f, cfg, "regenerator")
     q = model.q
     last = None  # (beta_s, regenerator gap) at the previous evaluation
 
@@ -113,13 +135,35 @@ def isochoric_time(stat: Statistics, model: GevaKosloff, regenerator: Callable[[
                 f"regenerator temperature crosses the medium temperature at "
                 f"beta_s = {crossing:.12g}")
         last = (beta_s, gap)
-        return _rate_denominator(stat, q, beta_r * omega, beta_s * omega)
+        x, x_s = beta_r * omega, beta_s * omega
+        return _rate_denominator(stat, q, x, x_s, x - x_s)
 
     return _duration(integrand, beta_i, beta_f, cfg, omega / (2.0 * model.a), "regenerator")
 
 
-def _duration(integrand, lo: float, hi: float, cfg, scale: float, driver: str) -> StrokeTime:
-    """``scale`` times the integral, rejecting a stroke run away from equilibrium.
+def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: float,
+                 d: float, u_i: float, u_f: float, cfg, reservoir: str) -> StrokeTime:
+    """Duration of a stroke with x = a1*a2*u, x_s = b*u and gap d*u: b/(2a) times the integral.
+
+    The exponential series when it fits the term budget, GK15 otherwise.
+    """
+    scale = b / (2.0 * model.a)
+    if u_i == u_f:
+        return StrokeTime(0.0, 0.0)
+    series = integrate_linear(stat, model.q, a1, a2, b, d, min(u_i, u_f), max(u_i, u_f))
+    if series is None:
+        a, q = a1 * a2, model.q
+        return _duration(lambda u: _rate_denominator(stat, q, a * u, b * u, d * u),
+                         u_i, u_f, cfg, scale, reservoir)
+    value, error, _ = series
+    # the integrand has the sign of the gap; the sweep direction orients it
+    if (u_f > u_i) != (d > 0.0):
+        value = -value
+    return _checked(scale * value, scale * error, reservoir)
+
+
+def _duration(integrand, lo: float, hi: float, cfg, scale: float, reservoir: str) -> StrokeTime:
+    """``scale`` times the GK15 integral, rejecting a stroke run away from equilibrium.
 
     A convergence failure is rescaled so its partial result is a partial duration.
     """
@@ -128,12 +172,15 @@ def _duration(integrand, lo: float, hi: float, cfg, scale: float, driver: str) -
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), scale * exc.partial,
                                abs(scale) * exc.error_estimate) from exc
-    duration = scale * result.value
+    return _checked(scale * result.value, abs(scale) * result.error_estimate, reservoir)
+
+
+def _checked(duration: float, error_estimate: float, reservoir: str) -> StrokeTime:
     if duration < 0.0:
         raise ParameterError(
             "integration direction yields a negative duration; the stroke "
-            f"must run toward the {driver}-driven equilibrium")
-    return StrokeTime(duration, abs(scale) * result.error_estimate)
+            f"must run toward the {reservoir}-driven equilibrium")
+    return StrokeTime(duration, error_estimate)
 
 
 def _bisect_crossing(mapping: Callable[[float], float], lo: float, hi: float) -> float:
@@ -195,9 +242,8 @@ def cycle_time(spec: EngineSpec | FridgeSpec, model: GevaKosloff, regen,
             times.append(_stroke(label, isothermal_time, spec.stat, model,
                                  v[drive], v[fixed], v[start], v[end], cfg))
         else:
-            slope = getattr(regen, drive)
             times.append(_stroke(label, isochoric_time, spec.stat, model,
-                                 lambda b: slope * b, v[fixed], v[start], v[end], cfg))
+                                 getattr(regen, drive), v[fixed], v[start], v[end], cfg))
     return _report([t.duration for t in times], tuple(t.error_estimate for t in times))
 
 

@@ -1,5 +1,7 @@
-"""Shared helpers: relative deviation and random-but-reproducible cycle specs."""
+"""Shared helpers: relative deviation, random-but-reproducible cycle specs and
+an mpmath stroke-time oracle."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -62,6 +64,40 @@ def lowtemp_fridge_spec(stat: Statistics, x_min: float, omega_ratio: float = 2.0
     beta2p = beta_ratio * beta1p
     return FridgeSpec(stat, omega1, omega_ratio * omega1, beta1p,
                       alpha_hp * beta1p, alpha_cp * beta2p, beta2p)
+
+
+def mp_isothermal_time(stat, model, beta, beta_s, omega_i, omega_f, dps=40):
+    """``isothermal_time`` to ``dps`` digits, from the exact float inputs."""
+    with mp.workdps(dps):
+        return float(_mp_stroke(stat, model, mp.mpf(beta), mp.mpf(beta_s), mp.mpf(beta_s),
+                                omega_i, omega_f))
+
+
+def mp_isochoric_time(stat, model, slope, omega, beta_i, beta_f, dps=40):
+    """``isochoric_time`` with the linear regenerator ``slope``, to ``dps`` digits."""
+    with mp.workdps(dps):
+        w = mp.mpf(omega)
+        return float(_mp_stroke(stat, model, mp.mpf(slope) * w, w, w, beta_i, beta_f))
+
+
+def _mp_stroke(stat, model, a, b, held, u_i, u_f):
+    # held/(2a) * integral du / [e^{q a u} (e^{a u} - e^{b u}) (1 -+ e^{-b u})].
+    # The integrand is e^{-lam u} g(u) with g smooth and bounded; substituting
+    # t = e^{-lam (u - lo)} removes the exponential, which tanh-sinh alone
+    # resolves poorly over a span of many decay lengths.
+    q = mp.mpf(model.q)
+    weight_sign = -1 if stat is Statistics.BOSONIC else 1
+    lam = q * a + max(a, b)
+    lo, hi = sorted((mp.mpf(u_i), mp.mpf(u_f)))
+
+    def g(t):
+        u = lo - mp.log(t) / lam
+        return 1 / (-mp.expm1(-abs(a - b) * u) * (1 + weight_sign * mp.exp(-b * u)))
+
+    t_hi = mp.exp(-lam * (hi - lo))
+    integral = mp.exp(-lam * lo) / lam * mp.quad(g, [t_hi, (t_hi + 1) / 2, 1])
+    orientation = (1 if a > b else -1) * (1 if u_f > u_i else -1)
+    return orientation * held / (2 * mp.mpf(model.a)) * integral
 
 
 @pytest.fixture

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from qstirling.cli import ENGINE_COLUMNS, FRIDGE_COLUMNS, main
+from qstirling.config import load_run_config
+from conftest import mp_isochoric_time, mp_isothermal_time
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 ENGINE_CFG = str(CONFIG_DIR / "engine_lowtemp.ini")
@@ -54,7 +56,10 @@ class TestEngineCommand:
         assert main(["engine", "--config", FRIDGE_CFG]) == 1
 
     def test_convergence_failure_exits_3_naming_stroke(self, tmp_path, capsys):
+        # a hot bath this close to the medium needs more series terms than the
+        # budget, so the hot isotherm goes to the starved GK15
         text = Path(ENGINE_CFG).read_text(encoding="utf-8").replace(
+            "alpha_h = 0.6", "alpha_h = 0.99").replace(
             "rel_tol = 1e-10", "rel_tol = 1e-14").replace(
             "max_subdivisions = 200", "max_subdivisions = 1")
         rc = main(["engine", "--config", write_cfg(tmp_path, text)])
@@ -71,6 +76,39 @@ class TestEngineCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: stroke B->C: quadrature error")
         assert "after 200 subdivisions" in err
+
+    def test_regenerator_slope_one_ulp_above_1(self, tmp_path, capsys):
+        # the gap (gamma1 - 1)*omega*beta_s must keep its digits: exit 3, or
+        # every stroke time within 100 rel_tol of a 50-digit oracle
+        gamma1 = 1.0000000000000002
+        text = Path(ENGINE_CFG).read_text(encoding="utf-8").replace(
+            "gamma1 = 1.4", f"gamma1 = {gamma1!r}")
+        out = tmp_path / "engine.json"
+        rc = main(["engine", "--config", write_cfg(tmp_path, text), "--format", "json",
+                   "--out", str(out)])
+        if rc == 3:
+            return
+        assert rc == 0
+        timing = json.loads(out.read_text(encoding="utf-8"))["timing"]
+        cfg = load_run_config(write_cfg(tmp_path, text))
+        spec, model, stat = cfg.spec, cfg.model, cfg.spec.stat
+        exact = (
+            mp_isothermal_time(stat, model, spec.beta_h, spec.beta1, spec.omega2, spec.omega1, 50),
+            mp_isochoric_time(stat, model, gamma1, spec.omega1, spec.beta1, spec.beta2, 50),
+            mp_isothermal_time(stat, model, spec.beta_c, spec.beta2, spec.omega1, spec.omega2, 50),
+            mp_isochoric_time(stat, model, 0.6, spec.omega2, spec.beta2, spec.beta1, 50),
+        )
+        for name, value in zip(("t1", "t2", "t3", "t4"), exact):
+            assert abs(timing[name] - value) <= 100.0 * cfg.quad.rel_tol * value, name
+
+    def test_unconvertible_particle_count_exits_1(self, tmp_path, capsys):
+        text = Path(ENGINE_CFG).read_text(encoding="utf-8").replace(
+            "particle_count = 1", "particle_count = 1" + "0" * 400)
+        rc = main(["engine", "--config", write_cfg(tmp_path, text)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: output.particle_count:")
+        assert "Traceback" not in err
 
     def test_thermal_field_bath_rejected(self, tmp_path, capsys):
         text = Path(ENGINE_CFG).read_text(encoding="utf-8").replace(

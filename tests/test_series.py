@@ -1,0 +1,209 @@
+"""Exponential-series stroke times against a 40-digit mpmath oracle and pinned GK15.
+
+A linear stroke whose series fits ``series.SERIES_TERM_BUDGET`` makes no
+GK15 call; setting the budget to 0 pins every stroke to GK15, which stays
+the in-package reference.
+"""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+
+import qstirling.series
+import qstirling.timing
+from qstirling import (
+    GevaKosloff,
+    LinearEngineRegenerator,
+    LinearFridgeRegenerator,
+    ParameterError,
+    QuadratureConfig,
+    SingularityError,
+    Statistics,
+    cycle_time,
+    isochoric_time,
+    isothermal_time,
+    regime_extents,
+)
+from qstirling.cycles import EngineSpec, cycle_kind
+from conftest import (
+    mp_isochoric_time,
+    mp_isothermal_time,
+    random_engine_spec,
+    random_fridge_spec,
+    rel,
+)
+
+EPS = sys.float_info.epsilon
+B = Statistics.BOSONIC
+F = Statistics.FERMIONIC
+GK15 = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-300, max_subdivisions=200)
+
+
+def _rescaled(spec, regen, x_min):
+    # scale every inverse temperature so the cycle's smallest product is x_min
+    factor = x_min / regime_extents(spec, regen)[0]
+    fields = vars(spec).copy()
+    stat, omega1, omega2 = fields.pop("stat"), fields.pop("omega1"), fields.pop("omega2")
+    return type(spec)(stat, omega1, omega2, *(factor * v for v in fields.values()))
+
+
+def _seeded_strokes(count):
+    """``count`` cycles with x_min log-uniform in [8, 40]; kind and statistics alternate."""
+    rng = np.random.default_rng(6)
+    strokes = []
+    for i in range(count):
+        stat = (B, F)[i % 2]
+        x_min = float(np.exp(rng.uniform(np.log(8.0), np.log(40.0))))
+        model = GevaKosloff(rng.uniform(0.1, 5.0), rng.uniform(-0.99, -0.01))
+        slopes = (rng.uniform(1.1, 2.0), rng.uniform(0.3, 0.9))
+        if i % 4 < 2:
+            regen = LinearEngineRegenerator(*slopes)
+            spec = random_engine_spec(rng, stat, 1.0, 2.0)
+        else:
+            regen = LinearFridgeRegenerator(*slopes)
+            spec = random_fridge_spec(rng, stat, 1.0, 2.0)
+        strokes += _cycle_strokes(_rescaled(spec, regen, x_min), model, regen)
+    return strokes
+
+
+def _cycle_strokes(spec, model, regen):
+    """(label, stat, model, isotherm, bath beta or slope, held, start, end) per stroke."""
+    v = vars(spec)
+    rows = []
+    for label, _, isotherm, fixed, start, end, drive in cycle_kind(spec).strokes:
+        reservoir = v[drive] if isotherm else getattr(regen, drive)
+        rows.append((label, spec.stat, model, isotherm, reservoir, v[fixed], v[start], v[end]))
+    return rows
+
+
+def _oracle(stroke):
+    _, stat, model, isotherm, reservoir, held, start, end = stroke
+    fn = mp_isothermal_time if isotherm else mp_isochoric_time
+    return fn(stat, model, reservoir, held, start, end)
+
+
+def _timed(stroke, monkeypatch, budget=None):
+    """(StrokeTime, GK15 calls) of one stroke, with the series budget optionally replaced."""
+    _, stat, model, isotherm, reservoir, held, start, end = stroke
+    calls = []
+    real_integrate = qstirling.timing.integrate
+
+    def counting_integrate(f, a, b, cfg=None):
+        calls.append(1)
+        return real_integrate(f, a, b, cfg)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qstirling.timing, "integrate", counting_integrate)
+        if budget is not None:
+            patch.setattr(qstirling.series, "SERIES_TERM_BUDGET", budget)
+        fn = isothermal_time if isotherm else isochoric_time
+        return fn(stat, model, reservoir, held, start, end, GK15), len(calls)
+
+
+POOL = _seeded_strokes(24)
+
+
+def test_pool_covers_both_statistics_stroke_kinds_and_cycles():
+    assert len(POOL) >= 64
+    labels = {s[0] for s in POOL}
+    assert {"A->B", "B->C", "D->C", "A->D"} <= labels  # engine and fridge rows
+    assert {s[1] for s in POOL} == {B, F}
+    assert {s[3] for s in POOL} == {True, False}
+
+
+def test_series_strokes_match_the_oracle_at_least_as_well_as_gk15(monkeypatch):
+    series_strokes = 0
+    for stroke in POOL:
+        exact = _oracle(stroke)
+        out, gk15_calls = _timed(stroke, monkeypatch)
+        if gk15_calls:
+            continue
+        series_strokes += 1
+        pinned, _ = _timed(stroke, monkeypatch, budget=0)
+        err = abs(out.duration - exact)
+        assert err <= abs(pinned.duration - exact) + 4.0 * EPS * exact, stroke
+        # the reported error bounds the true one
+        assert err <= out.error_estimate, stroke
+        assert out.error_estimate <= 1e-13 * exact
+    assert series_strokes >= 64
+
+
+def _boundary_pair(make_stroke, grid, monkeypatch):
+    """Adjacent strokes of ``grid`` on either side of the term budget: (inside, outside)."""
+    inside = None
+    for value in grid:
+        stroke = make_stroke(value)
+        if _timed(stroke, monkeypatch)[1]:
+            assert inside is not None, "grid starts past the budget"
+            return inside, stroke
+        inside = stroke
+    raise AssertionError("grid never leaves the budget")
+
+
+MODEL = GevaKosloff(1.3, -0.4)
+BOUNDARY_FAMILIES = {
+    # hot isotherm at beta_s = 20: K = 2, so J crosses 32 as the bath nears the medium
+    "isotherm": lambda stat: (lambda beta: ("A->B", stat, MODEL, True, beta, 20.0, 2.0, 1.0),
+                              [float(v) for v in np.linspace(16.0, 19.9, 400)]),
+    # low-frequency isochore from beta_s = 10: K = 4, so J crosses 16 as the slope nears 1
+    "isochore": lambda stat: (lambda c: ("B->C", stat, MODEL, False, c, 1.0, 10.0, 20.0),
+                              [float(v) for v in np.linspace(1.5, 1.01, 400)]),
+}
+
+
+@pytest.mark.parametrize("stat", [B, F])
+@pytest.mark.parametrize("family", sorted(BOUNDARY_FAMILIES))
+def test_paths_agree_at_the_term_budget(family, stat, monkeypatch):
+    make_stroke, grid = BOUNDARY_FAMILIES[family](stat)
+    inside, outside = _boundary_pair(make_stroke, grid, monkeypatch)
+    for stroke in (inside, outside):
+        exact = _oracle(stroke)
+        series, calls = _timed(stroke, monkeypatch, budget=10**6)
+        assert calls == 0
+        pinned, _ = _timed(stroke, monkeypatch, budget=0)
+        assert rel(series.duration, pinned.duration) < 1e-13, stroke
+        err = abs(series.duration - exact)
+        assert err <= abs(pinned.duration - exact) + 4.0 * EPS * exact, stroke
+        assert err <= series.error_estimate, stroke
+    # the default path is the series inside the budget, GK15 past it
+    assert _timed(inside, monkeypatch)[0] == _timed(inside, monkeypatch, budget=10**6)[0]
+    assert _timed(outside, monkeypatch)[0] == _timed(outside, monkeypatch, budget=0)[0]
+
+
+@pytest.mark.parametrize("x", [20.0, 30.0, 40.0])
+def test_default_tolerances_hold_rel_tol_at_low_temperature(x):
+    # omega 1/2, beta2 = 2 beta1, alpha 0.6/1.4, slopes 1.4/0.6 at the default
+    # abs_tol = 1e-14, far above these stroke times
+    model = GevaKosloff(1.0, -0.05)
+    regen = LinearEngineRegenerator(1.4, 0.6)
+    for stat in (B, F):
+        spec = EngineSpec(stat, 1.0, 2.0, 0.6 * x, x, 2.0 * x, 1.4 * 2.0 * x)
+        report = cycle_time(spec, model, regen, QuadratureConfig())
+        times = (report.t1, report.t2, report.t3, report.t4)
+        for stroke, value in zip(_cycle_strokes(spec, model, regen), times):
+            assert rel(value, _oracle(stroke)) < 1e-10, stroke[0]
+
+
+def test_callable_regenerator_keeps_gk15(monkeypatch):
+    calls = []
+    real_integrate = qstirling.timing.integrate
+    monkeypatch.setattr(qstirling.timing, "integrate",
+                        lambda *a, **k: calls.append(1) or real_integrate(*a, **k))
+    model = GevaKosloff(1.0, -0.05)
+    curve = isochoric_time(B, model, lambda b: 1.4 * b, 1.0, 10.0, 20.0, GK15)
+    line = isochoric_time(B, model, 1.4, 1.0, 10.0, 20.0, GK15)
+    assert calls == [1]
+    assert rel(curve.duration, line.duration) < 1e-13
+
+
+@pytest.mark.parametrize("slope", [0.0, -1.4, math.inf, math.nan])
+def test_invalid_linear_slope_rejected(slope):
+    with pytest.raises(ParameterError, match="slope"):
+        isochoric_time(B, GevaKosloff(1.0, -0.05), slope, 1.0, 10.0, 20.0, GK15)
+
+
+def test_unit_slope_is_singular():
+    with pytest.raises(SingularityError, match="infinite relaxation time"):
+        isochoric_time(B, GevaKosloff(1.0, -0.05), 1.0, 1.0, 10.0, 20.0, GK15)

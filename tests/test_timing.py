@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import qstirling.series
 import qstirling.timing
 from qstirling import (
     EngineSpec,
@@ -302,7 +303,8 @@ class TestIndependentQuadratureOracle:
 class TestConvergenceFailure:
     def test_failure_names_stroke_and_carries_scaled_partial(self):
         from qstirling import ConvergenceError
-        spec = reference_engine_spec(B, 10.0)
+        # alpha_h = 0.99 puts A->B past the series term budget, on GK15
+        spec = reference_engine_spec(B, 10.0, alpha_h=0.99)
         starved = QuadratureConfig(1e-14, 1e-300, 1)
         with pytest.raises(ConvergenceError, match="stroke A->B") as excinfo:
             engine_cycle_time(spec, MODEL, ENGINE_REGEN, starved)
@@ -340,8 +342,9 @@ class TestRegimeExtents:
 
 @pytest.mark.parametrize("name", ["engine_lowtemp.ini", "fridge_lowtemp.ini"])
 def test_shipped_lowtemp_exact_point_work_budget(name, monkeypatch):
-    # deterministic GK15 work of the shipped EXACT points: 30 panel evaluations
-    # (2*panels - 1 per stroke) and 450 integrand calls; more is a regression
+    # deterministic GK15 work of the shipped EXACT points with every stroke
+    # pinned to GK15: 30 panel evaluations (2*panels - 1 per stroke) and 450
+    # integrand calls; more is a regression
     counts = {"panel_evals": 0, "integrand_evals": 0}
     real_integrate = qstirling.timing.integrate
 
@@ -354,9 +357,33 @@ def test_shipped_lowtemp_exact_point_work_budget(name, monkeypatch):
         return result
 
     monkeypatch.setattr(qstirling.timing, "integrate", counting_integrate)
+    monkeypatch.setattr(qstirling.series, "SERIES_TERM_BUDGET", 0)
     cfg = load_run_config(str(CONFIG_DIR / name))
     report = cycle_performance(cfg.spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)
     assert report.status == "ok"
     assert 0 < counts["panel_evals"] <= 30
     assert counts["integrand_evals"] <= 450
     assert counts["integrand_evals"] == 15 * counts["panel_evals"]
+
+
+@pytest.mark.parametrize("name,budget", [("engine_lowtemp.ini", 48), ("fridge_lowtemp.ini", 54)])
+def test_shipped_lowtemp_exact_point_series_budget(name, budget, monkeypatch):
+    # the shipped EXACT points take the series on every stroke: no GK15 call
+    # and, summed over the four strokes, this many j*k terms; more is a regression
+    terms, gk15_calls = [], []
+    real_series, real_integrate = qstirling.timing.integrate_linear, qstirling.timing.integrate
+
+    def counting_series(*args):
+        result = real_series(*args)
+        terms.append(result[2])
+        return result
+
+    monkeypatch.setattr(qstirling.timing, "integrate_linear", counting_series)
+    monkeypatch.setattr(qstirling.timing, "integrate",
+                        lambda *a, **k: gk15_calls.append(1) or real_integrate(*a, **k))
+    cfg = load_run_config(str(CONFIG_DIR / name))
+    report = cycle_performance(cfg.spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)
+    assert report.status == "ok"
+    assert gk15_calls == []
+    assert len(terms) == 4
+    assert sum(terms) <= budget
