@@ -379,15 +379,30 @@ def cycle_ledger(spec: EngineSpec | FridgeSpec) -> EngineCycle | FridgeCycle:
     """
     kind, v = cycle_kind(spec), vars(spec)
     heats = {}
-    for _, heat, isotherm, fixed, start, end, _ in kind.strokes:
-        if isotherm:
-            heats[heat] = isothermal_heat(spec.stat, 1.0 / v[fixed], v[start], v[end])
-        else:
-            heats[heat] = isochoric_heat(spec.stat, v[fixed], 1.0 / v[start], 1.0 / v[end])
+    try:
+        for _, heat, isotherm, fixed, start, end, _ in kind.strokes:
+            if isotherm:
+                heats[heat] = isothermal_heat(spec.stat, 1.0 / v[fixed], v[start], v[end])
+            else:
+                heats[heat] = isochoric_heat(spec.stat, v[fixed], 1.0 / v[start], 1.0 / v[end])
+    except ParameterError:
+        _name_product_out_of_range(kind, v)
+        raise
     return _assemble(kind, **heats)
 
 
 engine_ledger = fridge_ledger = cycle_ledger
+
+
+def _name_product_out_of_range(kind: CycleKind, v: dict):
+    """Raise for the first corner product x = beta*omega that leaves (0, inf), naming its keys."""
+    for _, _, isotherm, fixed, start, end, _ in kind.strokes:
+        for corner in (start, end):
+            beta, omega = (fixed, corner) if isotherm else (corner, fixed)
+            x = v[beta] * v[omega]
+            if not 0.0 < x < math.inf:
+                raise ParameterError(f"{beta}*{omega} {'overflows' if x else 'underflows'}: "
+                                     f"{v[beta]!r} * {v[omega]!r} = {x!r}")
 
 
 def work_closed_form(spec: EngineSpec | FridgeSpec) -> float:

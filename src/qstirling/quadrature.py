@@ -99,7 +99,11 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> Qua
     Bisects the panel with the largest error estimate until the summed
     estimate drops below ``max(rel_tol*|integral|, abs_tol)`` or the
     subdivision budget runs out, in which case a :class:`ConvergenceError`
-    carrying the partial result is raised.
+    carrying the partial result is raised.  A panel whose value or estimate
+    is not finite (the integrand overflowed at a node) is bisected before
+    any other, so an isolated overflow drops out; if the sum is still not
+    finite when the budget runs out, the error says so.  A non-finite
+    result is never returned.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -107,13 +111,16 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> Qua
         return QuadratureResult(0.0, 0.0, 0)
     value, err = _kronrod_panel(f, a, b)
     total, total_err = value, err
-    heap = [(-err, a, b, value, err)]
+    heap = [(_priority(value, err), a, b, value, err)]
     splits = 0
-    while total_err > max(cfg.rel_tol * abs(total), cfg.abs_tol):
+    while True:
+        finite = math.isfinite(total) and math.isfinite(total_err)
+        if finite and total_err <= max(cfg.rel_tol * abs(total), cfg.abs_tol):
+            return QuadratureResult(total, total_err, splits + 1)
         if splits >= cfg.max_subdivisions:
+            state = "still above tolerance" if finite else "is not finite"
             raise ConvergenceError(
-                f"quadrature error {total_err:.3e} still above tolerance after "
-                f"{splits} subdivisions",
+                f"quadrature error {total_err:.3e} {state} after {splits} subdivisions",
                 partial=total,
                 error_estimate=total_err,
             )
@@ -121,16 +128,26 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> Qua
         mid = 0.5 * (pa + pb)
         if mid == pa or mid == pb:
             # interval already at floating-point resolution
+            state = "" if finite else f" and quadrature error {total_err:.3e} is not finite"
             raise ConvergenceError(
-                f"interval [{pa!r}, {pb!r}] cannot be subdivided further",
+                f"interval [{pa!r}, {pb!r}] cannot be subdivided further{state}",
                 partial=total,
                 error_estimate=total_err,
             )
         v1, e1 = _kronrod_panel(f, pa, mid)
         v2, e2 = _kronrod_panel(f, mid, pb)
-        total += (v1 + v2) - pv
-        total_err += (e1 + e2) - pe
-        heapq.heappush(heap, (-e1, pa, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, pb, v2, e2))
+        heapq.heappush(heap, (_priority(v1, e1), pa, mid, v1, e1))
+        heapq.heappush(heap, (_priority(v2, e2), mid, pb, v2, e2))
+        if finite:
+            total += (v1 + v2) - pv
+            total_err += (e1 + e2) - pe
+        else:
+            # inf - inf left no usable running sum: add the leaves up afresh
+            total = sum(panel[3] for panel in heap)
+            total_err = sum(panel[4] for panel in heap)
         splits += 1
-    return QuadratureResult(total, total_err, splits + 1)
+
+
+def _priority(value: float, err: float) -> float:
+    """Heap key: the largest estimate first, a non-finite panel before all others."""
+    return -err if math.isfinite(value) and math.isfinite(err) else -math.inf

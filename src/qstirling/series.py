@@ -42,6 +42,24 @@ def _two_product(x: float, y: float) -> tuple[float, float]:
     return p, ((x_hi * y_hi - p) + x_hi * y_lo + x_lo * y_hi) + x_lo * y_lo
 
 
+def leading_exponential(q: float, a1: float, a2: float, b: float, lo: float) -> float:
+    """``e^{-lambda00 lo}``, lambda00 = qA + max(A, B) with A = a1*a2; nan if a split overflowed.
+
+    It carries a low-temperature stroke's magnitude.  Its exponent (tens to
+    hundreds) is summed exactly from Dekker products: one rounding of
+    x = A*lo alone would cost ~x/2 ulps of the duration.
+    """
+    p, e = _two_product(a1, a2)
+    x_hi, x_err = _two_product(p, lo)
+    x_rest = x_err + e * lo
+    qx, qx_err = _two_product(q, x_hi)
+    parts = [qx, qx_err, q * x_rest]
+    parts += (x_hi, x_rest) if p > b else _two_product(b, lo)
+    exponent = math.fsum(parts)
+    parts.append(-exponent)
+    return math.exp(-exponent) * (1.0 - math.fsum(parts))
+
+
 def integrate_linear(stat: Statistics, q: float, a1: float, a2: float, b: float, d: float,
                      lo: float, hi: float) -> tuple[float, float, int] | None:
     """Integral of |rate denominator| over [lo, hi] for x = a1*a2*u, x_s = b*u, gap d*u.
@@ -71,18 +89,7 @@ def integrate_linear(stat: Statistics, q: float, a1: float, a2: float, b: float,
     n_k = max(1, math.ceil(log_ratio / bl))
     if n_j * n_k > SERIES_TERM_BUDGET:
         return None
-    # e^{-lambda00 lo} carries the stroke's magnitude.  Its exponent (tens to
-    # hundreds) is summed exactly from Dekker products: one rounding of
-    # x = A*lo alone would cost ~x/2 ulps of the duration
-    p, e = _two_product(a1, a2)
-    x_hi, x_err = _two_product(p, lo)
-    x_rest = x_err + e * lo
-    qx, qx_err = _two_product(q, x_hi)
-    parts = [qx, qx_err, q * x_rest]
-    parts += (x_hi, x_rest) if a > b else _two_product(b, lo)
-    exponent = math.fsum(parts)
-    parts.append(-exponent)
-    leading = math.exp(-exponent) * (1.0 - math.fsum(parts))
+    leading = leading_exponential(q, a1, a2, b, lo)
     if not leading > 0.0:  # nan where a Dekker split overflowed
         return None
     span = hi - lo

@@ -39,8 +39,19 @@ def require_statistics(stat) -> None:
 
 def weight(stat: Statistics, x: float) -> float:
     """The factor ``1 -+ e^{-x}``, bosonic upper sign; ``stat`` is not checked."""
-    if stat is Statistics.BOSONIC:
-        return -math.expm1(-x)
+    return weight_function(stat)(x)
+
+
+def weight_function(stat: Statistics) -> Callable[[float], float]:
+    """``x -> 1 -+ e^{-x}`` for one statistics, for integrands that call it per node."""
+    return _bose_weight if stat is Statistics.BOSONIC else _fermi_weight
+
+
+def _bose_weight(x: float) -> float:
+    return -math.expm1(-x)
+
+
+def _fermi_weight(x: float) -> float:
     return 1.0 + math.exp(-x)
 
 

@@ -10,21 +10,26 @@ temperature.  Every stroke of the cycles is linear in its integration
 variable u: x = A*u and x_s = B*u, with u = omega, A = beta, B = beta_s on
 isotherms and u = beta_s, A = c*omega, B = omega on linear-regenerator
 isochores.  Such a stroke is summed as an exponential series
-(:mod:`qstirling.series`) to machine precision, whatever ``rel_tol`` says;
-a stroke that would need more than ``SERIES_TERM_BUDGET`` terms, and any
-isochore with a regenerator callable, is integrated by adaptive GK15
-instead.  The gap ``x - x_s`` of a linear stroke is carried as
+(:mod:`qstirling.series`) to machine precision, whatever ``rel_tol`` says,
+when that fits ``SERIES_TERM_BUDGET`` terms; one whose every product stays
+below 2^-60 takes the high-temperature form, exact there to rounding.  Any
+other stroke, and any isochore with a regenerator callable, is integrated
+by adaptive GK15 in the anchored log variable v = ln(u/lo), where the
+integrand times u, which behaves like 1/u near a hot stroke's lower end,
+is nearly flat.  The gap ``x - x_s`` of a linear stroke is carried as
 ``(A - B)*u``, so a slope within ulps of 1 keeps its digits.  In the GK15
 integrand the exponential difference is evaluated in log space,
 ``sign * e^{max} * (1 - e^{-|gap|})``, so large products never overflow.
-Callers integrate along the physical stroke direction, which always yields
-a positive duration.
+Callers integrate along the physical stroke direction, which always
+yields a positive duration.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from math import exp, expm1
 from typing import Callable, NamedTuple
 
 from .cycles import (  # the regenerator classes stay importable from here
@@ -39,8 +44,12 @@ from .cycles import (  # the regenerator classes stay importable from here
 from .errors import ConvergenceError, ParameterError, SingularityError
 from .quadrature import QuadratureConfig, integrate
 from .relaxation import GevaKosloff
-from .series import integrate_linear
-from .statistics import Statistics, require_statistics, weight
+from .series import integrate_linear, leading_exponential
+from .statistics import Statistics, require_statistics, weight, weight_function
+
+_EPS = sys.float_info.epsilon
+# below this largest product the high-temperature integrand is exact to rounding
+_HIGH_TEMP_EXACT = 2.0 ** -60
 
 
 class StrokeTime(NamedTuple):
@@ -118,11 +127,12 @@ def isochoric_time(stat: Statistics, model: GevaKosloff,
                                    "infinite relaxation time")
         return _linear_time(stat, model, regenerator, omega, omega, (regenerator - 1.0) * omega,
                             beta_i, beta_f, cfg, "regenerator")
-    q = model.q
+    q, lo = model.q, min(beta_i, beta_f)
     last = None  # (beta_s, regenerator gap) at the previous evaluation
 
-    def integrand(beta_s: float) -> float:
+    def integrand(v: float) -> float:
         nonlocal last
+        beta_s = lo * exp(v)
         beta_r = regenerator(beta_s)
         gap = beta_r - beta_s
         if gap == 0.0:
@@ -136,7 +146,7 @@ def isochoric_time(stat: Statistics, model: GevaKosloff,
                 f"beta_s = {crossing:.12g}")
         last = (beta_s, gap)
         x, x_s = beta_r * omega, beta_s * omega
-        return _rate_denominator(stat, q, x, x_s, x - x_s)
+        return beta_s * _rate_denominator(stat, q, x, x_s, x - x_s)
 
     return _duration(integrand, beta_i, beta_f, cfg, omega / (2.0 * model.a), "regenerator")
 
@@ -145,30 +155,68 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
                  d: float, u_i: float, u_f: float, cfg, reservoir: str) -> StrokeTime:
     """Duration of a stroke with x = a1*a2*u, x_s = b*u and gap d*u: b/(2a) times the integral.
 
-    The exponential series when it fits the term budget, GK15 otherwise.
+    The exponential series when it fits the term budget, the high-temperature
+    form where that is exact to rounding, GK15 otherwise.
     """
     scale = b / (2.0 * model.a)
     if u_i == u_f:
         return StrokeTime(0.0, 0.0)
-    series = integrate_linear(stat, model.q, a1, a2, b, d, min(u_i, u_f), max(u_i, u_f))
-    if series is None:
-        a, q = a1 * a2, model.q
-        return _duration(lambda u: _rate_denominator(stat, q, a * u, b * u, d * u),
-                         u_i, u_f, cfg, scale, reservoir)
-    value, error, _ = series
+    lo, hi = min(u_i, u_f), max(u_i, u_f)
+    a, q, dd, span = a1 * a2, model.q, abs(d), hi - lo
     # the integrand has the sign of the gap; the sweep direction orients it
-    if (u_f > u_i) != (d > 0.0):
-        value = -value
-    return _checked(scale * value, scale * error, reservoir)
+    sign = 1.0 if (u_f > u_i) == (d > 0.0) else -1.0
+    series = integrate_linear(stat, q, a1, a2, b, d, lo, hi)
+    if series is not None:
+        value, error, _ = series
+        return _checked(scale * (sign * value), scale * error, reservoir)
+    x_max = max(a, b) * hi
+    if x_max <= _HIGH_TEMP_EXACT:
+        # 1/[(x - x_s) x_s] (bosonic) or 1/[2 (x - x_s)] (fermionic) is the
+        # integrand to a relative 2 x_max, below rounding; b cancels or stays
+        # as b/dd, so a duration whose raw integral would overflow stays finite
+        if stat is Statistics.BOSONIC:
+            duration = span / hi / lo / (2.0 * model.a * dd)
+        else:
+            duration = b / dd * math.log(hi / lo) / (4.0 * model.a)
+        return _checked(sign * duration, duration * (2.0 * x_max + 4.0 * _EPS), reservoir)
+    # GK15 integrates x_s f(u), the integrand in v times b, over 2^k, the power
+    # of two just above b times the (0, 0) series term, a floor on the
+    # integral: abs_tol then acts relative to the stroke.  Near lo, where a
+    # cold stroke's time accrues, the exponent lambda00 (u - lo) is small
+    # and keeps its digits; e^{-lambda00 lo} comes in once, as a factor
+    base = (1.0 + q) * a + (dd if b > a else 0.0)  # lambda00, as in the series
+    leading = leading_exponential(q, a1, a2, b, lo)
+    if math.isnan(leading):
+        leading = math.exp(-base * lo)
+    width = -expm1(-base * span) / base if base * span else span  # T00 / leading
+    k = min(max(math.frexp(b * leading * width)[1], -1000), 1000)
+    factor, w, exponent = math.ldexp(leading, -k), weight_function(stat), base * lo
+
+    def integrand(v: float) -> float:
+        e = expm1(v)  # u/lo - 1
+        u = lo + lo * e
+        x_s = b * u
+        return x_s * (exp(-exponent * e) / -expm1(-dd * u) / w(x_s)) * factor
+
+    scale = math.ldexp(math.copysign(0.5 / model.a, d), k)
+    return _duration(integrand, u_i, u_f, cfg, scale, reservoir)
 
 
-def _duration(integrand, lo: float, hi: float, cfg, scale: float, reservoir: str) -> StrokeTime:
-    """``scale`` times the GK15 integral, rejecting a stroke run away from equilibrium.
+def _duration(integrand, u_i: float, u_f: float, cfg, scale: float, reservoir: str) -> StrokeTime:
+    """``scale`` times the GK15 integral from u_i to u_f, taken in v = ln(u/lo).
 
-    A convergence failure is rescaled so its partial result is a partial duration.
+    ``integrand(v)`` is the stroke integrand times u at u = lo*e^v, up to a
+    constant the caller takes out of ``scale``, with lo the lower sweep end;
+    GK15 runs over v in [0, ln(hi/lo)] in the sweep direction.  An integrand
+    like 1/u^2 near lo is nearly flat in v.  A stroke run away from
+    equilibrium is rejected; a convergence failure is rescaled so its
+    partial result is a partial duration.
     """
+    lo, hi = min(u_i, u_f), max(u_i, u_f)
+    ratio = hi / lo
+    end = math.log(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
     try:
-        result = integrate(integrand, lo, hi, cfg)
+        result = integrate(integrand, *((0.0, end) if u_f > u_i else (end, 0.0)), cfg)
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), scale * exc.partial,
                                abs(scale) * exc.error_estimate) from exc

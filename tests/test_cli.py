@@ -110,6 +110,16 @@ class TestEngineCommand:
         assert err.startswith("error: output.particle_count:")
         assert "Traceback" not in err
 
+    def test_overflowing_product_names_keys_exits_1(self, tmp_path, capsys):
+        # beta1*omega2 overflows to inf in the exact ledger: the error names
+        # the factors, not population's argument
+        text = Path(ENGINE_CFG).read_text(encoding="utf-8").replace(
+            "omega2 = 2.0", "omega2 = 1e308")
+        rc = main(["engine", "--config", write_cfg(tmp_path, text)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: beta1*omega2 overflows: 16.666666666666668 * 1e+308 = inf\n"
+
     def test_thermal_field_bath_rejected(self, tmp_path, capsys):
         text = Path(ENGINE_CFG).read_text(encoding="utf-8").replace(
             "a = 1.0\nq = -0.05", "rho0 = 1.0\nm = 1.0")

@@ -61,6 +61,24 @@ def test_convergence_error_carries_partial():
     assert err.error_estimate > 0.0
 
 
+def test_overflow_at_one_node_is_bisected_away():
+    # the centre node of [-1, 1] overflows; after one bisection it is a panel
+    # end, which GK15 never evaluates
+    f = lambda x: 1e300 * 1e300 if x == 0.0 else 1.0
+    out = integrate(f, -1.0, 1.0)
+    assert out.value == 2.0
+    assert math.isfinite(out.error_estimate)
+    assert out.panels == 2
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0)])
+def test_overflow_on_a_subinterval_raises_not_finite(a, b):
+    f = lambda x: 1e300 * 1e300 if x < 0.25 else 1.0
+    with pytest.raises(ConvergenceError, match="is not finite") as excinfo:
+        integrate(f, a, b, QuadratureConfig(1e-10, 1e-300, 40))
+    assert not math.isfinite(excinfo.value.partial)
+
+
 def test_tolerance_halving_stays_within_estimate():
     f = lambda x: math.exp(-40.0 * (x - 0.37) ** 2)
     coarse = integrate(f, 0.0, 1.0, QuadratureConfig(1e-6, 1e-300, 200))

@@ -1,13 +1,15 @@
-"""Exponential-series stroke times against a 40-digit mpmath oracle and pinned GK15.
+"""Exponential-series and GK15-fallback stroke times against a 40-digit mpmath oracle.
 
 A linear stroke whose series fits ``series.SERIES_TERM_BUDGET`` makes no
 GK15 call; setting the budget to 0 pins every stroke to GK15, which stays
-the in-package reference.
+the in-package reference.  The strokes the series declines (crossover
+temperatures) take GK15 in v = ln(u/lo).
 """
 
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -49,13 +51,13 @@ def _rescaled(spec, regen, x_min):
     return type(spec)(stat, omega1, omega2, *(factor * v for v in fields.values()))
 
 
-def _seeded_strokes(count):
-    """``count`` cycles with x_min log-uniform in [8, 40]; kind and statistics alternate."""
-    rng = np.random.default_rng(6)
+def _seeded_strokes(count, x_lo=8.0, x_hi=40.0, seed=6):
+    """``count`` cycles with x_min log-uniform in [x_lo, x_hi]; kind and statistics alternate."""
+    rng = np.random.default_rng(seed)
     strokes = []
     for i in range(count):
         stat = (B, F)[i % 2]
-        x_min = float(np.exp(rng.uniform(np.log(8.0), np.log(40.0))))
+        x_min = float(np.exp(rng.uniform(np.log(x_lo), np.log(x_hi))))
         model = GevaKosloff(rng.uniform(0.1, 5.0), rng.uniform(-0.99, -0.01))
         slopes = (rng.uniform(1.1, 2.0), rng.uniform(0.3, 0.9))
         if i % 4 < 2:
@@ -184,6 +186,73 @@ def test_default_tolerances_hold_rel_tol_at_low_temperature(x):
         times = (report.t1, report.t2, report.t3, report.t4)
         for stroke, value in zip(_cycle_strokes(spec, model, regen), times):
             assert rel(value, _oracle(stroke)) < 1e-10, stroke[0]
+
+
+CROSSOVER_POOL = _seeded_strokes(24, 1e-3, 8.0, seed=7)
+
+
+@pytest.mark.parametrize("cfg", [GK15, QuadratureConfig()], ids=["abs_tol_1e-300", "default"])
+def test_crossover_fallback_strokes_hold_rel_tol(cfg, monkeypatch):
+    # strokes the series declines go to GK15 in v = ln(u/lo): each within
+    # rel_tol of the oracle, with an error estimate that bounds its true error
+    fallback = 0
+    for stroke in CROSSOVER_POOL:
+        _, stat, model, isotherm, reservoir, held, start, end = stroke
+        if _timed(stroke, monkeypatch)[1] == 0:
+            continue
+        fallback += 1
+        fn = isothermal_time if isotherm else isochoric_time
+        out = fn(stat, model, reservoir, held, start, end, cfg)
+        exact = _oracle(stroke)
+        err = abs(out.duration - exact)
+        assert err <= cfg.rel_tol * exact, stroke
+        assert err <= out.error_estimate <= cfg.rel_tol * out.duration, stroke
+    assert fallback >= 64
+
+
+def test_default_abs_tol_holds_rel_tol_on_a_declined_stroke():
+    # alpha_c = 1.01 puts C->D past the series budget; its time (3.3e-17) sits
+    # far below the default abs_tol = 1e-14, which GK15 now takes relative to
+    # the stroke's (0, 0) series term
+    model, regen = GevaKosloff(1.0, -0.05), LinearEngineRegenerator(1.4, 0.6)
+    spec = EngineSpec(B, 1.0, 2.0, 12.0, 20.0, 40.0, 40.4)
+    cfg = QuadratureConfig()
+    report = cycle_time(spec, model, regen, cfg)
+    times = (report.t1, report.t2, report.t3, report.t4)
+    for stroke, value, estimate in zip(_cycle_strokes(spec, model, regen), times,
+                                       report.error_estimates):
+        exact = _oracle(stroke)
+        assert abs(value - exact) <= cfg.rel_tol * exact, stroke[0]
+        assert estimate <= cfg.rel_tol * value, stroke[0]
+
+
+@pytest.mark.parametrize("stat", [B, F])
+def test_deep_high_temperature_stroke_is_finite(stat):
+    # beta_s = 1e-300: the raw integral (1.25e600) overflows, the duration
+    # does not; below products of 2^-60 the high-temperature form is exact
+    model = GevaKosloff(1.0, -0.05)
+    out = isothermal_time(stat, model, 6e-301, 1e-300, 2.0, 1.0)
+    with mp.workdps(40):
+        gap = mp.mpf(1e-300) - mp.mpf(6e-301)
+        if stat is B:
+            exact = (1 - mp.mpf(1) / 2) / (2 * gap)
+        else:
+            exact = mp.mpf(1e-300) * mp.log(2) / (4 * gap)
+    assert rel(out.duration, float(exact)) < 4.0 * EPS
+    assert abs(out.duration - float(exact)) <= out.error_estimate
+
+
+@pytest.mark.parametrize("stat", [B, F])
+def test_high_temperature_form_meets_gk15_at_its_threshold(stat, monkeypatch):
+    # the same isotherm just below and just above products of 2^-60
+    model = GevaKosloff(1.0, -0.05)
+    limit = 2.0 ** -60 / 2.0  # omega_f = 2 is the stroke's largest frequency
+    below, calls = _timed(("A->B", stat, model, True, 0.6 * limit, limit, 2.0, 1.0), monkeypatch)
+    assert calls == 0
+    above, calls = _timed(("A->B", stat, model, True, 0.6 * limit * (1 + 2 * EPS),
+                           limit * (1 + 2 * EPS), 2.0, 1.0), monkeypatch)
+    assert calls == 1
+    assert rel(below.duration * (1 + 2 * EPS), above.duration) < 1e-13
 
 
 def test_callable_regenerator_keeps_gk15(monkeypatch):

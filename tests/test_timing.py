@@ -343,7 +343,7 @@ class TestRegimeExtents:
 @pytest.mark.parametrize("name", ["engine_lowtemp.ini", "fridge_lowtemp.ini"])
 def test_shipped_lowtemp_exact_point_work_budget(name, monkeypatch):
     # deterministic GK15 work of the shipped EXACT points with every stroke
-    # pinned to GK15: 30 panel evaluations (2*panels - 1 per stroke) and 450
+    # pinned to GK15: 22 panel evaluations (2*panels - 1 per stroke) and 330
     # integrand calls; more is a regression
     counts = {"panel_evals": 0, "integrand_evals": 0}
     real_integrate = qstirling.timing.integrate
@@ -361,8 +361,8 @@ def test_shipped_lowtemp_exact_point_work_budget(name, monkeypatch):
     cfg = load_run_config(str(CONFIG_DIR / name))
     report = cycle_performance(cfg.spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)
     assert report.status == "ok"
-    assert 0 < counts["panel_evals"] <= 30
-    assert counts["integrand_evals"] <= 450
+    assert 0 < counts["panel_evals"] <= 22
+    assert counts["integrand_evals"] <= 330
     assert counts["integrand_evals"] == 15 * counts["panel_evals"]
 
 
