@@ -44,18 +44,31 @@ def isothermal_heat(stat: Statistics, temperature: float, omega_i: float, omega_
     Antisymmetric under swapping the endpoints.
     """
     _require_positive(temperature=temperature, omega_i=omega_i, omega_f=omega_f)
-    x_i = omega_i / temperature
-    x_f = omega_f / temperature
-    n_i = population(stat, x_i)
-    n_f = population(stat, x_f)
-    logs = temperature * (log_weight(stat, x_f) - log_weight(stat, x_i))
-    return omega_f * n_f - omega_i * n_i + logs
+    return _isotherm_heat(temperature, omega_i, _corner(stat, omega_i / temperature),
+                          omega_f, _corner(stat, omega_f / temperature))
 
 
 def isochoric_heat(stat: Statistics, omega: float, t_i: float, t_f: float) -> float:
     """Heat absorbed at fixed frequency while T_s moves t_i -> t_f: omega*(n_f - n_i)."""
     _require_positive(omega=omega, t_i=t_i, t_f=t_f)
-    return omega * (population(stat, omega / t_f) - population(stat, omega / t_i))
+    return _isochore_heat(omega, population(stat, omega / t_i), population(stat, omega / t_f))
+
+
+def _corner(stat: Statistics, x: float) -> tuple[float, float]:
+    """Occupation and log weight at ``x``; population goes first and rejects x outside (0, inf)."""
+    return population(stat, x), log_weight(stat, x)
+
+
+def _isotherm_heat(temperature: float, omega_i: float, corner_i: tuple,
+                   omega_f: float, corner_f: tuple) -> float:
+    """Isotherm heat from the (occupation, log weight) pairs of its two ends."""
+    (n_i, lw_i), (n_f, lw_f) = corner_i, corner_f
+    return omega_f * n_f - omega_i * n_i + temperature * (lw_f - lw_i)
+
+
+def _isochore_heat(omega: float, n_i: float, n_f: float) -> float:
+    """Isochore heat from the occupations of its two ends."""
+    return omega * (n_f - n_i)
 
 
 def _validate_spec(spec, validate: bool):
@@ -376,33 +389,48 @@ def cycle_ledger(spec: EngineSpec | FridgeSpec) -> EngineCycle | FridgeCycle:
     the cold bath.  The engine flags the first with delta = 1, the
     refrigerator the second, where the vented surplus reduces the useful
     cooling heat; perfect regeneration keeps delta = 0.
+
+    The heats depend on the spec only through the four corner occupations,
+    so each corner's occupation and log weight is evaluated once: four
+    ``population`` calls per ledger, not one per stroke end.
     """
-    kind, v = cycle_kind(spec), vars(spec)
-    heats = {}
+    kind, v, stat = cycle_kind(spec), vars(spec), spec.stat
+    # (beta, omega) attribute pair -> (occupation, log weight)
+    corners = dict.fromkeys(_corners(kind))
     try:
-        for _, heat, isotherm, fixed, start, end, _ in kind.strokes:
-            if isotherm:
-                heats[heat] = isothermal_heat(spec.stat, 1.0 / v[fixed], v[start], v[end])
-            else:
-                heats[heat] = isochoric_heat(spec.stat, v[fixed], 1.0 / v[start], 1.0 / v[end])
+        for beta, omega in corners:
+            corners[beta, omega] = _corner(stat, v[omega] / (1.0 / v[beta]))
     except ParameterError:
         _name_product_out_of_range(kind, v)
         raise
+    heats = {}
+    for _, heat, isotherm, fixed, start, end, _ in kind.strokes:
+        if isotherm:
+            heats[heat] = _isotherm_heat(1.0 / v[fixed], v[start], corners[fixed, start],
+                                         v[end], corners[fixed, end])
+        else:
+            heats[heat] = _isochore_heat(v[fixed], corners[start, fixed][0],
+                                         corners[end, fixed][0])
     return _assemble(kind, **heats)
 
 
 engine_ledger = fridge_ledger = cycle_ledger
 
 
-def _name_product_out_of_range(kind: CycleKind, v: dict):
-    """Raise for the first corner product x = beta*omega that leaves (0, inf), naming its keys."""
+def _corners(kind: CycleKind):
+    """The (beta, omega) spec attribute pair at each end of each stroke, in stroke order."""
     for _, _, isotherm, fixed, start, end, _ in kind.strokes:
         for corner in (start, end):
-            beta, omega = (fixed, corner) if isotherm else (corner, fixed)
-            x = v[beta] * v[omega]
-            if not 0.0 < x < math.inf:
-                raise ParameterError(f"{beta}*{omega} {'overflows' if x else 'underflows'}: "
-                                     f"{v[beta]!r} * {v[omega]!r} = {x!r}")
+            yield (fixed, corner) if isotherm else (corner, fixed)
+
+
+def _name_product_out_of_range(kind: CycleKind, v: dict):
+    """Raise for the first corner product x = beta*omega that leaves (0, inf), naming its keys."""
+    for beta, omega in _corners(kind):
+        x = v[beta] * v[omega]
+        if not 0.0 < x < math.inf:
+            raise ParameterError(f"{beta}*{omega} {'overflows' if x else 'underflows'}: "
+                                 f"{v[beta]!r} * {v[omega]!r} = {x!r}")
 
 
 def work_closed_form(spec: EngineSpec | FridgeSpec) -> float:

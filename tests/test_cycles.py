@@ -20,6 +20,7 @@ from qstirling import (
     isochoric_heat,
     isothermal_heat,
 )
+from qstirling import cycles
 from conftest import (
     lowtemp_engine_spec,
     lowtemp_fridge_spec,
@@ -295,3 +296,47 @@ def test_degenerate_work_scales(alpha):
     beta = 1.0
     spec = EngineSpec(B, alpha, 2.0, 0.5 * beta, beta, beta, 3.0 * beta, validate=False)
     assert engine_ledger(spec).ledger.w_tot == 0.0
+
+
+class TestLedgerWorkCount:
+    """The ledger evaluates each of the four corner occupations once."""
+
+    @pytest.mark.parametrize("stat", [B, F])
+    @pytest.mark.parametrize("make_spec", [lowtemp_engine_spec, lowtemp_fridge_spec])
+    def test_four_population_calls_per_ledger(self, stat, make_spec, monkeypatch):
+        # rebind the name the ledger looks up, as a profiler's wrapper does
+        calls = []
+        population = cycles.population
+
+        def counting(*args):
+            calls.append(args)
+            return population(*args)
+
+        monkeypatch.setattr(cycles, "population", counting)
+        cycles.cycle_ledger(make_spec(stat, 10.0))
+        assert len(calls) == 4
+
+
+# log-uniform over [1e-310, 1e300]: subnormal and huge spec values
+_MAGNITUDE = st.floats(math.log(1e-310), math.log(1e300)).map(math.exp)
+
+
+@given(st.sampled_from([EngineSpec, FridgeSpec]), st.sampled_from([B, F]),
+       st.lists(_MAGNITUDE, min_size=6, max_size=6))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_ledger_heats_equal_per_stroke_functions(spec_type, stat, values):
+    # either every stroke heat is the public per-stroke function's, bit for
+    # bit, or the ledger rejects the spec with exactly ParameterError
+    spec = spec_type(stat, *values, validate=False)
+    try:
+        ledger = cycles.cycle_ledger(spec).ledger
+    except Exception as exc:  # noqa: BLE001 - the type is the assertion
+        assert type(exc) is ParameterError
+        return
+    v = vars(spec)
+    for _, heat, isotherm, fixed, start, end, _ in cycles.cycle_kind(spec).strokes:
+        if isotherm:
+            expected = isothermal_heat(stat, 1.0 / v[fixed], v[start], v[end])
+        else:
+            expected = isochoric_heat(stat, v[fixed], 1.0 / v[start], 1.0 / v[end])
+        assert float.hex(getattr(ledger, heat)) == float.hex(expected), heat
