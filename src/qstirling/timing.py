@@ -196,7 +196,9 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
         e = expm1(v)  # u/lo - 1
         u = lo + lo * e
         x_s = b * u
-        return x_s * (exp(-exponent * e) / -expm1(-dd * u) / w(x_s)) * factor
+        # left to right: near u -> 0 the gap and a bosonic weight each give 1/u,
+        # and x_s cancels one of them before the quotient can overflow
+        return x_s * exp(-exponent * e) / -expm1(-dd * u) / w(x_s) * factor
 
     scale = math.ldexp(math.copysign(0.5 / model.a, d), k)
     return _duration(integrand, u_i, u_f, cfg, scale, reservoir)

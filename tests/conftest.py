@@ -80,6 +80,29 @@ def mp_isochoric_time(stat, model, slope, omega, beta_i, beta_f, dps=40):
         return float(_mp_stroke(stat, model, mp.mpf(slope) * w, w, w, beta_i, beta_f))
 
 
+def mp_isochoric_time_log(stat, model, slope, omega, beta_i, beta_f, dps=40):
+    """``mp_isochoric_time`` by quadrature in v = ln(beta_s/lo), for a stroke
+    whose lower end lies many decades below its upper one.
+
+    Near a vanishing ``lo`` the integrand behaves like 1/beta_s^2, a spike
+    at the end of the t range above that tanh-sinh cannot resolve; times
+    beta_s it decays like e^{-v}.
+    """
+    with mp.workdps(dps):
+        w, c, q = mp.mpf(omega), mp.mpf(slope), mp.mpf(model.q)
+        lo, hi = sorted((mp.mpf(beta_i), mp.mpf(beta_f)))
+
+        def integrand(v):
+            u = lo * mp.exp(v)
+            weight = -mp.expm1(-w * u) if stat is Statistics.BOSONIC else 1 + mp.exp(-w * u)
+            return u / (mp.exp((q * c + 1) * w * u) * mp.expm1((c - 1) * w * u) * weight)
+
+        end = mp.log(hi / lo)
+        points = [0] + [p for p in (1, 4, 16, 64, 256) if p < end] + [end]
+        value = w / (2 * mp.mpf(model.a)) * mp.quad(integrand, points)
+        return float(value if beta_f > beta_i else -value)
+
+
 def _mp_stroke(stat, model, a, b, held, u_i, u_f):
     # held/(2a) * integral du / [e^{q a u} (e^{a u} - e^{b u}) (1 -+ e^{-b u})].
     # The integrand is e^{-lam u} g(u) with g smooth and bounded; substituting
