@@ -330,7 +330,7 @@ def test_ledger_heats_equal_per_stroke_functions(spec_type, stat, values):
     spec = spec_type(stat, *values, validate=False)
     try:
         ledger = cycles.cycle_ledger(spec).ledger
-    except Exception as exc:  # noqa: BLE001 - the type is the assertion
+    except ParameterError as exc:  # any other exception fails the test
         assert type(exc) is ParameterError
         return
     v = vars(spec)
