@@ -85,7 +85,7 @@ def mp_isochoric_time_log(stat, model, slope, omega, beta_i, beta_f, dps=40):
     whose lower end lies many decades below its upper one.
 
     Near a vanishing ``lo`` the integrand behaves like 1/beta_s^2, a spike
-    at the end of the t range above that tanh-sinh cannot resolve; times
+    at the end of ``_mp_stroke``'s t range that tanh-sinh cannot resolve; times
     beta_s it decays like e^{-v}.
     """
     with mp.workdps(dps):

@@ -71,13 +71,12 @@ class TestEngineCommand:
         # overflows near 1e-300, but the duration 1.25e300 does not
         text = Path(ENGINE_CFG).read_text(encoding="utf-8").replace(
             "beta1 = 16.666666666666668", "beta1 = 1e-300")
-        out = tmp_path / "engine.json"
-        rc = main(["engine", "--config", write_cfg(tmp_path, text), "--format", "json",
-                   "--out", str(out)])
+        path, out = write_cfg(tmp_path, text), tmp_path / "engine.json"
+        rc = main(["engine", "--config", path, "--format", "json", "--out", str(out)])
         assert rc == 0
         result = json.loads(out.read_text(encoding="utf-8"))
         assert result["status"] == "ok"
-        cfg = load_run_config(write_cfg(tmp_path, text))
+        cfg = load_run_config(path)
         spec = cfg.spec
         exact = mp_isochoric_time_log(spec.stat, cfg.model, cfg.regen.gamma1, spec.omega1,
                                       spec.beta1, spec.beta2)
