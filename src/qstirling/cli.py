@@ -159,7 +159,7 @@ def _report_values(report: PerformanceReport, count: int) -> tuple[dict, dict]:
     """Ledger and performance values, extensive ones scaled by the particle count."""
     n = float(count)
     ledger = {name: value if name == "delta" else value * n
-              for name, value in vars(report.ledger).items()}
+              for name, value in zip(_LEDGER_FIELDS, dataclasses.astuple(report.ledger))}
     performance = {
         CYCLE_KINDS[report.kind].merit: report.figure_of_merit,
         "power": report.power * n,

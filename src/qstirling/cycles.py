@@ -173,7 +173,7 @@ class LinearFridgeRegenerator:
         _require_slopes(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrokeLedger:
     """Per-cycle heat bookkeeping.
 
@@ -194,14 +194,14 @@ class StrokeLedger:
     w_tot: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EngineCycle:
     ledger: StrokeLedger
     eta: float
     status: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FridgeCycle:
     ledger: StrokeLedger
     epsilon: float

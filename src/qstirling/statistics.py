@@ -10,6 +10,10 @@ the weight ``1 -+ e^{-x}`` and its signed logarithm) and the one check that
 rejects a value that is not a :class:`Statistics` member.  Public entry
 points run that check once per call, so each inner dispatch is two-way;
 other modules branch on the statistics only where the physical laws differ.
+
+Scalars are computed with :mod:`math`.  numpy is imported only by the array
+paths (array ``population``, ``internal_energy``, ``integrate_path``), so the
+engine, refrigerator, sweep and regime-map pipelines never load it.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .errors import ParameterError
 
@@ -64,6 +66,9 @@ def log_weight(stat: Statistics, x: float) -> float:
     return math.log1p(math.exp(-x))
 
 
+_DOMAIN_MESSAGE = "population requires x = beta_s*omega > 0"
+
+
 def population(stat: Statistics, x):
     """Mean occupation number at scaled energy ``x = beta_s * omega``.
 
@@ -72,7 +77,10 @@ def population(stat: Statistics, x):
     stat : Statistics
         Bosonic gives ``1/(exp(x) - 1)``, fermionic ``1/(exp(x) + 1)``.
     x : float or ndarray
-        Positive product of inverse temperature and frequency.
+        Positive product of inverse temperature and frequency.  A Python
+        ``int`` or ``float`` (``np.float64`` included) is evaluated with
+        :mod:`math`; anything else goes through numpy, which is imported
+        only then.  The two paths may differ in the last bit.
 
     Returns
     -------
@@ -80,11 +88,21 @@ def population(stat: Statistics, x):
         Occupation, in ``(0, inf)`` for bosonic and ``(0, 1/2)`` for
         fermionic media; strictly decreasing in ``x``.
     """
+    # exp(-x)/(1 -+ exp(-x)) never overflows, unlike 1/(exp(x) -+ 1)
+    if isinstance(x, (int, float)):
+        if not 0.0 < x < math.inf:
+            raise ParameterError(_DOMAIN_MESSAGE)
+        require_statistics(stat)
+        decay = math.exp(-x)
+        if stat is Statistics.BOSONIC:
+            return decay / -math.expm1(-x)
+        return decay / (1.0 + decay)
+    import numpy as np
+
     xa = np.asarray(x, dtype=float)
     if xa.size == 0 or np.any(xa <= 0.0) or not np.all(np.isfinite(xa)):
-        raise ParameterError("population requires x = beta_s*omega > 0")
+        raise ParameterError(_DOMAIN_MESSAGE)
     require_statistics(stat)
-    # exp(-x)/(1 -+ exp(-x)) never overflows, unlike 1/(exp(x) -+ 1)
     decay = np.exp(-xa)
     if stat is Statistics.BOSONIC:
         out = decay / (-np.expm1(-xa))
@@ -118,6 +136,8 @@ def internal_energy(stat: Statistics, omega: float, n: float):
     The zero-point shift makes fermionic energies live in ``[-omega/2, 0]``
     while bosonic ones exceed ``omega/2``.
     """
+    import numpy as np
+
     if np.any(np.asarray(omega) <= 0.0):
         raise ParameterError("omega must be positive")
     if np.any(np.asarray(n) < 0.0):
@@ -156,6 +176,8 @@ def integrate_path(path: PathSpec) -> PathIntegral:
     endpoint internal energies; ``heat + work`` converges to it at second
     order in ``1/step_count``.
     """
+    import numpy as np
+
     if path.step_count < 2:
         raise ParameterError("step_count must be at least 2")
     u = np.linspace(0.0, 1.0, path.step_count + 1)

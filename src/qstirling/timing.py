@@ -57,7 +57,7 @@ class StrokeTime(NamedTuple):
     error_estimate: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimingReport:
     """Stroke durations in cycle order plus each one's error estimate.
 

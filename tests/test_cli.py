@@ -474,6 +474,22 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("argv,loads_numpy", [
+        (["engine", "--config", ENGINE_CFG], False),
+        (["fridge", "--config", FRIDGE_CFG], False),
+        (["power-sweep", "--config", SWEEP_CFG, "--x-grid", "0.5:5:8"], False),
+        (["regime-map", "--q-min=-0.9", "--q-max=-0.1", "--x-min", "0.1", "--x-max", "5",
+          "--grid", "4"], False),
+        (["validate", "--config", ENGINE_CFG], True),
+    ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+    def test_only_validate_imports_numpy(self, tmp_path, argv, loads_numpy):
+        # scalar occupations use math; numpy is for validate's path oracle
+        code = ("import sys; from qstirling.cli import main; "
+                f"rc = main({argv + ['--out', str(tmp_path / 'out')]!r}); "
+                "print(rc, 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout.splitlines()[-1] == f"0 {loads_numpy}", proc.stderr
+
     def test_unknown_command_exits_1(self):
         assert main(["melt"]) == 1
 

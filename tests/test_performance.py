@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -12,6 +14,7 @@ from qstirling import (
     QuadratureConfig,
     Statistics,
     closed_form_cycle_time,
+    cycle_ledger,
     cycle_performance,
     cycle_time,
     engine_performance,
@@ -263,3 +266,19 @@ class TestPowerSweep:
             SweepTemplate(0.9, 2.0, 0.6, 1.4, 1.4, 0.6, -0.05)
         with pytest.raises(ParameterError):
             SweepTemplate(2.0, 2.0, 1.2, 1.4, 1.4, 0.6, -0.05)
+
+
+def test_result_classes_are_slotted_and_round_trip():
+    # slotted results keep no per-instance __dict__; pickle and
+    # dataclasses.replace (used by bench/selfcheck.py) still work
+    engine = lowtemp_engine_spec(B, 10.0)
+    report = cycle_performance(engine, MODEL, ENGINE_REGEN)
+    results = (report, report.ledger, report.timing, cycle_ledger(engine),
+               cycle_ledger(lowtemp_fridge_spec(F, 10.0)))
+    assert {type(r).__name__ for r in results} == {
+        "PerformanceReport", "StrokeLedger", "TimingReport", "EngineCycle", "FridgeCycle"}
+    for result in results:
+        assert not hasattr(result, "__dict__")
+        assert pickle.loads(pickle.dumps(result)) == result
+        assert dataclasses.replace(result) == result
+    assert dataclasses.replace(report, tau=2.0 * report.tau).tau == 2.0 * report.tau

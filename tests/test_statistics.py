@@ -87,12 +87,20 @@ class TestPopulation:
         assert 0.0 < population(F, 720.0) < 1e-300
         assert math.isfinite(population(B, 720.0))
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_domain(self, x):
-        with pytest.raises(ParameterError):
-            population(B, x)
-        with pytest.raises(ParameterError):
-            population(F, x)
+        # the math scalar path and the numpy array path reject alike, and the
+        # x check runs before the statistics check
+        message = r"^population requires x = beta_s\*omega > 0$"
+        for stat in (B, F, "bosonic"):
+            for arg in (x, np.array([x]), np.array(x)):
+                with pytest.raises(ParameterError, match=message):
+                    population(stat, arg)
+
+    def test_scalar_accepts_int_and_numpy_float(self):
+        assert population(B, 1) == population(B, 1.0)
+        n = population(B, np.float64(LN2))
+        assert type(n) is float and rel(n, 1.0) < 1e-14
 
     def test_array_input(self):
         xs = np.array([LN2, math.log(3.0)])
