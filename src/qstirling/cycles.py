@@ -399,10 +399,15 @@ def cycle_ledger(spec: EngineSpec | FridgeSpec) -> EngineCycle | FridgeCycle:
     corners = dict.fromkeys(_corners(kind))
     try:
         for beta, omega in corners:
-            corners[beta, omega] = _corner(stat, v[omega] / (1.0 / v[beta]))
-    except ParameterError:
+            x = v[omega] / (1.0 / v[beta])
+            corners[beta, omega] = _corner(stat, x)
+    except ParameterError as exc:
         _name_product_out_of_range(kind, v)
-        raise
+        if not 0.0 < x < math.inf:
+            raise
+        # x is in range, so the occupation itself overflowed
+        raise ParameterError(f"{beta}*{omega} = {v[beta]!r} * {v[omega]!r} = {x!r}: "
+                             f"{exc}") from exc
     heats = {}
     for _, heat, isotherm, fixed, start, end, _ in kind.strokes:
         if isotherm:

@@ -67,6 +67,7 @@ def log_weight(stat: Statistics, x: float) -> float:
 
 
 _DOMAIN_MESSAGE = "population requires x = beta_s*omega > 0"
+_OVERFLOW_MESSAGE = "bosonic population overflows: x = beta_s*omega is below ~5.6e-309"
 
 
 def population(stat: Statistics, x):
@@ -86,16 +87,22 @@ def population(stat: Statistics, x):
     -------
     float or ndarray
         Occupation, in ``(0, inf)`` for bosonic and ``(0, 1/2)`` for
-        fermionic media; strictly decreasing in ``x``.
+        fermionic media; strictly decreasing in ``x``.  A bosonic ``x``
+        below ~5.6e-309, whose occupation overflows, raises
+        :class:`ParameterError`.
     """
-    # exp(-x)/(1 -+ exp(-x)) never overflows, unlike 1/(exp(x) -+ 1)
+    # exp(-x)/(1 -+ exp(-x)) never overflows, unlike 1/(exp(x) -+ 1), as long
+    # as 1 - exp(-x) ~ x has a representable reciprocal
     if isinstance(x, (int, float)):
         if not 0.0 < x < math.inf:
             raise ParameterError(_DOMAIN_MESSAGE)
         require_statistics(stat)
         decay = math.exp(-x)
         if stat is Statistics.BOSONIC:
-            return decay / -math.expm1(-x)
+            out = decay / -math.expm1(-x)
+            if out == math.inf:
+                raise ParameterError(_OVERFLOW_MESSAGE)
+            return out
         return decay / (1.0 + decay)
     import numpy as np
 
@@ -105,7 +112,10 @@ def population(stat: Statistics, x):
     require_statistics(stat)
     decay = np.exp(-xa)
     if stat is Statistics.BOSONIC:
-        out = decay / (-np.expm1(-xa))
+        with np.errstate(over="ignore"):
+            out = decay / (-np.expm1(-xa))
+        if not np.all(np.isfinite(out)):
+            raise ParameterError(_OVERFLOW_MESSAGE)
     else:
         out = decay / (1.0 + decay)
     return float(out) if np.ndim(x) == 0 else out

@@ -126,6 +126,19 @@ class TestEngineCommand:
         err = capsys.readouterr().err
         assert err == "error: beta1*omega2 overflows: 16.666666666666668 * 1e+308 = inf\n"
 
+    def test_overflowing_occupation_names_corner_exits_1(self, tmp_path):
+        # beta1*omega1 = 1e-310 is positive, but its bosonic occupation ~1/x
+        # overflows: a named error, and no numpy warning on stderr
+        text = Path(ENGINE_CFG).read_text(encoding="utf-8").replace(
+            "beta1 = 16.666666666666668", "beta1 = 1e-300").replace(
+            "omega1 = 1.0", "omega1 = 1e-10")
+        proc = subprocess.run([sys.executable, "-m", "qstirling", "engine", "--config",
+                               write_cfg(tmp_path, text)], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: beta1*omega1 = 1e-300 * 1e-10 = 1e-310: ")
+        assert "bosonic population overflows" in proc.stderr
+        assert "Warning" not in proc.stderr
+
     def test_thermal_field_bath_rejected(self, tmp_path, capsys):
         text = Path(ENGINE_CFG).read_text(encoding="utf-8").replace(
             "a = 1.0\nq = -0.05", "rho0 = 1.0\nm = 1.0")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -101,6 +102,15 @@ class TestPopulation:
         assert population(B, 1) == population(B, 1.0)
         n = population(B, np.float64(LN2))
         assert type(n) is float and rel(n, 1.0) < 1e-14
+
+    def test_bosonic_overflow_raises_without_warning(self):
+        # below x ~ 5.6e-309 the occupation ~ 1/x is not representable
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (5e-310, np.array([1.0, 5e-310])):
+                with pytest.raises(ParameterError, match="bosonic population overflows"):
+                    population(B, x)
+            assert population(F, 5e-310) == 0.5
 
     def test_array_input(self):
         xs = np.array([LN2, math.log(3.0)])
