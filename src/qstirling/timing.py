@@ -42,7 +42,7 @@ from .cycles import (  # the regenerator classes stay importable from here
     cycle_kind,
 )
 from .errors import ConvergenceError, ParameterError, SingularityError
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import QuadratureConfig, _kronrod_panel, integrate
 from .relaxation import GevaKosloff
 from .series import integrate_linear, leading_exponential
 from .statistics import Statistics, require_statistics, weight, weight_function
@@ -146,9 +146,16 @@ def isochoric_time(stat: Statistics, model: GevaKosloff,
                 f"beta_s = {crossing:.12g}")
         last = (beta_s, gap)
         x, x_s = beta_r * omega, beta_s * omega
-        return beta_s * _rate_denominator(stat, q, x, x_s, x - x_s)
+        return math.ldexp(beta_s * _rate_denominator(stat, q, x, x_s, x - x_s), -k)
 
-    return _duration(integrand, beta_i, beta_f, cfg, omega / (2.0 * model.a), "regenerator")
+    # as on a linear stroke, GK15 integrates over 2^k, here the power of two
+    # near the first panel's estimate, so abs_tol acts relative to the stroke
+    k = 0
+    first, _ = _kronrod_panel(integrand, 0.0, _log_ratio(lo, max(beta_i, beta_f)))
+    if math.isfinite(first) and first:
+        k = min(max(math.frexp(first)[1], -1000), 1000)
+    return _duration(integrand, beta_i, beta_f, cfg,
+                     math.ldexp(omega / (2.0 * model.a), k), "regenerator")
 
 
 def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: float,
@@ -214,15 +221,19 @@ def _duration(integrand, u_i: float, u_f: float, cfg, scale: float, reservoir: s
     equilibrium is rejected; a convergence failure is rescaled so its
     partial result is a partial duration.
     """
-    lo, hi = min(u_i, u_f), max(u_i, u_f)
-    ratio = hi / lo
-    end = math.log(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
+    end = _log_ratio(min(u_i, u_f), max(u_i, u_f))
     try:
         result = integrate(integrand, *((0.0, end) if u_f > u_i else (end, 0.0)), cfg)
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), scale * exc.partial,
                                abs(scale) * exc.error_estimate) from exc
     return _checked(scale * result.value, abs(scale) * result.error_estimate, reservoir)
+
+
+def _log_ratio(lo: float, hi: float) -> float:
+    """ln(hi/lo), also where hi/lo overflows."""
+    ratio = hi / lo
+    return math.log(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
 
 
 def _checked(duration: float, error_estimate: float, reservoir: str) -> StrokeTime:

@@ -255,6 +255,17 @@ def test_high_temperature_form_meets_gk15_at_its_threshold(stat, monkeypatch):
     assert rel(below.duration * (1 + 2 * EPS), above.duration) < 1e-13
 
 
+@pytest.mark.parametrize("stat", [B, F])
+def test_callable_regenerator_holds_rel_tol_at_default_abs_tol(stat):
+    # the duration, ~1.8e-18, lies far below abs_tol = 1e-14: GK15 holds
+    # rel_tol only if abs_tol acts relative to the stroke
+    cfg, model = QuadratureConfig(), GevaKosloff(1.0, -0.05)
+    out = isochoric_time(stat, model, lambda b: 1.4 * b, 1.0, 30.0, 60.0, cfg)
+    exact = mp_isochoric_time(stat, model, 1.4, 1.0, 30.0, 60.0)
+    assert abs(out.duration - exact) <= cfg.rel_tol * exact
+    assert out.error_estimate <= cfg.rel_tol * out.duration
+
+
 def test_callable_regenerator_keeps_gk15(monkeypatch):
     calls = []
     real_integrate = qstirling.timing.integrate
