@@ -1,5 +1,6 @@
 """Shared helpers: relative deviation, random-but-reproducible cycle specs and
-an mpmath stroke-time oracle."""
+an mpmath stroke-time oracle that raises rather than return a stroke it did
+not resolve."""
 
 import mpmath as mp
 import numpy as np
@@ -80,47 +81,49 @@ def mp_isochoric_time(stat, model, slope, omega, beta_i, beta_f, dps=40):
         return float(_mp_stroke(stat, model, mp.mpf(slope) * w, w, w, beta_i, beta_f))
 
 
-def mp_isochoric_time_log(stat, model, slope, omega, beta_i, beta_f, dps=40):
-    """``mp_isochoric_time`` by quadrature in v = ln(beta_s/lo), for a stroke
-    whose lower end lies many decades below its upper one.
-
-    Near a vanishing ``lo`` the integrand behaves like 1/beta_s^2, a spike
-    at the end of ``_mp_stroke``'s t range that tanh-sinh cannot resolve; times
-    beta_s it decays like e^{-v}.
-    """
-    with mp.workdps(dps):
-        w, c, q = mp.mpf(omega), mp.mpf(slope), mp.mpf(model.q)
-        lo, hi = sorted((mp.mpf(beta_i), mp.mpf(beta_f)))
-
-        def integrand(v):
-            u = lo * mp.exp(v)
-            weight = -mp.expm1(-w * u) if stat is Statistics.BOSONIC else 1 + mp.exp(-w * u)
-            return u / (mp.exp((q * c + 1) * w * u) * mp.expm1((c - 1) * w * u) * weight)
-
-        end = mp.log(hi / lo)
-        points = [0] + [p for p in (1, 4, 16, 64, 256) if p < end] + [end]
-        value = w / (2 * mp.mpf(model.a)) * mp.quad(integrand, points)
-        return float(value if beta_f > beta_i else -value)
-
-
 def _mp_stroke(stat, model, a, b, held, u_i, u_f):
     # held/(2a) * integral du / [e^{q a u} (e^{a u} - e^{b u}) (1 -+ e^{-b u})].
-    # The integrand is e^{-lam u} g(u) with g smooth and bounded; substituting
-    # t = e^{-lam (u - lo)} removes the exponential, which tanh-sinh alone
-    # resolves poorly over a span of many decay lengths.
+    # The integrand is e^{-lam u} g(u), with g like a power of u below the
+    # decay length 1/lam and smooth above it.  The range is split there, each
+    # piece in the variable that makes it smooth:
+    # - below, v = ln(u/lo), breakpoints doubling away from both ends: times u
+    #   the integrand behaves like e^{-v} or 1, over however many decades;
+    # - above, t = e^{-lam (u - split)} removes the exponential, which tanh-sinh
+    #   alone resolves poorly over a span of many decay lengths.
+    # A stroke with lam*lo >= 1 is all t, one with lam*hi <= 2 all v.
     q = mp.mpf(model.q)
     weight_sign = -1 if stat is Statistics.BOSONIC else 1
     lam = q * a + max(a, b)
     lo, hi = sorted((mp.mpf(u_i), mp.mpf(u_f)))
+    split = lo if lam * lo >= 1 else hi if lam * hi <= 2 else 1 / lam
+    integral = 0
+    if split > lo:
+        def f(v):
+            u = lo * mp.exp(v)
+            weight = -mp.expm1(-b * u) if weight_sign < 0 else 1 + mp.exp(-b * u)
+            return u / (mp.exp((q * a + b) * u) * mp.expm1((a - b) * u) * weight)
 
-    def g(t):
-        u = lo - mp.log(t) / lam
-        return 1 / (-mp.expm1(-abs(a - b) * u) * (1 + weight_sign * mp.exp(-b * u)))
+        end = mp.log(split / lo)
+        steps = [mp.mpf(2) ** j for j in range(int(mp.log(end, 2)) + 1)] if end > 1 else []
+        integral += _mp_quad(f, sorted({mp.mpf(0), end, *steps, *(end - s for s in steps)}))
+    if hi > split:
+        def g(t):
+            u = split - mp.log(t) / lam
+            return 1 / (-mp.expm1(-abs(a - b) * u) * (1 + weight_sign * mp.exp(-b * u)))
 
-    t_hi = mp.exp(-lam * (hi - lo))
-    integral = mp.exp(-lam * lo) / lam * mp.quad(g, [t_hi, (t_hi + 1) / 2, 1])
-    orientation = (1 if a > b else -1) * (1 if u_f > u_i else -1)
-    return orientation * held / (2 * mp.mpf(model.a)) * integral
+        t_hi = mp.exp(-lam * (hi - split))
+        integral += ((1 if a > b else -1) * mp.exp(-lam * split) / lam
+                     * _mp_quad(g, [t_hi, (t_hi + 1) / 2, 1]))
+    return (1 if u_f > u_i else -1) * held / (2 * mp.mpf(model.a)) * integral
+
+
+def _mp_quad(f, points):
+    """``mp.quad`` over ``points``; raises unless its error estimate is below 1e-20 relative."""
+    value, error = mp.quad(f, points, error=True)
+    if not error <= 1e-20 * abs(value):
+        raise ArithmeticError(f"oracle quadrature unresolved: estimate {mp.nstr(error, 3)} "
+                              f"on {mp.nstr(value, 10)}")
+    return value
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import pytest
 
 from qstirling.cli import ENGINE_COLUMNS, FRIDGE_COLUMNS, main
 from qstirling.config import load_run_config
-from conftest import mp_isochoric_time, mp_isochoric_time_log, mp_isothermal_time
+from conftest import mp_isochoric_time, mp_isothermal_time
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 ENGINE_CFG = str(CONFIG_DIR / "engine_lowtemp.ini")
@@ -78,8 +78,8 @@ class TestEngineCommand:
         assert result["status"] == "ok"
         cfg = load_run_config(path)
         spec = cfg.spec
-        exact = mp_isochoric_time_log(spec.stat, cfg.model, cfg.regen.gamma1, spec.omega1,
-                                      spec.beta1, spec.beta2)
+        exact = mp_isochoric_time(spec.stat, cfg.model, cfg.regen.gamma1, spec.omega1,
+                                  spec.beta1, spec.beta2)
         t2 = result["timing"]["t2"]
         assert abs(t2 - exact) <= 100.0 * cfg.quad.rel_tol * exact
 

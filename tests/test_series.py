@@ -30,6 +30,7 @@ from qstirling import (
 )
 from qstirling.cycles import EngineSpec, cycle_kind
 from conftest import (
+    _mp_quad,
     mp_isochoric_time,
     mp_isothermal_time,
     random_engine_spec,
@@ -264,6 +265,28 @@ def test_callable_regenerator_holds_rel_tol_at_default_abs_tol(stat):
     exact = mp_isochoric_time(stat, model, 1.4, 1.0, 30.0, 60.0)
     assert abs(out.duration - exact) <= cfg.rel_tol * exact
     assert out.error_estimate <= cfg.rel_tol * out.duration
+
+
+@pytest.mark.parametrize("stat", [B, F])
+def test_oracle_resolves_a_stroke_over_300_decades(stat):
+    # beta_s 1e-300 -> 33.3: near lo the integrand behaves like 1/beta_s^2
+    # (bosonic), a spike no substitution in e^{-lam u} alone resolves
+    model, hi = GevaKosloff(1.0, -0.05), 33.333333333333336
+    values = {mp_isochoric_time(stat, model, 1.4, 1.0, 1e-300, hi, dps) for dps in (30, 40, 50)}
+    assert len(values) == 1
+    value = values.pop()
+    if stat is B:
+        # omega/(2a) * integral of 1/[(c - 1) omega u * omega u], to O(lo)
+        with mp.workdps(40):
+            exact = 1 / (2 * (mp.mpf(1.4) - 1) * mp.mpf(1e-300))
+        assert rel(value, float(exact)) < EPS
+    program = isochoric_time(stat, model, 1.4, 1.0, 1e-300, hi, GK15)
+    assert abs(program.duration - value) <= GK15.rel_tol * value
+
+
+def test_oracle_raises_on_an_unresolved_quadrature():
+    with pytest.raises(ArithmeticError, match="unresolved"):
+        _mp_quad(lambda t: 1 / t, [0, 1])
 
 
 def test_callable_regenerator_keeps_gk15(monkeypatch):
