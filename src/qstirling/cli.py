@@ -65,9 +65,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _row_format(rows) -> str | None:
+    """One ``%`` format that writes each of ``rows`` as :func:`_fmt` writes its values.
+
+    None where a column mixes types or holds a ``bool``, which ``%`` cannot
+    spell as ``_fmt`` does.
+    """
+    specs = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        kind = kinds.pop()
+        if kinds or issubclass(kind, bool):
+            return None
+        specs.append("%.17g" if issubclass(kind, float) else "%s")
+    return ",".join(specs)
+
+
 def _csv_text(columns, rows) -> str:
+    rows = [tuple(row) for row in rows]
+    fmt = _row_format(rows)
     lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    if fmt is None:
+        lines.extend(",".join(map(_fmt, row)) for row in rows)
+    else:
+        lines.extend(fmt % row for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -430,9 +430,14 @@ def _corners(kind: CycleKind):
 
 
 def _name_product_out_of_range(kind: CycleKind, v: dict):
-    """Raise for the first corner product x = beta*omega that leaves (0, inf), naming its keys."""
+    """Raise for the first corner product that leaves (0, inf), naming its keys.
+
+    The product is formed as the ledger forms it, ``omega/(1/beta)``: a
+    subnormal ``beta`` has an infinite reciprocal although ``beta*omega``
+    may be in range.
+    """
     for beta, omega in _corners(kind):
-        x = v[beta] * v[omega]
+        x = v[omega] / (1.0 / v[beta])
         if not 0.0 < x < math.inf:
             raise ParameterError(f"{beta}*{omega} {'overflows' if x else 'underflows'}: "
                                  f"{v[beta]!r} * {v[omega]!r} = {x!r}")

@@ -110,14 +110,18 @@ def population(stat: Statistics, x):
     if xa.size == 0 or np.any(xa <= 0.0) or not np.all(np.isfinite(xa)):
         raise ParameterError(_DOMAIN_MESSAGE)
     require_statistics(stat)
-    decay = np.exp(-xa)
+    # two work arrays written in place (xa may be the caller's, so only read);
+    # each element sees the same operations as exp(-x)/(1 -+ exp(-x))
+    work = np.negative(xa, out=np.empty_like(xa))
+    out = np.exp(work, out=np.empty_like(xa))
     if stat is Statistics.BOSONIC:
+        np.negative(np.expm1(work, out=work), out=work)
         with np.errstate(over="ignore"):
-            out = decay / (-np.expm1(-xa))
+            np.divide(out, work, out=out)
         if not np.all(np.isfinite(out)):
             raise ParameterError(_OVERFLOW_MESSAGE)
     else:
-        out = decay / (1.0 + decay)
+        np.divide(out, np.add(1.0, out, out=work), out=out)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -185,27 +189,49 @@ def integrate_path(path: PathSpec) -> PathIntegral:
     Returns ``(delta_e, heat, work)`` with ``delta_e`` evaluated from the
     endpoint internal energies; ``heat + work`` converges to it at second
     order in ``1/step_count``.
+
+    The work is ordered so that each ``step_count``-long array dies as soon
+    as its last use is done: about five are alive at once.  Arrays the path
+    callables return are only read.
     """
     import numpy as np
 
     if path.step_count < 2:
         raise ParameterError("step_count must be at least 2")
     u = np.linspace(0.0, 1.0, path.step_count + 1)
+    omega = _on_path(path.omega, u)
+    x = _on_path(path.beta, u) * omega
+    d_omega = np.diff(omega)
+    omega_ends = omega[0], omega[-1]
+    del omega
+    n = population(path.stat, x)
+    del x
+    d_n = np.diff(n)
+    n_ends = n[0], n[-1]
+    del n
     mid = 0.5 * (u[:-1] + u[1:])
-    omega = np.asarray(path.omega(u), dtype=float)
-    beta = np.asarray(path.beta(u), dtype=float)
-    omega_mid = np.asarray(path.omega(mid), dtype=float)
-    beta_mid = np.asarray(path.beta(mid), dtype=float)
-    for arr in (omega, beta, omega_mid, beta_mid):
-        if np.any(arr <= 0.0):
-            raise ParameterError("omega(u) and beta_s(u) must stay positive on [0, 1]")
-    n = population(path.stat, beta * omega)
-    n_mid = population(path.stat, beta_mid * omega_mid)
-    heat = float(np.sum(omega_mid * np.diff(n)))
-    half = 0.5 if path.stat is Statistics.BOSONIC else -0.5
-    work = float(np.sum((n_mid + half) * np.diff(omega)))
+    del u
+    omega_mid = _on_path(path.omega, mid)
+    heat = float(np.sum(np.multiply(omega_mid, d_n, out=d_n)))
+    del d_n
+    x = _on_path(path.beta, mid) * omega_mid
+    del mid, omega_mid
+    n_mid = population(path.stat, x)
+    del x
+    n_mid += 0.5 if path.stat is Statistics.BOSONIC else -0.5
+    work = float(np.sum(np.multiply(n_mid, d_omega, out=n_mid)))
     delta_e = float(
-        internal_energy(path.stat, omega[-1], n[-1])
-        - internal_energy(path.stat, omega[0], n[0])
+        internal_energy(path.stat, omega_ends[1], n_ends[1])
+        - internal_energy(path.stat, omega_ends[0], n_ends[0])
     )
     return PathIntegral(delta_e, heat, work)
+
+
+def _on_path(func: Callable, u):
+    """``func(u)`` as a float array, rejected unless positive everywhere."""
+    import numpy as np
+
+    values = np.asarray(func(u), dtype=float)
+    if np.any(values <= 0.0):
+        raise ParameterError("omega(u) and beta_s(u) must stay positive on [0, 1]")
+    return values

@@ -2,11 +2,13 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qstirling.cli import ENGINE_COLUMNS, FRIDGE_COLUMNS, main
+from qstirling.cli import ENGINE_COLUMNS, FRIDGE_COLUMNS, _csv_text, _fmt, main
 from qstirling.config import load_run_config
 from conftest import mp_isochoric_time, mp_isothermal_time
 
@@ -125,6 +127,15 @@ class TestEngineCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == "error: beta1*omega2 overflows: 16.666666666666668 * 1e+308 = inf\n"
+
+    def test_subnormal_beta_names_keys_exits_1(self, tmp_path, capsys):
+        # beta1*omega is in range, but the ledger forms omega/(1/beta1) and
+        # 1/1e-310 is inf: the error names the corner, not population's x
+        text = Path(ENGINE_CFG).read_text(encoding="utf-8").replace(
+            "beta1 = 16.666666666666668", "beta1 = 1e-310")
+        rc = main(["engine", "--config", write_cfg(tmp_path, text)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: beta1*omega2 underflows: 1e-310 * 2.0 = 0.0\n"
 
     def test_overflowing_occupation_names_corner_exits_1(self, tmp_path):
         # beta1*omega1 = 1e-310 is positive, but its bosonic occupation ~1/x
@@ -362,6 +373,22 @@ class TestRegimeMapCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_csv_rows_match_per_value_format():
+    # one %-format per table where every column has one non-bool type;
+    # otherwise each value goes through _fmt
+    cases = [
+        [(0.1, 2, "on", np.float64(1 / 3))],
+        [(0.1, 1e300), (5e-324, -0.0), (math.inf, math.nan)],
+        [(True, 0.1), (False, 0.2)],
+        [(0.1, 1), (2, 1.5)],
+        [[0.1, "ok"], [0.2, "bad"]],
+        [],
+    ]
+    for rows in cases:
+        expected = "h\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+        assert _csv_text(("h",), rows) == expected
+
+
 class TestPowerSweepCommand:
     def test_reference_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -445,6 +472,21 @@ class TestValidateCommand:
         text = Path(ENGINE_CFG).read_text(encoding="utf-8").replace(
             "alpha_c = 1.4", "alpha_c = 0.9")
         assert main(["validate", "--config", write_cfg(tmp_path, text)]) == 2
+
+    def test_path_oracle_memory_peak(self, capsys):
+        # the two 10^6-step path integrals keep about five 8 MB arrays alive
+        # at once, not eleven; a count of traced bytes, not a timing
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert main(["validate", "--config", ENGINE_CFG]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 48 * 2 ** 20
 
     def test_thermal_field_skips_pipeline_checks(self, tmp_path, capsys):
         text = Path(ENGINE_CFG).read_text(encoding="utf-8").replace(

@@ -112,6 +112,16 @@ class TestPopulation:
                     population(B, x)
             assert population(F, 5e-310) == 0.5
 
+    @pytest.mark.parametrize("stat", [B, F])
+    def test_array_input_left_unchanged(self, stat):
+        # the array path writes only into work arrays of its own
+        for xs in (np.linspace(0.1, 5.0, 101), np.array(1.5), np.linspace(0.1, 5.0, 9)[::2]):
+            before = xs.copy()
+            out = population(stat, xs)
+            assert np.array_equal(xs, before)
+            assert np.array_equal(out, np.exp(-before) / (
+                -np.expm1(-before) if stat is B else 1.0 + np.exp(-before)))
+
     def test_array_input(self):
         xs = np.array([LN2, math.log(3.0)])
         out = population(F, xs)
@@ -240,6 +250,53 @@ class TestIntegratePath:
             defects.append(abs(out.delta_e - (out.heat + out.work)))
         orders = [math.log2(defects[i] / defects[i + 1]) for i in range(2)]
         assert min(orders) >= 1.9
+
+    @pytest.mark.parametrize("steps", [10 ** 3, 10 ** 6])
+    @pytest.mark.parametrize("stat", [B, F])
+    def test_bit_identical_to_all_arrays_alive(self, stat, steps):
+        # the first formulation, every array alive at once and population's
+        # numpy formula inline; the lean ordering must not move a bit
+        path = PathSpec(stat, lambda u: 1.0 + 0.5 * np.sin(2.3 * u) + 0.3 * u,
+                        lambda u: 0.8 + 0.4 * np.cos(1.7 * u), steps)
+        occupation = lambda x: np.exp(-x) / (-np.expm1(-x) if stat is B else 1.0 + np.exp(-x))
+        u = np.linspace(0.0, 1.0, steps + 1)
+        mid = 0.5 * (u[:-1] + u[1:])
+        omega, beta = path.omega(u), path.beta(u)
+        omega_mid, beta_mid = path.omega(mid), path.beta(mid)
+        n, n_mid = occupation(beta * omega), occupation(beta_mid * omega_mid)
+        heat = float(np.sum(omega_mid * np.diff(n)))
+        half = 0.5 if stat is B else -0.5
+        work = float(np.sum((n_mid + half) * np.diff(omega)))
+        delta_e = float(internal_energy(stat, omega[-1], n[-1])
+                        - internal_energy(stat, omega[0], n[0]))
+        out = integrate_path(path)
+        assert (out.delta_e, out.heat, out.work) == (delta_e, heat, work)
+
+    @pytest.mark.parametrize("stat", [B, F])
+    def test_leaves_callable_arrays_unchanged(self, stat):
+        # omega returns arrays it holds; beta returns a held array on the grid
+        # and its own argument (inside (0, 1)) on the midpoints
+        steps = 1000
+        u = np.linspace(0.0, 1.0, steps + 1)
+        held = {steps + 1: 1.0 + u, steps: 1.0 + 0.5 * (u[:-1] + u[1:]),
+                "beta": 0.5 + 0.5 * u}
+        before = {key: arr.copy() for key, arr in held.items()}
+        arguments = []
+
+        def omega(v):
+            arguments.append((v, v.copy()))
+            return held[v.size]
+
+        def beta(v):
+            arguments.append((v, v.copy()))
+            return held["beta"] if v.size == steps + 1 else v
+
+        integrate_path(PathSpec(stat, omega, beta, steps))
+        assert len(arguments) == 4
+        for key, arr in held.items():
+            assert np.array_equal(arr, before[key])
+        for arg, copy in arguments:
+            assert np.array_equal(arg, copy)
 
     @given(st.floats(min_value=0.5, max_value=2.0),
            st.floats(min_value=1.1, max_value=3.0),
