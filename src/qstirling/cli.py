@@ -246,7 +246,10 @@ def _cmd_regime_map(args) -> int:
         raise ConfigError("grid must be at least 2")
     qs = _linspace(args.q_min, args.q_max, args.grid)
     xs = _linspace(args.x_min, args.x_max, args.grid)
-    rows = [(q, x, conduction_ratio(q, x), _classify(q, x)) for q in qs for x in xs]
+    # each grid coordinate is spelled once, not once for every row it is in
+    x_cells = [(x, _fmt(x)) for x in xs]
+    rows = [(q_text, x_text, conduction_ratio(q, x), _classify(q, x))
+            for q, q_text in zip(qs, map(_fmt, qs)) for x, x_text in x_cells]
     _emit(_csv_text(REGIME_MAP_COLUMNS, rows), args.out)
     return 0
 
