@@ -172,23 +172,22 @@ def _require_geva_kosloff(cfg: RunConfig, command: str):
                           f"parametrization (bath.a, bath.q)")
 
 
-def _run_report(cfg: RunConfig) -> PerformanceReport:
-    return cycle_performance(cfg.spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)
-
-
 def _report_values(report: PerformanceReport, count: int) -> tuple[dict, dict]:
     """Ledger and performance values, extensive ones scaled by the particle count."""
-    n = float(count)
+    n, merit = float(count), CYCLE_KINDS[report.kind].merit
     ledger = {name: value if name == "delta" else value * n
               for name, value in zip(_LEDGER_FIELDS, dataclasses.astuple(report.ledger))}
     performance = {
-        CYCLE_KINDS[report.kind].merit: report.figure_of_merit,
+        merit: report.figure_of_merit,
         "power": report.power * n,
         "sigma": report.sigma * n,
         "tau": report.tau,
     }
     if report.cooling_rate is not None:
         performance["cooling_rate"] = report.cooling_rate * n
+    for name, value in (*ledger.items(), *performance.items()):
+        if name != merit and not math.isfinite(value):
+            raise SingularityError(f"{name} overflows when scaled by output.particle_count")
     return ledger, performance
 
 
@@ -197,7 +196,7 @@ def _cmd_cycle(args, kind: str) -> int:
     if cfg.kind != kind:
         raise ConfigError(f"cycle.kind is {cfg.kind!r}; the {kind} command needs {kind!r}")
     _require_geva_kosloff(cfg, kind)
-    report = _run_report(cfg)
+    report = cycle_performance(cfg.spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)
     out_format = args.format or cfg.out_format
     out_path = args.out or cfg.out_path
     ledger, performance = _report_values(report, cfg.particle_count)
@@ -355,7 +354,7 @@ def _cmd_validate(args) -> int:
     checks.append(("detailed_balance", ulps <= 4.0, f"{ulps:.1f} ulp"))
 
     if isinstance(cfg.model, GevaKosloff):
-        report = _run_report(cfg)
+        report = cycle_performance(cfg.spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)
         dev = _relative_deviation(report.power * report.tau, abs(report.w_tot))
         checks.append(("power_tau_identity", dev <= 1e-12, f"relative deviation {dev:.3e}"))
         spec_b = dataclasses.replace(spec, stat=Statistics.BOSONIC)
@@ -373,24 +372,16 @@ def _cmd_validate(args) -> int:
         checks.append(("power_tau_identity", None, "skipped: requires geva-kosloff bath"))
         checks.append(("statistics_equivalence", None, "skipped: requires geva-kosloff bath"))
 
-    lines = []
-    passed = failed = skipped = 0
-    for name, ok, detail in checks:
-        if ok is None:
-            skipped += 1
-            lines.append(f"SKIP {name} ({detail})")
-        elif ok:
-            passed += 1
-            lines.append(f"PASS {name} ({detail})")
-        else:
-            failed += 1
-            lines.append(f"FAIL {name} ({detail})")
-    lines.append(f"{passed} passed, {failed} failed, {skipped} skipped")
+    verdicts = ["SKIP" if ok is None else "PASS" if ok else "FAIL" for _, ok, _ in checks]
+    lines = [f"{verdict} {name} ({detail})"
+             for verdict, (name, _, detail) in zip(verdicts, checks)]
+    lines.append(f"{verdicts.count('PASS')} passed, {verdicts.count('FAIL')} failed, "
+                 f"{verdicts.count('SKIP')} skipped")
     text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     if args.out is not None:
         sys.stdout.write(text)
-    return 0 if failed == 0 else 3
+    return 3 if "FAIL" in verdicts else 0
 
 
 if __name__ == "__main__":

@@ -369,6 +369,11 @@ FRIDGE = CycleKind(
     rate_column="cooling_rate", cycle=FridgeCycle, not_ok=STATUS_NOT_A_REFRIGERATOR)
 
 CYCLE_KINDS = {kind.name: kind for kind in (ENGINE, FRIDGE)}
+# the distinct (beta, omega) spec attribute pairs at the stroke ends, in stroke order
+_CORNERS = {kind.name: tuple(dict.fromkeys(
+    (fixed, corner) if isotherm else (corner, fixed)
+    for _, _, isotherm, fixed, start, end, _ in kind.strokes for corner in (start, end)))
+    for kind in (ENGINE, FRIDGE)}
 _KIND_OF_SPEC = {kind.spec: kind for kind in (ENGINE, FRIDGE)}
 
 
@@ -395,19 +400,22 @@ def cycle_ledger(spec: EngineSpec | FridgeSpec) -> EngineCycle | FridgeCycle:
     ``population`` calls per ledger, not one per stroke end.
     """
     kind, v, stat = cycle_kind(spec), vars(spec), spec.stat
-    # (beta, omega) attribute pair -> (occupation, log weight)
-    corners = dict.fromkeys(_corners(kind))
-    try:
-        for beta, omega in corners:
-            x = v[omega] / (1.0 / v[beta])
-            corners[beta, omega] = _corner(stat, x)
-    except ParameterError as exc:
-        _name_product_out_of_range(kind, v)
+    # (beta, omega) attribute pair -> omega/(1/beta), 0 where 1/beta overflows;
+    # all are checked before any occupation, whose overflow is named second
+    products = {}
+    for beta, omega in _CORNERS[kind.name]:
+        x = products[beta, omega] = v[omega] / (1.0 / v[beta])
         if not 0.0 < x < math.inf:
-            raise
-        # x is in range, so the occupation itself overflowed
-        raise ParameterError(f"{beta}*{omega} = {v[beta]!r} * {v[omega]!r} = {x!r}: "
-                             f"{exc}") from exc
+            raise ParameterError(f"{beta}*{omega} {'overflows' if x else 'underflows'}: "
+                                 f"{v[beta]!r} * {v[omega]!r} = {x!r}")
+    # (beta, omega) attribute pair -> (occupation, log weight)
+    corners = {}
+    for (beta, omega), x in products.items():
+        try:
+            corners[beta, omega] = _corner(stat, x)
+        except ParameterError as exc:  # x is in range, so the occupation overflowed
+            raise ParameterError(f"{beta}*{omega} = {v[beta]!r} * {v[omega]!r} = {x!r}: "
+                                 f"{exc}") from exc
     heats = {}
     for _, heat, isotherm, fixed, start, end, _ in kind.strokes:
         if isotherm:
@@ -420,27 +428,6 @@ def cycle_ledger(spec: EngineSpec | FridgeSpec) -> EngineCycle | FridgeCycle:
 
 
 engine_ledger = fridge_ledger = cycle_ledger
-
-
-def _corners(kind: CycleKind):
-    """The (beta, omega) spec attribute pair at each end of each stroke, in stroke order."""
-    for _, _, isotherm, fixed, start, end, _ in kind.strokes:
-        for corner in (start, end):
-            yield (fixed, corner) if isotherm else (corner, fixed)
-
-
-def _name_product_out_of_range(kind: CycleKind, v: dict):
-    """Raise for the first corner product that leaves (0, inf), naming its keys.
-
-    The product is formed as the ledger forms it, ``omega/(1/beta)``: a
-    subnormal ``beta`` has an infinite reciprocal although ``beta*omega``
-    may be in range.
-    """
-    for beta, omega in _corners(kind):
-        x = v[omega] / (1.0 / v[beta])
-        if not 0.0 < x < math.inf:
-            raise ParameterError(f"{beta}*{omega} {'overflows' if x else 'underflows'}: "
-                                 f"{v[beta]!r} * {v[omega]!r} = {x!r}")
 
 
 def work_closed_form(spec: EngineSpec | FridgeSpec) -> float:

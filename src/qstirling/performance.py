@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cycles import (  # Mode stays importable from here
+    STATUS_OK,
     EngineSpec,
     FridgeSpec,
     LinearEngineRegenerator,
@@ -59,10 +60,6 @@ class PerformanceReport:
         return self.ledger.w_tot
 
 
-def _sigma(beta_h: float, beta_c: float, q_h: float, q_c: float, tau: float) -> float:
-    return -(beta_h * q_h + beta_c * q_c) / tau
-
-
 def cycle_performance(spec: EngineSpec | FridgeSpec, model: GevaKosloff, regen,
                       cfg: QuadratureConfig | None = None,
                       mode: Mode = Mode.EXACT) -> PerformanceReport:
@@ -73,6 +70,10 @@ def cycle_performance(spec: EngineSpec | FridgeSpec, model: GevaKosloff, regen,
     for that mode (the engine has both, the refrigerator LOW_TEMP only; any
     other mode is rejected).  The refrigerator adds the cooling rate
     R = Q_c/tau.  Regime validity is reported via x_min/x_max, not enforced.
+    SingularityError names a period that is not positive and finite, or a
+    power, sigma, cooling rate or (at status ok) figure of merit that is not
+    finite.  Every ledger heat feeds w_tot, hence power, or q_h and q_c,
+    hence sigma, so a heat that is not finite is caught through them.
     """
     kind = cycle_kind(spec)
     if not isinstance(model, GevaKosloff):
@@ -83,22 +84,29 @@ def cycle_performance(spec: EngineSpec | FridgeSpec, model: GevaKosloff, regen,
     else:
         cycle = kind.closed_form(mode)(spec)
         timing = closed_form_cycle_time(mode, spec, model, regen)
-    if timing.tau <= 0.0:
+    ledger, tau = cycle.ledger, timing.tau
+    if tau <= 0.0:
         raise SingularityError("cycle period underflowed to zero at these parameters")
-    if not timing.tau < math.inf:
-        raise SingularityError(f"cycle period is not finite at these parameters: {timing.tau!r}")
+    power = abs(ledger.w_tot) / tau
+    cooling_rate = ledger.q_c / tau if kind.rate_column == "cooling_rate" else None
+    sigma = -(spec.beta_h * ledger.q_h + spec.beta_c * ledger.q_c) / tau
+    # a not-ok cycle's figure of merit is NaN by design
+    merit = getattr(cycle, kind.merit) if cycle.status == STATUS_OK else 0.0
+    for name, value in zip(("cycle period", "power", "sigma", "cooling_rate", kind.merit),
+                           (tau, power, sigma, cooling_rate or 0.0, merit)):
+        if not math.isfinite(value):
+            raise SingularityError(f"{name} is not finite at these parameters: {value!r}")
     x_min, x_max = regime_extents(spec, regen)
-    ledger = cycle.ledger
     return PerformanceReport(
         kind=kind.name,
         statistics=spec.stat,
         ledger=ledger,
         timing=timing,
         figure_of_merit=getattr(cycle, kind.merit),
-        power=abs(ledger.w_tot) / timing.tau,
-        cooling_rate=ledger.q_c / timing.tau if kind.rate_column == "cooling_rate" else None,
-        sigma=_sigma(spec.beta_h, spec.beta_c, ledger.q_h, ledger.q_c, timing.tau),
-        tau=timing.tau,
+        power=power,
+        cooling_rate=cooling_rate,
+        sigma=sigma,
+        tau=tau,
         regime=mode,
         status=cycle.status,
         x_min=x_min,
@@ -139,9 +147,8 @@ def equivalence_report(spec_a, spec_b, model: GevaKosloff, regen,
     """
     if type(spec_a) is not type(spec_b):
         raise ParameterError("specs must be of the same cycle kind")
-    numeric = [f for f in spec_a.__dataclass_fields__ if f != "stat"]
-    for field in numeric:
-        if getattr(spec_a, field) != getattr(spec_b, field):
+    for field in spec_a.__dataclass_fields__:
+        if field != "stat" and getattr(spec_a, field) != getattr(spec_b, field):
             raise ParameterError(f"specs differ in {field}; only the statistics may differ")
     first = cycle_performance(spec_a, model, regen, cfg, mode)
     second = cycle_performance(spec_b, model, regen, cfg, mode)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ParameterError
-from .statistics import Statistics, population, require_statistics, weight
+from .statistics import Statistics, population, require_statistics, weight_function
 
 # Beyond this product the direct exp(beta*omega) factor would overflow and
 # the rates are computed from explicit exponents instead.
@@ -76,7 +76,7 @@ class ThermalField:
         _require_positive(beta=beta, omega=omega)
         require_statistics(stat)
         x = beta * omega
-        gamma_minus = self.rho0 * omega ** self.m / weight(stat, x)
+        gamma_minus = self.rho0 * omega ** self.m / weight_function(stat)(x)
         return gamma_minus * math.exp(-x), gamma_minus
 
 
@@ -156,7 +156,7 @@ def heat_current(stat: Statistics, model: GevaKosloff, beta: float, beta_s: floa
     x = beta * omega
     x_s = beta_s * omega
     growth = math.expm1(x - x_s)
-    return -2.0 * omega * model.a * math.exp(model.q * x) * growth / weight(stat, x_s)
+    return -2.0 * omega * model.a * math.exp(model.q * x) * growth / weight_function(stat)(x_s)
 
 
 class Regime(Enum):

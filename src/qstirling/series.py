@@ -43,7 +43,7 @@ def _two_product(x: float, y: float) -> tuple[float, float]:
 
 
 def leading_exponential(q: float, a1: float, a2: float, b: float, lo: float) -> float:
-    """``e^{-lambda00 lo}``, lambda00 = qA + max(A, B) with A = a1*a2; nan if a split overflowed.
+    """``e^{-lambda00 lo}``, lambda00 = qA + max(A, B) with A = a1*a2; nan if a part overflowed.
 
     It carries a low-temperature stroke's magnitude.  Its exponent (tens to
     hundreds) is summed exactly from Dekker products: one rounding of
@@ -55,9 +55,12 @@ def leading_exponential(q: float, a1: float, a2: float, b: float, lo: float) -> 
     qx, qx_err = _two_product(q, x_hi)
     parts = [qx, qx_err, q * x_rest]
     parts += (x_hi, x_rest) if p > b else _two_product(b, lo)
-    exponent = math.fsum(parts)
-    parts.append(-exponent)
-    return math.exp(-exponent) * (1.0 - math.fsum(parts))
+    try:
+        exponent = math.fsum(parts)
+        parts.append(-exponent)
+        return math.exp(-exponent) * (1.0 - math.fsum(parts))
+    except (ValueError, OverflowError):  # a part overflowed: fsum met inf - inf
+        return math.nan
 
 
 def integrate_linear(stat: Statistics, q: float, a1: float, a2: float, b: float, d: float,

@@ -39,13 +39,8 @@ def require_statistics(stat) -> None:
         raise ParameterError(f"unknown statistics kind: {stat!r}")
 
 
-def weight(stat: Statistics, x: float) -> float:
-    """The factor ``1 -+ e^{-x}``, bosonic upper sign; ``stat`` is not checked."""
-    return weight_function(stat)(x)
-
-
 def weight_function(stat: Statistics) -> Callable[[float], float]:
-    """``x -> 1 -+ e^{-x}`` for one statistics, for integrands that call it per node."""
+    """``x -> 1 -+ e^{-x}`` for one statistics (bosonic upper sign); ``stat`` is not checked."""
     return _bose_weight if stat is Statistics.BOSONIC else _fermi_weight
 
 

@@ -30,10 +30,9 @@ import math
 import sys
 from dataclasses import dataclass
 from math import exp, expm1
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .cycles import (  # the regenerator classes stay importable from here
-    CycleKind,
     EngineSpec,
     FridgeSpec,
     LinearEngineRegenerator,
@@ -45,7 +44,7 @@ from .errors import ConvergenceError, ParameterError, SingularityError
 from .quadrature import QuadratureConfig, _kronrod_panel, integrate
 from .relaxation import GevaKosloff
 from .series import integrate_linear, leading_exponential
-from .statistics import Statistics, require_statistics, weight, weight_function
+from .statistics import Statistics, require_statistics, weight_function
 
 _EPS = sys.float_info.epsilon
 # below this largest product the high-temperature integrand is exact to rounding
@@ -76,7 +75,7 @@ class TimingReport:
 def _rate_denominator(stat: Statistics, q: float, x: float, x_s: float, gap: float) -> float:
     """Signed e^{q*x} * (e^x - e^{x_s}) * (1 +- e^{-x_s}) without overflow; gap = x - x_s."""
     magnitude = math.exp(-q * x - max(x, x_s)) / (-math.expm1(-abs(gap)))
-    value = magnitude / weight(stat, x_s)  # the only statistics-dependent factor
+    value = magnitude / weight_function(stat)(x_s)  # the only statistics-dependent factor
     return value if gap > 0.0 else -value
 
 
@@ -122,11 +121,12 @@ def isochoric_time(stat: Statistics, model: GevaKosloff,
         if not 0.0 < regenerator < math.inf:
             raise ParameterError(f"regenerator slope must be positive and finite, "
                                  f"got {regenerator!r}")
-        if regenerator == 1.0:
+        gap = (regenerator - 1.0) * omega
+        if not gap:  # a unit slope, or a gap past the float range
             raise SingularityError("regenerator and medium temperatures coincide: "
                                    "infinite relaxation time")
-        return _linear_time(stat, model, regenerator, omega, omega, (regenerator - 1.0) * omega,
-                            beta_i, beta_f, cfg, "regenerator")
+        return _linear_time(stat, model, regenerator, omega, omega, gap, beta_i, beta_f, cfg,
+                            "regenerator")
     q, lo = model.q, min(beta_i, beta_f)
     last = None  # (beta_s, regenerator gap) at the previous evaluation
 
@@ -182,7 +182,8 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
         # integrand to a relative 2 x_max, below rounding; b cancels or stays
         # as b/dd, so a duration whose raw integral would overflow stays finite
         if stat is Statistics.BOSONIC:
-            duration = span / hi / lo / (2.0 * model.a * dd)
+            den = 2.0 * model.a * dd  # may underflow to zero
+            duration = span / hi / lo / den if den else math.inf
         else:
             duration = b / dd * math.log(hi / lo) / (4.0 * model.a)
         return _checked(sign * duration, duration * (2.0 * x_max + 4.0 * _EPS), reservoir)
@@ -200,12 +201,18 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
     factor, w, exponent = math.ldexp(leading, -k), weight_function(stat), base * lo
 
     def integrand(v: float) -> float:
-        e = expm1(v)  # u/lo - 1
-        u = lo + lo * e
+        try:
+            e = expm1(v)  # u/lo - 1
+        except OverflowError:  # u/lo is past the float range
+            u = exp(v + math.log(lo))
+            decay = exp(-base * (u - lo))
+        else:
+            u = lo + lo * e
+            decay = exp(-exponent * e)
         x_s = b * u
         # left to right: near u -> 0 the gap and a bosonic weight each give 1/u,
         # and x_s cancels one of them before the quotient can overflow
-        return x_s * exp(-exponent * e) / -expm1(-dd * u) / w(x_s) * factor
+        return x_s * decay / -expm1(-dd * u) / w(x_s) * factor
 
     scale = math.ldexp(math.copysign(0.5 / model.a, d), k)
     return _duration(integrand, u_i, u_f, cfg, scale, reservoir)
@@ -265,22 +272,26 @@ def _bisect_crossing(mapping: Callable[[float], float], lo: float, hi: float) ->
 def _stroke(label: str, fn, *args) -> StrokeTime:
     try:
         return fn(*args)
-    except SingularityError as exc:
-        raise SingularityError(f"stroke {label}: {exc}") from exc
+    except (SingularityError, ParameterError) as exc:
+        raise type(exc)(f"stroke {label}: {exc}") from exc
     except ConvergenceError as exc:
         raise ConvergenceError(f"stroke {label}: {exc}", exc.partial,
                                exc.error_estimate) from exc
-    except ParameterError as exc:
-        raise ParameterError(f"stroke {label}: {exc}") from exc
 
 
-def _checked_kind(spec: EngineSpec | FridgeSpec, regen) -> CycleKind:
-    """The stroke table of ``spec``, once ``regen`` is known to be the kind's regenerator."""
+def _strokes(spec: EngineSpec | FridgeSpec, regen) -> Iterator[tuple]:
+    """``spec``'s stroke table as ``(label, isotherm, held, start, end, by)`` numbers.
+
+    ``by`` is the bath beta on an isotherm and the regenerator slope on an
+    isochore; ``regen`` is first checked to be the kind's regenerator.
+    """
     kind = cycle_kind(spec)
     if not isinstance(regen, kind.regen):
         raise ParameterError(f"{kind.spec.__name__} requires a {kind.regen.__name__}, "
                              f"got {type(regen).__name__}")
-    return kind
+    v, slopes = vars(spec), vars(regen)
+    return ((label, isotherm, v[fixed], v[start], v[end], (v if isotherm else slopes)[drive])
+            for label, _, isotherm, fixed, start, end, drive in kind.strokes)
 
 
 def cycle_time(spec: EngineSpec | FridgeSpec, model: GevaKosloff, regen,
@@ -296,24 +307,16 @@ def cycle_time(spec: EngineSpec | FridgeSpec, model: GevaKosloff, regen,
     t3 hot isotherm B->A at beta1p against beta_h (omega1 -> omega2); t4
     high-frequency isochore A->D against the b branch.
     """
-    kind, v = _checked_kind(spec, regen), vars(spec)
-    times = []
-    for label, _, isotherm, fixed, start, end, drive in kind.strokes:
-        if isotherm:
-            times.append(_stroke(label, isothermal_time, spec.stat, model,
-                                 v[drive], v[fixed], v[start], v[end], cfg))
-        else:
-            times.append(_stroke(label, isochoric_time, spec.stat, model,
-                                 getattr(regen, drive), v[fixed], v[start], v[end], cfg))
-    return _report([t.duration for t in times], tuple(t.error_estimate for t in times))
+    # both stroke functions take (drive, held, start, end) in table order
+    durations, errors = zip(*(
+        _stroke(label, isothermal_time if isotherm else isochoric_time, spec.stat, model,
+                by, held, start, end, cfg)
+        for label, isotherm, held, start, end, by in _strokes(spec, regen)))
+    t1, t2, t3, t4 = durations
+    return TimingReport(t1, t2, t3, t4, t1 + t2 + t3 + t4, errors)
 
 
 engine_cycle_time = fridge_cycle_time = cycle_time
-
-
-def _report(durations, error_estimates) -> TimingReport:
-    t1, t2, t3, t4 = durations
-    return TimingReport(t1, t2, t3, t4, t1 + t2 + t3 + t4, error_estimates)
 
 
 def closed_form_cycle_time(mode: Mode, spec: EngineSpec | FridgeSpec, model: GevaKosloff,
@@ -323,38 +326,39 @@ def closed_form_cycle_time(mode: Mode, spec: EngineSpec | FridgeSpec, model: Gev
     The cycle kind comes from ``spec``, and a ``mode`` its stroke table has
     no closed-form set for is rejected.  Each stroke's time follows from its
     table row; the high-temperature times depend on ``spec.stat`` and
-    assume the linear regenerator mapping.  Validity of the regime is not
+    assume the linear regenerator mapping.  A time whose denominator
+    underflows to zero is infinite.  Validity of the regime is not
     enforced; compare against the quadrature pipeline to judge it.
     """
-    kind = _checked_kind(spec, regen)
-    kind.closed_form(mode)  # rejects a mode without a closed-form set
+    strokes = _strokes(spec, regen)
+    cycle_kind(spec).closed_form(mode)  # rejects a mode without a closed-form set
     a, q = model.a, model.q
     low_temp = mode is Mode.LOW_TEMP
     bosonic = spec.stat is Statistics.BOSONIC
-    v, slopes = vars(spec), vars(regen)
     times = []
-    for _, _, isotherm, fixed, start, end, drive in kind.strokes:
-        held, lo, hi = v[fixed], v[start], v[end]
+    for _, isotherm, held, lo, hi, by in strokes:
         if lo > hi:
             lo, hi = hi, lo
         # the bath or regenerator sits at c times the medium's beta
-        c = v[drive] / held if isotherm else slopes[drive]
+        c = by / held if isotherm else by
         if low_temp:
             # its exponential dominates the integrand for c > 1, the medium's below
             rate = (1.0 + q) * c if c > 1.0 else 1.0 + q * c
-            times.append((math.exp(-rate * (held * lo)) - math.exp(-rate * (held * hi)))
-                         / (2.0 * a * rate))
+            num = math.exp(-rate * (held * lo)) - math.exp(-rate * (held * hi))
+            den = 2.0 * a * rate
         # high temperature: e^x ~ 1 + x leaves 1/[(x - x_s) x_s] (bosonic)
         # or 1/[2 (x - x_s)] (fermionic) as the integrand
         elif isotherm:
-            gap = abs(held - v[drive])
-            times.append((hi - lo) / (2.0 * a * lo * hi * gap) if bosonic
-                         else held * math.log(hi / lo) / (4.0 * a * gap))
+            gap = abs(held - by)
+            num, den = ((hi - lo, 2.0 * a * lo * hi * gap) if bosonic
+                        else (held * math.log(hi / lo), 4.0 * a * gap))
         else:
             gap = abs(c - 1.0)
-            times.append((1.0 / lo - 1.0 / hi) / (2.0 * a * held * gap) if bosonic
-                         else math.log(hi / lo) / (4.0 * a * gap))
-    return _report(times, (0.0, 0.0, 0.0, 0.0))
+            num, den = ((1.0 / lo - 1.0 / hi, 2.0 * a * held * gap) if bosonic
+                        else (math.log(hi / lo), 4.0 * a * gap))
+        times.append(num / den if den else math.inf)  # den may underflow to zero
+    t1, t2, t3, t4 = times
+    return TimingReport(t1, t2, t3, t4, t1 + t2 + t3 + t4, (0.0, 0.0, 0.0, 0.0))
 
 
 def regime_extents(spec: EngineSpec | FridgeSpec, regen) -> tuple[float, float]:
@@ -364,13 +368,9 @@ def regime_extents(spec: EngineSpec | FridgeSpec, regen) -> tuple[float, float]:
     stroke endpoints against both frequencies; used to score
     low/high-temperature regime validity.
     """
-    v, slopes = vars(spec), vars(regen)
     betas = []
-    for _, _, isotherm, fixed, start, end, drive in cycle_kind(spec).strokes:
-        if isotherm:
-            betas += (v[drive], v[fixed])
-        else:
-            betas += (slopes[drive] * v[start], slopes[drive] * v[end])
+    for _, isotherm, held, start, end, by in _strokes(spec, regen):
+        betas += (by, held) if isotherm else (by * start, by * end)
     return min(betas) * spec.omega1, max(betas) * spec.omega2
 
 

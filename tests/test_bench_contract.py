@@ -13,6 +13,9 @@ from pathlib import Path
 import qstirling as qs
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+# span calls of one EXACT plus one LOW_TEMP engine op
+SPAN_CALLS = {"timing.stroke": 4, "timing.cycle_time": 1, "timing.closed_form": 1,
+              "timing.extents": 2, "cycles.ledger": 1, "statistics.population": 4}
 
 
 def _load_spans():
@@ -39,5 +42,7 @@ def test_tracer_records_every_layer_of_an_exact_and_a_low_temp_op():
                 "quadrature.integrate"):
         assert tracer.calls(key) > 0, key
     assert tracer.work_counts()["integrand_evals"] > 0
+    # a stroke walk that bypassed a rebound name would lower one of these
+    assert {key: tracer.calls(key) for key in SPAN_CALLS} == SPAN_CALLS
     # remove() restored the originals
     assert qs.engine_performance is qs.performance.cycle_performance

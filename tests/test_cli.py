@@ -300,6 +300,64 @@ def test_non_finite_cycle_exits_nonzero(tmp_path, capsys, command, config, line,
     assert captured.err == message
 
 
+HIGHTEMP_CFG = str(CONFIG_DIR / "engine_hightemp_bosonic.ini")
+HIGHTEMP_BETAS = ("beta1 = 1.7857142857142857e-4", "beta2 = 3.5714285714285714e-4")
+
+
+@pytest.mark.parametrize("edits,mode,message", [
+    # the bosonic high-temperature isotherm divides by 2a*lo*hi*gap = 0
+    ((("omega1 = 1.0", "omega1 = 1e-200"), ("omega2 = 2.0", "omega2 = 2e-200")), "high_temp",
+     "error: cycle period is not finite at these parameters: inf\n"),
+    ((("statistics = bosonic", "statistics = fermionic"), ("omega1 = 1.0", "omega1 = 1e200"),
+      ("omega2 = 2.0", "omega2 = 2e200")), "high_temp",
+     "error: power is not finite at these parameters: nan\n"),
+    (((HIGHTEMP_BETAS[0], "beta1 = 1e-310"), (HIGHTEMP_BETAS[1], "beta2 = 2e-310"),
+      ("omega1 = 1.0", "omega1 = 1e300"), ("omega2 = 2.0", "omega2 = 2e300")), "low_temp",
+     "error: power is not finite at these parameters: nan\n"),
+    # finite heats that overflow once scaled by the particle count
+    ((("particle_count = 1", "particle_count = 1" + "0" * 308),), "exact",
+     "error: q_iso_hot overflows when scaled by output.particle_count\n"),
+], ids=["high_temp-zero-denominator", "high_temp-fermionic-nan", "low_temp-nan",
+        "particle_count-overflow"])
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_non_finite_result_exits_3(tmp_path, capsys, edits, mode, message, out_format):
+    # each run used to exit 0 with nan or inf fields and status ok, or with a traceback
+    text = Path(HIGHTEMP_CFG).read_text(encoding="utf-8")
+    for line, edit in edits:
+        assert line in text
+        text = text.replace(line, edit)
+    text = text.replace("regime_mode = exact", f"regime_mode = {mode}")
+    rc = main(["engine", "--config", write_cfg(tmp_path, text), "--format", out_format])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (3, "", message)
+
+
+@pytest.mark.parametrize("command,config,edits,code,message", [
+    # a Dekker split of the slope overflows: the leading exponential falls back
+    ("engine", ENGINE_CFG, {"gamma1 = 1.4": "gamma1 = 1e308"}, 0, ""),
+    # 2a*dd of the high-temperature bosonic stroke form underflows to zero
+    ("engine", ENGINE_CFG, {"\na = 1.0": "\na = 1e-300", "omega1 = 1.0": "omega1 = 1e-300"}, 3,
+     "error: cycle period is not finite at these parameters: inf\n"),
+    # (gamma1 - 1)*omega1 underflows to zero
+    ("engine", ENGINE_CFG, {"bosonic": "fermionic", "omega1 = 1.0": "omega1 = 1e-310",
+                            "gamma1 = 1.4": "gamma1 = 1.0000000000000002"}, 3,
+     "error: stroke B->C: regenerator and medium temperatures coincide: "
+     "infinite relaxation time\n"),
+    # omega2/omega1 is past the float range, and so is e^v at the GK15 nodes
+    ("fridge", FRIDGE_CFG, {"omega1 = 1.0": "omega1 = 5e-324"}, 3,
+     "error: stroke D->C: quadrature error "),
+], ids=["gamma1-huge", "a-omega1-tiny", "gap-underflow", "omega-ratio-overflow"])
+def test_extreme_stroke_ends_named(tmp_path, capsys, command, config, edits, code, message):
+    # each run used to end in a ValueError, ZeroDivisionError or OverflowError traceback
+    text = Path(config).read_text(encoding="utf-8")
+    for line, edit in edits.items():
+        assert line in text
+        text = text.replace(line, edit)
+    assert main([command, "--config", write_cfg(tmp_path, text)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) if message else err == ""
+
+
 class TestRegimeMapCommand:
     def test_on_curve_classification(self, tmp_path):
         x0 = 2.0 * math.log(2.0)

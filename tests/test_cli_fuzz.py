@@ -1,0 +1,119 @@
+"""Exit-code contract of the CLI over generated configuration files.
+
+A derandomized hypothesis property edits a few keys of a shipped cycle
+configuration to non-finite, subnormal, huge, near-degenerate or malformed
+values and runs ``cli.main`` in process.  Every run ends in exit 0, 1, 2 or 3
+with no exception escaping, and a run that exits 0 writes a CSV row whose
+every number is finite, except a NaN figure of merit under a status other
+than ``ok``.  The examples are inputs that once broke this contract.
+"""
+
+import contextlib
+import io
+import math
+import re
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from qstirling.cli import main
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+BASES = ("engine_lowtemp.ini", "engine_hightemp_bosonic.ini", "fridge_lowtemp.ini")
+TEXTS = {name: (CONFIG_DIR / name).read_text(encoding="utf-8") for name in BASES}
+KEY_LINE = re.compile(r"^(\w+) = (.*)$", re.MULTILINE)
+# keys the property edits; cycle.kind and output.format stay as shipped
+FIXED_KEYS = {"kind", "format"}
+WORDS = {
+    "statistics": ("bosonic", "fermionic", "Fermionic", "anyonic", ""),
+    "regime_mode": ("exact", "low_temp", "high_temp", "HIGH_TEMP", "cold"),
+    "max_subdivisions": ("1", "2", "200", "0", "-1", "2.5", "1e3"),
+    "particle_count": ("1", "7", "0", "-3", "2.5", "1" + "0" * 308, "1" + "0" * 400),
+}
+SPECIAL = ("nan", "inf", "-inf", "0", "-0.0", "-1", "5e-324", "1e-310", "1e-300", "1e-200",
+           "1e200", "1e300", "1e308", "1.7976931348623157e308", "0.9999999999999999",
+           "1.0000000000000002", "", "abc", "1e", "0x10", "1_000", "--1")
+
+
+def _keys(base: str) -> dict:
+    return {key: value for key, value in KEY_LINE.findall(TEXTS[base])
+            if key not in FIXED_KEYS}
+
+
+@st.composite
+def configs(draw):
+    """(base config name, {key: replacement value text}) with up to four edits."""
+    base = draw(st.sampled_from(BASES))
+    keys = _keys(base)
+    edits = {}
+    for key in draw(st.lists(st.sampled_from(sorted(keys)), max_size=4, unique=True)):
+        if key in WORDS:
+            edits[key] = draw(st.sampled_from(WORDS[key]))
+            continue
+        value = float(keys[key])
+        neighbours = [repr(math.nextafter(value, math.inf)), repr(math.nextafter(value, 0.0)),
+                      repr(value * 1e-300), repr(value * 1e300)]
+        edits[key] = draw(st.one_of(st.sampled_from(SPECIAL), st.sampled_from(neighbours),
+                                    st.floats().map(repr)))
+    return base, edits
+
+
+def _edited(base: str, edits: dict) -> str:
+    return KEY_LINE.sub(lambda m: f"{m[1]} = {edits.get(m[1], m[2])}", TEXTS[base])
+
+
+def _check_row(out: str):
+    header, row, *rest = out.splitlines()
+    assert rest == []
+    fields = dict(zip(header.split(","), row.split(",")))
+    status = fields.pop("status")
+    merit = "eta" if "eta" in fields else "epsilon"
+    for name, text in fields.items():
+        value = float(text)
+        if not math.isfinite(value):
+            assert name == merit and math.isnan(value) and status != "ok", (name, text, status)
+
+
+HIGHTEMP = "engine_hightemp_bosonic.ini"
+HIGHTEMP_BETAS = {"beta1": "1e-310", "beta2": "2e-310"}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=configs())
+@example(case=("engine_lowtemp.ini", {"beta1": "1e-300"}))
+@example(case=("engine_lowtemp.ini", {"beta1": "1e-310"}))
+@example(case=("engine_lowtemp.ini", {"omega1": "1e-10", "beta1": "1e-300"}))
+@example(case=("engine_lowtemp.ini", {"omega2": "1e308"}))
+@example(case=("engine_lowtemp.ini", {"alpha_c": "1.0000000000000002"}))
+@example(case=("engine_lowtemp.ini", {"particle_count": "1" + "0" * 400}))
+@example(case=(HIGHTEMP, {"particle_count": "1" + "0" * 308}))
+@example(case=(HIGHTEMP, {"omega1": "1e-200", "omega2": "2e-200",
+                          "regime_mode": "high_temp"}))
+@example(case=(HIGHTEMP, {"statistics": "fermionic", "omega1": "1e200", "omega2": "2e200",
+                          "regime_mode": "high_temp"}))
+@example(case=(HIGHTEMP, {**HIGHTEMP_BETAS, "omega1": "1e300", "omega2": "2e300",
+                          "regime_mode": "low_temp"}))
+@example(case=(HIGHTEMP, {**HIGHTEMP_BETAS, "omega1": "1e300", "omega2": "2e300"}))
+@example(case=("engine_lowtemp.ini", {"gamma1": "1e308"}))
+@example(case=("engine_lowtemp.ini", {"a": "1e-300", "omega1": "1e-300"}))
+@example(case=("engine_lowtemp.ini", {"statistics": "fermionic", "omega1": "1e-310",
+                                      "gamma1": "1.0000000000000002"}))
+@example(case=("fridge_lowtemp.ini", {"omega1": "5e-324"}))
+def test_cli_exit_contract(case):
+    base, edits = case
+    command = "fridge" if base.startswith("fridge") else "engine"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text(_edited(base, edits), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([command, "--config", str(path)])
+    assert rc in (0, 1, 2, 3)
+    if rc == 0:
+        _check_row(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")

@@ -25,7 +25,7 @@ from qstirling import (
     isothermal_time,
 )
 from qstirling.config import load_run_config
-from conftest import lowtemp_engine_spec, lowtemp_fridge_spec, rel
+from conftest import lowtemp_engine_spec, lowtemp_fridge_spec, mp_isothermal_time, rel
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -74,6 +74,17 @@ class TestIsothermalTime:
         out = isothermal_time(B, MODEL, beta_h, beta1, 2.0, 1.0, TIGHT)
         closed = (2.0 - 1.0) / (2.0 * MODEL.a * 1.0 * 2.0 * (beta1 - beta_h))
         assert rel(out.duration, closed) < 0.01
+
+    @pytest.mark.parametrize("beta,beta_s,omega_i,omega_f", [
+        (26.66666666666667, 33.333333333333336, 2.0, 1e-310),
+        (23.333333333333332, 16.666666666666668, 1e-310, 2.0)])
+    def test_frequency_ratio_past_the_float_range(self, beta, beta_s, omega_i, omega_f):
+        # the two isotherms of fridge_lowtemp.ini with omega1 = 1e-310: the
+        # frequency ratio overflows, and so does e^v at the upper GK15 nodes
+        # in v = ln(u/lo); the fermionic durations themselves are modest
+        t = isothermal_time(F, MODEL, beta, beta_s, omega_i, omega_f,
+                            QuadratureConfig(1e-10, 1e-300, 200))
+        assert rel(t.duration, mp_isothermal_time(F, MODEL, beta, beta_s, omega_i, omega_f)) < 1e-13
 
     def test_positive_with_error_estimate(self):
         out = isothermal_time(F, MODEL, 0.5, 1.0, 2.0, 1.0, TIGHT)
@@ -256,6 +267,14 @@ class TestClosedForms:
                            match="no high-temperature closed forms exist for the refrigerator"):
             closed_form_cycle_time(Mode.HIGH_TEMP, spec, MODEL, FRIDGE_REGEN)
 
+    def test_underflowing_denominator_gives_infinite_time(self):
+        # 2a*lo*hi*gap of the bosonic isotherms underflows to 0; the other
+        # strokes keep their finite values
+        spec = EngineSpec(B, 1e-200, 2e-200, 0.6e-4, 1e-4, 2e-4, 2.8e-4)
+        report = closed_form_cycle_time(Mode.HIGH_TEMP, spec, MODEL, ENGINE_REGEN)
+        assert report.t1 == report.t3 == report.tau == math.inf
+        assert 0.0 < report.t2 < math.inf and 0.0 < report.t4 < math.inf
+
     def test_unknown_kind_rejected(self):
         spec = reference_engine_spec(B, 9.0)
         with pytest.raises(ParameterError):
@@ -338,6 +357,13 @@ class TestRegimeExtents:
         spec = lowtemp_fridge_spec(B, 9.0)
         x_min, x_max = fridge_regime_extents(spec, FRIDGE_REGEN)
         assert rel(x_min, 9.0) < 1e-12
+
+    def test_foreign_regenerator_rejected(self):
+        # the same check and message as cycle_time, not a KeyError on a slope name
+        with pytest.raises(ParameterError, match="requires a LinearEngineRegenerator"):
+            engine_regime_extents(reference_engine_spec(B, 10.0), FRIDGE_REGEN)
+        with pytest.raises(ParameterError, match="requires a LinearFridgeRegenerator"):
+            fridge_regime_extents(lowtemp_fridge_spec(B, 9.0), ENGINE_REGEN)
 
 
 @pytest.mark.parametrize("name", ["engine_lowtemp.ini", "fridge_lowtemp.ini"])
