@@ -27,39 +27,22 @@ from .errors import (
     SingularityError,
 )
 from .performance import (
-    EquivalenceReport,
     Mode,
     PerformanceReport,
-    SweepRecord,
-    SweepResult,
-    SweepSummary,
-    SweepTemplate,
     cycle_performance,
     engine_performance,
-    equivalence_report,
     fridge_performance,
-    power_sweep,
 )
 from .quadrature import QuadratureConfig, QuadratureResult, integrate
 from .relaxation import (
     GevaKosloff,
-    LimitCurrent,
-    Regime,
-    RelaxationSetup,
     ThermalField,
     conduction_ratio,
-    equilibrium_population,
     heat_current,
-    limit_heat_current,
     rates,
-    relax,
-    relaxation_rate,
 )
 from .statistics import (
-    PathIntegral,
-    PathSpec,
     Statistics,
-    integrate_path,
     internal_energy,
     inverse_population,
     population,
@@ -81,3 +64,39 @@ from .timing import (
 )
 
 __version__ = "0.1.0"
+
+
+# what .studies defines, by the home module whose PEP 562 __getattr__ hands it
+# out and binds it there on first use; `engine` and `fridge` never load .studies
+_STUDY_NAMES = {
+    performance: ("EQUIVALENCE_QUANTITIES", "EquivalenceReport", "_relative_deviation",
+                  "equivalence_report", "SweepTemplate", "SweepRecord", "SweepSummary",
+                  "SweepResult", "_sweep_point", "power_sweep"),
+    relaxation: ("RelaxationSetup", "relaxation_rate", "equilibrium_population", "relax",
+                 "Regime", "LimitCurrent", "limit_heat_current"),
+    statistics: ("PathSpec", "PathIntegral", "integrate_path", "_on_path"),
+}
+
+
+def _home_getattr(home, names):
+    def __getattr__(name):
+        if name not in names:
+            raise AttributeError(f"module {home.__name__!r} has no attribute {name!r}")
+        from . import studies
+
+        value = vars(home)[name] = getattr(studies, name)
+        return value
+    return __getattr__
+
+
+for _home, _names in _STUDY_NAMES.items():
+    _home.__getattr__ = _home_getattr(_home, _names)
+del _home, _names
+
+
+def __getattr__(name):
+    # not bound here, so a function rebound on its home module is the one seen
+    for home, names in _STUDY_NAMES.items():
+        if name in names:
+            return getattr(home, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import sys
 from pathlib import Path
 
+from . import performance, statistics
 from .config import RunConfig, load_run_config
 from .cycles import (
     CYCLE_KINDS,
@@ -33,17 +33,9 @@ from .errors import (
     ParameterError,
     SingularityError,
 )
-from .performance import (
-    Mode,
-    PerformanceReport,
-    SweepTemplate,
-    _relative_deviation,
-    cycle_performance,
-    equivalence_report,
-    power_sweep,
-)
+from .performance import Mode, PerformanceReport, cycle_performance
 from .relaxation import GevaKosloff, conduction_ratio, rates
-from .statistics import PathSpec, Statistics, integrate_path
+from .statistics import Statistics
 
 _LN2 = math.log(2.0)
 _ON_CURVE_TOL = 1e-12
@@ -93,6 +85,8 @@ def _csv_text(columns, rows) -> str:
 
 
 def _json_text(payload) -> str:
+    import json
+
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -177,18 +171,18 @@ def _report_values(report: PerformanceReport, count: int) -> tuple[dict, dict]:
     n, merit = float(count), CYCLE_KINDS[report.kind].merit
     ledger = {name: value if name == "delta" else value * n
               for name, value in zip(_LEDGER_FIELDS, dataclasses.astuple(report.ledger))}
-    performance = {
+    figures = {
         merit: report.figure_of_merit,
         "power": report.power * n,
         "sigma": report.sigma * n,
         "tau": report.tau,
     }
     if report.cooling_rate is not None:
-        performance["cooling_rate"] = report.cooling_rate * n
-    for name, value in (*ledger.items(), *performance.items()):
+        figures["cooling_rate"] = report.cooling_rate * n
+    for name, value in (*ledger.items(), *figures.items()):
         if name != merit and not math.isfinite(value):
             raise SingularityError(f"{name} overflows when scaled by output.particle_count")
-    return ledger, performance
+    return ledger, figures
 
 
 def _cmd_cycle(args, kind: str) -> int:
@@ -199,11 +193,14 @@ def _cmd_cycle(args, kind: str) -> int:
     report = cycle_performance(cfg.spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)
     out_format = args.format or cfg.out_format
     out_path = args.out or cfg.out_path
-    ledger, performance = _report_values(report, cfg.particle_count)
+    ledger, figures = _report_values(report, cfg.particle_count)
     if out_format == "csv":
-        values = {**ledger, **performance, "status": report.status}
+        values = {**ledger, **figures, "status": report.status}
         text = _csv_text(COLUMNS[kind], [[values[c] for c in COLUMNS[kind]]])
     else:
+        if report.x_max == math.inf:  # the CSV row has no regime extents
+            raise SingularityError("regime extent x_max overflows: the cycle's largest "
+                                   "beta*omega product is past the float range")
         text = _json_text({
             "kind": report.kind,
             "statistics": report.statistics.value,
@@ -211,7 +208,7 @@ def _cmd_cycle(args, kind: str) -> int:
             "status": report.status,
             "particle_count": cfg.particle_count,
             "ledger": ledger,
-            "performance": performance,
+            "performance": figures,
             "timing": dataclasses.asdict(report.timing),
             "regime_extents": {
                 "x_min": report.x_min,
@@ -271,11 +268,11 @@ def _parse_x_grid(raw: str):
     return _linspace(start, stop, count)
 
 
-def _sweep_template(cfg: RunConfig) -> SweepTemplate:
+def _sweep_template(cfg: RunConfig):
     spec = cfg.spec
     if not isinstance(spec, EngineSpec):
         raise ConfigError("power-sweep requires an engine configuration")
-    return SweepTemplate(
+    return performance.SweepTemplate(
         beta2_ratio=spec.beta2 / spec.beta1,
         omega2_ratio=spec.omega2 / spec.omega1,
         alpha_h=spec.beta_h / spec.beta1,
@@ -292,7 +289,7 @@ def _cmd_power_sweep(args) -> int:
     _require_geva_kosloff(cfg, "power-sweep")
     template = _sweep_template(cfg)
     grid = _parse_x_grid(args.x_grid)
-    result = power_sweep(template, grid)
+    result = performance.power_sweep(template, grid)
     rows = [dataclasses.astuple(r) for r in result.records]
     summary = dataclasses.asdict(result.summary)
     out_format = args.format or cfg.out_format
@@ -324,25 +321,25 @@ def _cmd_validate(args) -> int:
     hot_t = 1.0 / getattr(spec, hot_stroke.fixed)
     cold_t = 1.0 / getattr(spec, kind.stroke("q_iso_cold").fixed)
     iso_omega_i, iso_omega_f = getattr(spec, hot_stroke.start), getattr(spec, hot_stroke.end)
-    dev = _relative_deviation(cycle_ledger(spec).ledger.w_tot, work_closed_form(spec))
+    dev = performance._relative_deviation(cycle_ledger(spec).ledger.w_tot, work_closed_form(spec))
     checks.append(("first_law_closure", dev <= 1e-12, f"relative deviation {dev:.3e}"))
 
     # quadrature spot checks of both stroke-heat closed forms
     steps = 10 ** 6
-    path = PathSpec(spec.stat,
-                    lambda u: iso_omega_i + (iso_omega_f - iso_omega_i) * u,
-                    lambda u: (1.0 / hot_t) + 0.0 * u, steps)
-    oracle = integrate_path(path).heat
+    path = statistics.PathSpec(spec.stat,
+                               lambda u: iso_omega_i + (iso_omega_f - iso_omega_i) * u,
+                               lambda u: (1.0 / hot_t) + 0.0 * u, steps)
+    oracle = statistics.integrate_path(path).heat
     closed_iso = isothermal_heat(spec.stat, hot_t, iso_omega_i, iso_omega_f)
-    dev = _relative_deviation(closed_iso, oracle)
+    dev = performance._relative_deviation(closed_iso, oracle)
     checks.append(("isothermal_heat_oracle", dev <= 1e-8, f"relative deviation {dev:.3e}"))
 
     beta_lo, beta_hi = 1.0 / hot_t, 1.0 / cold_t
-    path = PathSpec(spec.stat, lambda u: spec.omega1 + 0.0 * u,
-                    lambda u: beta_lo + (beta_hi - beta_lo) * u, steps)
-    oracle = integrate_path(path).heat
+    path = statistics.PathSpec(spec.stat, lambda u: spec.omega1 + 0.0 * u,
+                               lambda u: beta_lo + (beta_hi - beta_lo) * u, steps)
+    oracle = statistics.integrate_path(path).heat
     closed_iso = isochoric_heat(spec.stat, spec.omega1, hot_t, cold_t)
-    dev = _relative_deviation(closed_iso, oracle)
+    dev = performance._relative_deviation(closed_iso, oracle)
     checks.append(("isochoric_heat_oracle", dev <= 1e-8, f"relative deviation {dev:.3e}"))
 
     # detailed balance of the configured bath model
@@ -355,11 +352,12 @@ def _cmd_validate(args) -> int:
 
     if isinstance(cfg.model, GevaKosloff):
         report = cycle_performance(cfg.spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)
-        dev = _relative_deviation(report.power * report.tau, abs(report.w_tot))
+        dev = performance._relative_deviation(report.power * report.tau, abs(report.w_tot))
         checks.append(("power_tau_identity", dev <= 1e-12, f"relative deviation {dev:.3e}"))
         spec_b = dataclasses.replace(spec, stat=Statistics.BOSONIC)
         spec_f = dataclasses.replace(spec, stat=Statistics.FERMIONIC)
-        eq = equivalence_report(spec_b, spec_f, cfg.model, cfg.regen, cfg.quad, Mode.EXACT)
+        eq = performance.equivalence_report(spec_b, spec_f, cfg.model, cfg.regen, cfg.quad,
+                                            Mode.EXACT)
         if eq.x_min >= cfg.x_low_threshold:
             worst = max(eq.deviations.values())
             checks.append(("statistics_equivalence", not eq.exceeding,

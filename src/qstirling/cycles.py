@@ -385,6 +385,24 @@ def cycle_kind(spec: EngineSpec | FridgeSpec) -> CycleKind:
     return kind
 
 
+def _out_of_range(beta: str, omega: str, v: dict, x: float) -> ParameterError:
+    return ParameterError(f"{beta}*{omega} {'overflows' if x else 'underflows'}: "
+                          f"{v[beta]!r} * {v[omega]!r} = {x!r}")
+
+
+def check_corner_overflow(kind: CycleKind, spec: EngineSpec | FridgeSpec) -> None:
+    """Raise :func:`cycle_ledger`'s error for the first corner product of ``spec`` that overflows.
+
+    The closed-form sets need no more: they form beta*omega itself, which
+    stays in range where the ledger's omega/(1/beta) underflows.
+    """
+    v = vars(spec)
+    for beta, omega in _CORNERS[kind.name]:
+        x = v[omega] / (1.0 / v[beta])
+        if x == math.inf:
+            raise _out_of_range(beta, omega, v, x)
+
+
 def cycle_ledger(spec: EngineSpec | FridgeSpec) -> EngineCycle | FridgeCycle:
     """Assemble the exact stroke heats and the figure of merit of either cycle kind.
 
@@ -406,8 +424,7 @@ def cycle_ledger(spec: EngineSpec | FridgeSpec) -> EngineCycle | FridgeCycle:
     for beta, omega in _CORNERS[kind.name]:
         x = products[beta, omega] = v[omega] / (1.0 / v[beta])
         if not 0.0 < x < math.inf:
-            raise ParameterError(f"{beta}*{omega} {'overflows' if x else 'underflows'}: "
-                                 f"{v[beta]!r} * {v[omega]!r} = {x!r}")
+            raise _out_of_range(beta, omega, v, x)
     # (beta, omega) attribute pair -> (occupation, log weight)
     corners = {}
     for (beta, omega), x in products.items():

@@ -13,15 +13,15 @@ other modules branch on the statistics only where the physical laws differ.
 
 Scalars are computed with :mod:`math`.  numpy is imported only by the array
 paths (array ``population``, ``internal_energy``, ``integrate_path``), so the
-engine, refrigerator, sweep and regime-map pipelines never load it.
+engine, refrigerator, sweep and regime-map pipelines never load it.  The
+path oracle (``PathSpec``, ``integrate_path``) lives in :mod:`.studies`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import ParameterError
 
@@ -157,76 +157,3 @@ def internal_energy(stat: Statistics, omega: float, n: float):
     if np.any(np.asarray(n) > 0.5):
         raise ParameterError("fermionic occupation cannot exceed 1/2")
     return omega * (n - 0.5)
-
-
-@dataclass(frozen=True)
-class PathSpec:
-    """Piecewise-smooth control path ``u -> (omega(u), beta_s(u))``, u in [0, 1].
-
-    Both callables must accept numpy arrays and stay positive on [0, 1].
-    """
-
-    stat: Statistics
-    omega: Callable
-    beta: Callable
-    step_count: int
-
-
-class PathIntegral(NamedTuple):
-    delta_e: float
-    heat: float
-    work: float
-
-
-def integrate_path(path: PathSpec) -> PathIntegral:
-    """Midpoint-rule discretization of dQ = omega*dn and dW = (n +- 1/2)*domega.
-
-    Returns ``(delta_e, heat, work)`` with ``delta_e`` evaluated from the
-    endpoint internal energies; ``heat + work`` converges to it at second
-    order in ``1/step_count``.
-
-    The work is ordered so that each ``step_count``-long array dies as soon
-    as its last use is done: about five are alive at once.  Arrays the path
-    callables return are only read.
-    """
-    import numpy as np
-
-    if path.step_count < 2:
-        raise ParameterError("step_count must be at least 2")
-    u = np.linspace(0.0, 1.0, path.step_count + 1)
-    omega = _on_path(path.omega, u)
-    x = _on_path(path.beta, u) * omega
-    d_omega = np.diff(omega)
-    omega_ends = omega[0], omega[-1]
-    del omega
-    n = population(path.stat, x)
-    del x
-    d_n = np.diff(n)
-    n_ends = n[0], n[-1]
-    del n
-    mid = 0.5 * (u[:-1] + u[1:])
-    del u
-    omega_mid = _on_path(path.omega, mid)
-    heat = float(np.sum(np.multiply(omega_mid, d_n, out=d_n)))
-    del d_n
-    x = _on_path(path.beta, mid) * omega_mid
-    del mid, omega_mid
-    n_mid = population(path.stat, x)
-    del x
-    n_mid += 0.5 if path.stat is Statistics.BOSONIC else -0.5
-    work = float(np.sum(np.multiply(n_mid, d_omega, out=n_mid)))
-    delta_e = float(
-        internal_energy(path.stat, omega_ends[1], n_ends[1])
-        - internal_energy(path.stat, omega_ends[0], n_ends[0])
-    )
-    return PathIntegral(delta_e, heat, work)
-
-
-def _on_path(func: Callable, u):
-    """``func(u)`` as a float array, rejected unless positive everywhere."""
-    import numpy as np
-
-    values = np.asarray(func(u), dtype=float)
-    if np.any(values <= 0.0):
-        raise ParameterError("omega(u) and beta_s(u) must stay positive on [0, 1]")
-    return values

@@ -72,9 +72,12 @@ class TimingReport:
     error_estimates: tuple[float, float, float, float]
 
 
-def _rate_denominator(stat: Statistics, q: float, x: float, x_s: float, gap: float) -> float:
-    """Signed e^{q*x} * (e^x - e^{x_s}) * (1 +- e^{-x_s}) without overflow; gap = x - x_s."""
-    magnitude = math.exp(-q * x - max(x, x_s)) / (-math.expm1(-abs(gap)))
+def _rate_quotient(stat: Statistics, q: float, u: float, x: float, x_s: float,
+                   gap: float) -> float:
+    """Signed u / [e^{q*x} (e^x - e^{x_s}) (1 +- e^{-x_s})] without overflow; gap = x - x_s.
+
+    u goes over the gap factor first: both vanish like u as u -> 0."""
+    magnitude = u / -math.expm1(-abs(gap)) * math.exp(-q * x - max(x, x_s))
     value = magnitude / weight_function(stat)(x_s)  # the only statistics-dependent factor
     return value if gap > 0.0 else -value
 
@@ -132,7 +135,10 @@ def isochoric_time(stat: Statistics, model: GevaKosloff,
 
     def integrand(v: float) -> float:
         nonlocal last
-        beta_s = lo * exp(v)
+        try:
+            beta_s = lo * exp(v)
+        except OverflowError:  # beta_s/lo is past the float range
+            beta_s = exp(v + math.log(lo))
         beta_r = regenerator(beta_s)
         gap = beta_r - beta_s
         if gap == 0.0:
@@ -146,7 +152,7 @@ def isochoric_time(stat: Statistics, model: GevaKosloff,
                 f"beta_s = {crossing:.12g}")
         last = (beta_s, gap)
         x, x_s = beta_r * omega, beta_s * omega
-        return math.ldexp(beta_s * _rate_denominator(stat, q, x, x_s, x - x_s), -k)
+        return math.ldexp(_rate_quotient(stat, q, beta_s, x, x_s, x - x_s), -k)
 
     # as on a linear stroke, GK15 integrates over 2^k, here the power of two
     # near the first panel's estimate, so abs_tol acts relative to the stroke

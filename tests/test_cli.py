@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import math
 import subprocess
@@ -16,6 +18,26 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 ENGINE_CFG = str(CONFIG_DIR / "engine_lowtemp.ini")
 FRIDGE_CFG = str(CONFIG_DIR / "fridge_lowtemp.ini")
 SWEEP_CFG = str(CONFIG_DIR / "power_sweep_reference.ini")
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+# every name ``qstirling`` exported before the study code moved to qstirling.studies
+PACKAGE_EXPORTS = (
+    "STATUS_NOT_A_REFRIGERATOR", "STATUS_NOT_AN_ENGINE", "STATUS_OK", "EngineCycle",
+    "EngineSpec", "FridgeCycle", "FridgeSpec", "StrokeLedger", "cycle_ledger",
+    "engine_carnot_bound", "engine_ledger", "engine_work_closed_form", "fridge_ledger",
+    "fridge_work_closed_form", "isochoric_heat", "isothermal_heat", "work_closed_form",
+    "ConfigError", "ConvergenceError", "OrderingError", "ParameterError", "SingularityError",
+    "EquivalenceReport", "Mode", "PerformanceReport", "SweepRecord", "SweepResult",
+    "SweepSummary", "SweepTemplate", "cycle_performance", "engine_performance",
+    "equivalence_report", "fridge_performance", "power_sweep", "GevaKosloff", "LimitCurrent",
+    "Regime", "RelaxationSetup", "ThermalField", "conduction_ratio", "equilibrium_population",
+    "heat_current", "limit_heat_current", "rates", "relax", "relaxation_rate", "PathIntegral",
+    "PathSpec", "Statistics", "integrate_path", "internal_energy", "inverse_population",
+    "population", "LinearEngineRegenerator", "LinearFridgeRegenerator", "StrokeTime",
+    "TimingReport", "closed_form_cycle_time", "cycle_time", "engine_cycle_time",
+    "engine_regime_extents", "fridge_cycle_time", "fridge_regime_extents", "isochoric_time",
+    "isothermal_time", "regime_extents", "QuadratureConfig", "QuadratureResult", "integrate",
+    "__version__",
+)
 
 
 def write_cfg(tmp_path, text, name="run.ini"):
@@ -127,6 +149,23 @@ class TestEngineCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == "error: beta1*omega2 overflows: 16.666666666666668 * 1e+308 = inf\n"
+
+    @pytest.mark.parametrize("mode", ["exact", "low_temp", "high_temp"])
+    @pytest.mark.parametrize("omega2,code,message", [
+        ("1e308", 1, "beta1*omega2 overflows: 16.666666666666668 * 1e+308 = inf"),
+        # every corner product is in range, the cold bath's beta_c*omega2 is not
+        ("4.5e306", 3, "regime extent x_max overflows: the cycle's largest beta*omega "
+                       "product is past the float range"),
+    ], ids=["corner", "bath"])
+    def test_overflowing_product_named_in_every_mode(self, tmp_path, capsys, omega2, code,
+                                                     message, mode):
+        # each used to exit 0 writing "x_max": Infinity, except the corner
+        # product in EXACT mode, which the exact ledger names
+        text = Path(ENGINE_CFG).read_text(encoding="utf-8").replace(
+            "omega2 = 2.0", f"omega2 = {omega2}").replace(
+            "regime_mode = exact", f"regime_mode = {mode}")
+        rc = main(["engine", "--config", write_cfg(tmp_path, text), "--format", "json"])
+        assert (rc, *capsys.readouterr()) == (code, "", f"error: {message}\n")
 
     def test_subnormal_beta_names_keys_exits_1(self, tmp_path, capsys):
         # beta1*omega is in range, but the ledger forms omega/(1/beta1) and
@@ -602,6 +641,37 @@ class TestEntryPoints:
                 "print(rc, 'numpy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.stdout.splitlines()[-1] == f"0 {loads_numpy}", proc.stderr
+
+    @pytest.mark.parametrize("argv", [["engine", "--config", ENGINE_CFG],
+                                      ["fridge", "--config", FRIDGE_CFG]], ids=lambda v: v[0])
+    def test_cycle_commands_load_no_study_code(self, tmp_path, argv):
+        # sweeps, validate's oracle and relaxation dynamics live in
+        # qstirling.studies; only JSON output needs json
+        code = ("import sys, qstirling; from qstirling.cli import main; "
+                f"rc = main({argv + ['--out', str(tmp_path / 'out')]!r}); "
+                "assert not hasattr(qstirling, 'no_such_name'); "
+                "assert not hasattr(qstirling.performance, 'no_such_name'); "
+                "print(rc, 'qstirling.studies' in sys.modules, 'json' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout.splitlines()[-1] == "0 False False", proc.stderr
+
+    def test_moved_names_resolve_where_they_did(self):
+        import qstirling
+        from qstirling import studies
+
+        for name in PACKAGE_EXPORTS:
+            exec(f"from qstirling import {name}", {})
+        # the package looks a study name up in its home module on every access
+        assert "power_sweep" not in vars(qstirling)
+        assert qstirling.power_sweep is qstirling.performance.power_sweep is studies.power_sweep
+        # the benchmark's tracer rebinds these module attributes
+        spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        for _, _, module, attr in spans._FUNCTIONS:
+            assert callable(getattr(importlib.import_module(f"qstirling.{module}"), attr))
+        for _, _, module, cls, attr in spans._CLASS_ATTRS:
+            assert attr in vars(getattr(importlib.import_module(f"qstirling.{module}"), cls))
 
     def test_unknown_command_exits_1(self):
         assert main(["melt"]) == 1

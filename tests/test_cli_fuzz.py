@@ -5,11 +5,14 @@ configuration to non-finite, subnormal, huge, near-degenerate or malformed
 values and runs ``cli.main`` in process.  Every run ends in exit 0, 1, 2 or 3
 with no exception escaping, and a run that exits 0 writes a CSV row whose
 every number is finite, except a NaN figure of merit under a status other
-than ``ok``.  The examples are inputs that once broke this contract.
+than ``ok``.  The same holds for the run with ``--format json``, whose
+output at exit 0 holds no ``Infinity`` or ``NaN`` but that figure of merit.
+The examples are inputs that once broke this contract.
 """
 
 import contextlib
 import io
+import json
 import math
 import re
 import tempfile
@@ -76,6 +79,33 @@ def _check_row(out: str):
             assert name == merit and math.isnan(value) and status != "ok", (name, text, status)
 
 
+def _non_finite(value, path=()):
+    """(key path, value) of every number in a parsed JSON document that is not finite."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite(item, (*path, key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _non_finite(item, (*path, index))
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield path, value
+
+
+def _check_json(out: str):
+    payload = json.loads(out)  # reads the NaN and Infinity tokens json.dumps writes
+    merit = "eta" if payload["kind"] == "engine" else "epsilon"
+    for path, value in _non_finite(payload):
+        assert path == ("performance", merit) and math.isnan(value), (path, value)
+        assert payload["status"] != "ok", (path, value)
+
+
+def _run(command: str, path: Path, out_format: str) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([command, "--config", str(path), "--format", out_format])
+    return rc, out.getvalue(), err.getvalue()
+
+
 HIGHTEMP = "engine_hightemp_bosonic.ini"
 HIGHTEMP_BETAS = {"beta1": "1e-310", "beta2": "2e-310"}
 
@@ -87,6 +117,7 @@ HIGHTEMP_BETAS = {"beta1": "1e-310", "beta2": "2e-310"}
 @example(case=("engine_lowtemp.ini", {"beta1": "1e-310"}))
 @example(case=("engine_lowtemp.ini", {"omega1": "1e-10", "beta1": "1e-300"}))
 @example(case=("engine_lowtemp.ini", {"omega2": "1e308"}))
+@example(case=("engine_lowtemp.ini", {"omega2": "1e308", "regime_mode": "low_temp"}))
 @example(case=("engine_lowtemp.ini", {"alpha_c": "1.0000000000000002"}))
 @example(case=("engine_lowtemp.ini", {"particle_count": "1" + "0" * 400}))
 @example(case=(HIGHTEMP, {"particle_count": "1" + "0" * 308}))
@@ -108,12 +139,11 @@ def test_cli_exit_contract(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.ini"
         path.write_text(_edited(base, edits), encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main([command, "--config", str(path)])
-    assert rc in (0, 1, 2, 3)
-    if rc == 0:
-        _check_row(out.getvalue())
-    else:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ")
+        runs = {fmt: _run(command, path, fmt) for fmt in ("csv", "json")}
+    for fmt, (rc, out, err) in runs.items():
+        assert rc in (0, 1, 2, 3)
+        if rc == 0:
+            (_check_row if fmt == "csv" else _check_json)(out)
+        else:
+            assert out == ""
+            assert err.startswith("error: ")

@@ -25,7 +25,13 @@ from qstirling import (
     isothermal_time,
 )
 from qstirling.config import load_run_config
-from conftest import lowtemp_engine_spec, lowtemp_fridge_spec, mp_isothermal_time, rel
+from conftest import (
+    lowtemp_engine_spec,
+    lowtemp_fridge_spec,
+    mp_isochoric_time,
+    mp_isothermal_time,
+    rel,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -124,6 +130,13 @@ class TestIsochoricTime:
                                 1.0, 8.0, 16.0, TIGHT)
         assert curved.duration > 0.0
         assert curved.duration < linear.duration  # hotter-side gap grows, faster stroke
+
+    def test_temperature_ratio_past_the_float_range(self):
+        # beta_f/beta_i overflows, and so does e^v at the upper GK15 nodes in
+        # v = ln(beta_s/lo); the slope 1.4 gives the same modest duration
+        out = isochoric_time(F, MODEL, lambda b: 1.4 * b, 1.0, 1e-310, 2.0, TIGHT)
+        assert rel(out.duration, mp_isochoric_time(F, MODEL, 1.4, 1.0, 1e-310, 2.0)) < 1e-11
+        assert rel(out.duration, isochoric_time(F, MODEL, 1.4, 1.0, 1e-310, 2.0).duration) < 1e-11
 
     def test_crossing_location_reported(self):
         with pytest.raises(SingularityError, match=r"beta_s (=|~=|≈|≈)?\s*"):
