@@ -21,6 +21,7 @@ from .cycles import (
     CYCLE_KINDS,
     EngineSpec,
     StrokeLedger,
+    cycle_kind,
     cycle_ledger,
     isochoric_heat,
     isothermal_heat,
@@ -44,44 +45,17 @@ _THREADS_HELP = "accepted for compatibility; every command runs single-threaded"
 _LEDGER_FIELDS = tuple(f.name for f in dataclasses.fields(StrokeLedger))
 COLUMNS = {name: _LEDGER_FIELDS + (kind.merit, "power", kind.rate_column, "tau", "status")
            for name, kind in CYCLE_KINDS.items()}
-ENGINE_COLUMNS, FRIDGE_COLUMNS = COLUMNS["engine"], COLUMNS["fridge"]
-SWEEP_COLUMNS = ("x", "eta", "p_star", "ca_bound", "ref_curve")
 REGIME_MAP_COLUMNS = ("q", "x", "l_r", "region")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
-
-
-def _row_format(rows) -> str | None:
-    """One ``%`` format that writes each of ``rows`` as :func:`_fmt` writes its values.
-
-    None where a column mixes types or holds a ``bool``, which ``%`` cannot
-    spell as ``_fmt`` does.
-    """
-    specs = []
-    for column in zip(*rows):
-        kinds = set(map(type, column))
-        kind = kinds.pop()
-        if kinds or issubclass(kind, bool):
-            return None
-        specs.append("%.17g" if issubclass(kind, float) else "%s")
-    return ",".join(specs)
-
-
 def _csv_text(columns, rows) -> str:
+    """One ``%`` format per table, read off its first row: ``%.17g`` for a float, else ``%s``.
+
+    Every table the CLI writes holds one non-bool type per column.
+    """
     rows = [tuple(row) for row in rows]
-    fmt = _row_format(rows)
-    lines = [",".join(columns)]
-    if fmt is None:
-        lines.extend(",".join(map(_fmt, row)) for row in rows)
-    else:
-        lines.extend(fmt % row for row in rows)
-    return "\n".join(lines) + "\n"
+    fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) if rows else ""
+    return "\n".join([",".join(columns), *(fmt % row for row in rows)]) + "\n"
 
 
 def _json_text(payload) -> str:
@@ -187,8 +161,9 @@ def _report_values(report: PerformanceReport, count: int) -> tuple[dict, dict]:
 
 def _cmd_cycle(args, kind: str) -> int:
     cfg = load_run_config(args.config)
-    if cfg.kind != kind:
-        raise ConfigError(f"cycle.kind is {cfg.kind!r}; the {kind} command needs {kind!r}")
+    configured = cycle_kind(cfg.spec).name
+    if configured != kind:
+        raise ConfigError(f"cycle.kind is {configured!r}; the {kind} command needs {kind!r}")
     _require_geva_kosloff(cfg, kind)
     report = cycle_performance(cfg.spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)
     out_format = args.format or cfg.out_format
@@ -236,16 +211,16 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
 def _cmd_regime_map(args) -> int:
     if not (-1.0 < args.q_min < args.q_max < 0.0):
         raise ConfigError("require -1 < q-min < q-max < 0")
-    if not (0.0 < args.x_min < args.x_max):
-        raise ConfigError("require 0 < x-min < x-max")
+    if not (0.0 < args.x_min < args.x_max < math.inf):
+        raise ConfigError("require 0 < x-min < x-max < inf")
     if args.grid < 2:
         raise ConfigError("grid must be at least 2")
     qs = _linspace(args.q_min, args.q_max, args.grid)
     xs = _linspace(args.x_min, args.x_max, args.grid)
     # each grid coordinate is spelled once, not once for every row it is in
-    x_cells = [(x, _fmt(x)) for x in xs]
-    rows = [(q_text, x_text, conduction_ratio(q, x), _classify(q, x))
-            for q, q_text in zip(qs, map(_fmt, qs)) for x, x_text in x_cells]
+    x_cells = [(x, "%.17g" % x) for x in xs]
+    rows = [("%.17g" % q, x_text, conduction_ratio(q, x), _classify(q, x))
+            for q in qs for x, x_text in x_cells]
     _emit(_csv_text(REGIME_MAP_COLUMNS, rows), args.out)
     return 0
 
@@ -259,6 +234,8 @@ def _parse_x_grid(raw: str):
         count = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"--x-grid: {exc}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"--x-grid: START and STOP must be finite, got {raw!r}")
     if count < 1:
         raise ConfigError("--x-grid: N must be at least 1")
     if count == 1:
@@ -290,15 +267,15 @@ def _cmd_power_sweep(args) -> int:
     template = _sweep_template(cfg)
     grid = _parse_x_grid(args.x_grid)
     result = performance.power_sweep(template, grid)
-    rows = [dataclasses.astuple(r) for r in result.records]
     summary = dataclasses.asdict(result.summary)
     out_format = args.format or cfg.out_format
     out_path = args.out or cfg.out_path
     if out_format == "json":
-        _emit(_json_text({"records": [dict(zip(SWEEP_COLUMNS, row)) for row in rows],
+        _emit(_json_text({"records": [dataclasses.asdict(r) for r in result.records],
                           "summary": summary}), out_path)
         return 0
-    csv_text = _csv_text(SWEEP_COLUMNS, rows)
+    columns = [f.name for f in dataclasses.fields(performance.SweepRecord)]
+    csv_text = _csv_text(columns, map(dataclasses.astuple, result.records))
     summary_text = _json_text(summary)
     if out_path is None:
         sys.stdout.write(csv_text)
@@ -316,7 +293,7 @@ def _cmd_validate(args) -> int:
     checks = []
 
     # first-law closure: stroke-heat sum against the closed-form total work
-    kind = CYCLE_KINDS[cfg.kind]
+    kind = cycle_kind(spec)
     hot_stroke = kind.stroke("q_iso_hot")
     hot_t = 1.0 / getattr(spec, hot_stroke.fixed)
     cold_t = 1.0 / getattr(spec, kind.stroke("q_iso_cold").fixed)

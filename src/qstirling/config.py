@@ -13,19 +13,20 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-from .cycles import CYCLE_KINDS, EngineSpec, FridgeSpec, Mode
+from .cycles import CYCLE_KINDS, CycleKind, EngineSpec, FridgeSpec, Mode
 from .errors import ConfigError, ParameterError
 from .quadrature import QuadratureConfig
 from .relaxation import HIGH_TEMP_THRESHOLD, LOW_TEMP_THRESHOLD, GevaKosloff, ThermalField
 from .statistics import Statistics
 from .timing import LinearEngineRegenerator, LinearFridgeRegenerator
 
+# [cycle] also takes the chosen kind's spec fields but stat, and [regenerator]
+# its regenerator fields (see _check_keys)
 _SCHEMA = {
     "working_medium": {"statistics"},
-    "cycle": {"kind", "omega1", "omega2", "beta1", "beta2", "beta1p", "beta2p",
-              "beta_h", "beta_c", "alpha_h", "alpha_c"},
+    "cycle": {"kind", "alpha_h", "alpha_c"},
     "bath": {"a", "q", "rho0", "m"},
-    "regenerator": {"gamma1", "gamma2", "b", "bp"},
+    "regenerator": set(),
     "numerics": {"rel_tol", "abs_tol", "max_subdivisions", "regime_mode",
                  "x_low_threshold", "x_high_threshold"},
     "output": {"format", "path", "particle_count"},
@@ -36,8 +37,6 @@ _SCHEMA = {
 class RunConfig:
     """Fully resolved configuration ready for the pipelines."""
 
-    statistics: Statistics
-    kind: str
     spec: EngineSpec | FridgeSpec
     model: GevaKosloff | ThermalField
     regen: LinearEngineRegenerator | LinearFridgeRegenerator
@@ -62,10 +61,16 @@ def _read_ini(path: str) -> configparser.ConfigParser:
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {section}.{key}")
     return parser
+
+
+def _check_keys(parser: configparser.ConfigParser, kind: CycleKind):
+    own = {"cycle": {f.name for f in fields(kind.spec)} - {"stat"},
+           "regenerator": {f.name for f in fields(kind.regen)}}
+    for section in parser.sections():
+        for key in parser[section]:
+            if key not in _SCHEMA[section] and key not in own.get(section, ()):
+                raise ConfigError(f"unknown key {section}.{key}")
 
 
 class _Section:
@@ -133,19 +138,20 @@ def _statistics(raw: str) -> Statistics:
 def load_run_config(path: str) -> RunConfig:
     """Parse and resolve a configuration file into pipeline-ready objects."""
     parser = _read_ini(path)
-    medium = _Section(parser, "working_medium")
     cycle = _Section(parser, "cycle")
+    kind = cycle.text("kind").lower()
+    if kind not in CYCLE_KINDS:
+        raise ConfigError(f"cycle.kind: expected engine or fridge, got {kind!r}")
+    table = CYCLE_KINDS[kind]
+    _check_keys(parser, table)
+    medium = _Section(parser, "working_medium")
     bath = _Section(parser, "bath")
     regen_section = _Section(parser, "regenerator")
 
     stat = _statistics(medium.text("statistics"))
-    kind = cycle.text("kind").lower()
-    if kind not in CYCLE_KINDS:
-        raise ConfigError(f"cycle.kind: expected engine or fridge, got {kind!r}")
     omega1 = cycle.number("omega1")
     omega2 = cycle.number("omega2")
 
-    table = CYCLE_KINDS[kind]
     try:
         # medium inverse temperatures of the hot and cold isotherms
         # (beta1/beta2 or beta1p/beta2p); the alpha ratios scale them
@@ -205,7 +211,7 @@ def load_run_config(path: str) -> RunConfig:
     if particle_count > sys.float_info.max:  # extensive outputs are scaled by float(count)
         raise ConfigError(f"output.particle_count: must not exceed {sys.float_info.max!r}")
 
-    return RunConfig(stat, kind, spec, model, regen, quad, mode,
+    return RunConfig(spec, model, regen, quad, mode,
                      x_low, x_high, out_format, out_path, particle_count)
 
 

@@ -49,6 +49,7 @@ from .statistics import Statistics, require_statistics, weight_function
 _EPS = sys.float_info.epsilon
 # below this largest product the high-temperature integrand is exact to rounding
 _HIGH_TEMP_EXACT = 2.0 ** -60
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class StrokeTime(NamedTuple):
@@ -199,6 +200,15 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
     # cold stroke's time accrues, the exponent lambda00 (u - lo) is small
     # and keeps its digits; e^{-lambda00 lo} comes in once, as a factor
     base = (1.0 + q) * a + (dd if b > a else 0.0)  # lambda00, as in the series
+    if stat is Statistics.BOSONIC:
+        # |f(u)| >= e^{-lambda00 u} / (dd b u^2), so the duration is at least
+        # e^{-lambda00 h} (1/lo - 1/h) / (2 a dd) for any h in (lo, hi]; past
+        # the float range GK15 would only spend its budget on overflowing panels
+        h = min(hi, 2.0 * lo)
+        if (math.log((h - lo) / h) - math.log(lo) - math.log(2.0 * model.a) - math.log(dd)
+                - base * h > _LOG_MAX):
+            raise SingularityError(f"duration is past the float range: the integrand "
+                                   f"grows like 1/u^2 down to u = {lo!r}")
     leading = leading_exponential(q, a1, a2, b, lo)
     if math.isnan(leading):
         leading = math.exp(-base * lo)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qstirling.cli import ENGINE_COLUMNS, FRIDGE_COLUMNS, _csv_text, _fmt, main
+from qstirling.cli import COLUMNS, _csv_text, main
 from qstirling.config import load_run_config
 from conftest import mp_isochoric_time, mp_isothermal_time
 
@@ -58,7 +58,7 @@ class TestEngineCommand:
         out = tmp_path / "engine.csv"
         assert main(["engine", "--config", ENGINE_CFG, "--out", str(out)]) == 0
         header, rows = read_csv(out)
-        assert header == list(ENGINE_COLUMNS)
+        assert header == list(COLUMNS["engine"])
         assert len(header) == 14
         assert len(rows) == 1
         assert rows[0][-1] == "ok"
@@ -286,7 +286,7 @@ class TestFridgeCommand:
         out = tmp_path / "fridge.csv"
         assert main(["fridge", "--config", FRIDGE_CFG, "--out", str(out)]) == 0
         header, rows = read_csv(out)
-        assert header == list(FRIDGE_COLUMNS)
+        assert header == list(COLUMNS["fridge"])
         assert len(header) == 14
         assert rows[0][-1] == "ok"
         row = dict(zip(header, rows[0]))
@@ -374,9 +374,10 @@ def test_non_finite_result_exits_3(tmp_path, capsys, edits, mode, message, out_f
 @pytest.mark.parametrize("command,config,edits,code,message", [
     # a Dekker split of the slope overflows: the leading exponential falls back
     ("engine", ENGINE_CFG, {"gamma1 = 1.4": "gamma1 = 1e308"}, 0, ""),
-    # 2a*dd of the high-temperature bosonic stroke form underflows to zero
+    # the hot isotherm lasts ~1/(2a*dd*omega1), past the float range (and 2a*dd
+    # of the high-temperature bosonic form of B->C underflows to zero)
     ("engine", ENGINE_CFG, {"\na = 1.0": "\na = 1e-300", "omega1 = 1.0": "omega1 = 1e-300"}, 3,
-     "error: cycle period is not finite at these parameters: inf\n"),
+     "error: stroke A->B: duration is past the float range"),
     # (gamma1 - 1)*omega1 underflows to zero
     ("engine", ENGINE_CFG, {"bosonic": "fermionic", "omega1 = 1.0": "omega1 = 1e-310",
                             "gamma1 = 1.4": "gamma1 = 1.0000000000000002"}, 3,
@@ -471,18 +472,15 @@ class TestRegimeMapCommand:
 
 
 def test_csv_rows_match_per_value_format():
-    # one %-format per table where every column has one non-bool type;
-    # otherwise each value goes through _fmt
+    # one %-format per table: %.17g for a float column, %s for any other type
     cases = [
-        [(0.1, 2, "on", np.float64(1 / 3))],
-        [(0.1, 1e300), (5e-324, -0.0), (math.inf, math.nan)],
-        [(True, 0.1), (False, 0.2)],
-        [(0.1, 1), (2, 1.5)],
-        [[0.1, "ok"], [0.2, "bad"]],
-        [],
+        ([(0.1, 2, "on", np.float64(1 / 3))], "h\n0.10000000000000001,2,on,0.33333333333333331\n"),
+        ([(0.1, 1e300), (5e-324, -0.0), (math.inf, math.nan)],
+         "h\n0.10000000000000001,1.0000000000000001e+300\n4.9406564584124654e-324,-0\ninf,nan\n"),
+        ([[0.1, "ok"], [0.2, "bad"]], "h\n0.10000000000000001,ok\n0.20000000000000001,bad\n"),
+        ([], "h\n"),
     ]
-    for rows in cases:
-        expected = "h\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+    for rows, expected in cases:
         assert _csv_text(("h",), rows) == expected
 
 
@@ -525,6 +523,16 @@ class TestPowerSweepCommand:
 
     def test_malformed_grid_exits_1(self):
         assert main(["power-sweep", "--config", SWEEP_CFG, "--x-grid", "1:2"]) == 1
+
+    @pytest.mark.parametrize("command, flag", [
+        (["power-sweep", "--config", SWEEP_CFG, "--x-grid", "nan:1:3"], "--x-grid"),
+        (["power-sweep", "--config", SWEEP_CFG, "--x-grid", "1:inf:3"], "--x-grid"),
+        (["regime-map", "--q-min=-0.9", "--q-max=-0.1", "--x-min", "1", "--x-max", "inf",
+          "--grid", "3"], "x-max"),
+    ])
+    def test_non_finite_flag_named(self, command, flag, capsys):
+        assert main(command) == 1
+        assert flag in capsys.readouterr().err
 
     def test_json_format_single_document(self, tmp_path):
         out = tmp_path / "sweep.json"

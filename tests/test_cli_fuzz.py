@@ -7,7 +7,10 @@ with no exception escaping, and a run that exits 0 writes a CSV row whose
 every number is finite, except a NaN figure of merit under a status other
 than ``ok``.  The same holds for the run with ``--format json``, whose
 output at exit 0 holds no ``Infinity`` or ``NaN`` but that figure of merit.
-The examples are inputs that once broke this contract.
+At exit 0 in the exact regime mode, one drawn stroke time of the JSON
+``timing`` block lies within 100 x ``rel_tol`` of the 30-digit mpmath oracle,
+wherever that oracle can judge it.  The examples are inputs that once broke
+this contract.
 """
 
 import contextlib
@@ -22,6 +25,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qstirling.cli import main
+from qstirling.config import load_run_config
+from qstirling.cycles import Mode
+from qstirling.timing import _strokes
+from conftest import mp_isochoric_time, mp_isothermal_time
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 BASES = ("engine_lowtemp.ini", "engine_hightemp_bosonic.ini", "fridge_lowtemp.ini")
@@ -99,6 +106,20 @@ def _check_json(out: str):
         assert payload["status"] != "ok", (path, value)
 
 
+def _check_stroke_time(path: Path, timing: dict, stroke: int):
+    cfg = load_run_config(str(path))
+    if cfg.mode is not Mode.EXACT:
+        return
+    _, isotherm, held, start, end, by = list(_strokes(cfg.spec, cfg.regen))[stroke]
+    oracle = mp_isothermal_time if isotherm else mp_isochoric_time
+    try:
+        expected = oracle(cfg.spec.stat, cfg.model, by, held, start, end, dps=30)
+    except ArithmeticError:  # the oracle cannot judge this stroke
+        return
+    got = timing[f"t{stroke + 1}"]
+    assert abs(got - expected) <= 100.0 * cfg.quad.rel_tol * expected, (stroke, got, expected)
+
+
 def _run(command: str, path: Path, out_format: str) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -112,38 +133,41 @@ HIGHTEMP_BETAS = {"beta1": "1e-310", "beta2": "2e-310"}
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(case=configs())
-@example(case=("engine_lowtemp.ini", {"beta1": "1e-300"}))
-@example(case=("engine_lowtemp.ini", {"beta1": "1e-310"}))
-@example(case=("engine_lowtemp.ini", {"omega1": "1e-10", "beta1": "1e-300"}))
-@example(case=("engine_lowtemp.ini", {"omega2": "1e308"}))
-@example(case=("engine_lowtemp.ini", {"omega2": "1e308", "regime_mode": "low_temp"}))
-@example(case=("engine_lowtemp.ini", {"alpha_c": "1.0000000000000002"}))
-@example(case=("engine_lowtemp.ini", {"particle_count": "1" + "0" * 400}))
-@example(case=(HIGHTEMP, {"particle_count": "1" + "0" * 308}))
+@given(case=configs(), stroke=st.integers(0, 3))
+@example(case=("engine_lowtemp.ini", {"beta1": "1e-300"}), stroke=1)
+@example(case=("engine_lowtemp.ini", {"beta1": "1e-310"}), stroke=2)
+@example(case=("engine_lowtemp.ini", {"omega1": "1e-10", "beta1": "1e-300"}), stroke=3)
+@example(case=("engine_lowtemp.ini", {"omega2": "1e308"}), stroke=0)
+@example(case=("engine_lowtemp.ini", {"omega2": "1e308", "regime_mode": "low_temp"}), stroke=1)
+@example(case=("engine_lowtemp.ini", {"alpha_c": "1.0000000000000002"}), stroke=2)
+@example(case=("engine_lowtemp.ini", {"particle_count": "1" + "0" * 400}), stroke=3)
+@example(case=(HIGHTEMP, {"particle_count": "1" + "0" * 308}), stroke=0)
 @example(case=(HIGHTEMP, {"omega1": "1e-200", "omega2": "2e-200",
-                          "regime_mode": "high_temp"}))
+                          "regime_mode": "high_temp"}), stroke=1)
 @example(case=(HIGHTEMP, {"statistics": "fermionic", "omega1": "1e200", "omega2": "2e200",
-                          "regime_mode": "high_temp"}))
+                          "regime_mode": "high_temp"}), stroke=2)
 @example(case=(HIGHTEMP, {**HIGHTEMP_BETAS, "omega1": "1e300", "omega2": "2e300",
-                          "regime_mode": "low_temp"}))
-@example(case=(HIGHTEMP, {**HIGHTEMP_BETAS, "omega1": "1e300", "omega2": "2e300"}))
-@example(case=("engine_lowtemp.ini", {"gamma1": "1e308"}))
-@example(case=("engine_lowtemp.ini", {"a": "1e-300", "omega1": "1e-300"}))
+                          "regime_mode": "low_temp"}), stroke=3)
+@example(case=(HIGHTEMP, {**HIGHTEMP_BETAS, "omega1": "1e300", "omega2": "2e300"}), stroke=0)
+@example(case=("engine_lowtemp.ini", {"gamma1": "1e308"}), stroke=1)
+@example(case=("engine_lowtemp.ini", {"a": "1e-300", "omega1": "1e-300"}), stroke=2)
 @example(case=("engine_lowtemp.ini", {"statistics": "fermionic", "omega1": "1e-310",
-                                      "gamma1": "1.0000000000000002"}))
-@example(case=("fridge_lowtemp.ini", {"omega1": "5e-324"}))
-def test_cli_exit_contract(case):
+                                      "gamma1": "1.0000000000000002"}), stroke=3)
+@example(case=("fridge_lowtemp.ini", {"omega1": "5e-324"}), stroke=0)
+def test_cli_exit_contract(case, stroke):
     base, edits = case
     command = "fridge" if base.startswith("fridge") else "engine"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.ini"
         path.write_text(_edited(base, edits), encoding="utf-8")
         runs = {fmt: _run(command, path, fmt) for fmt in ("csv", "json")}
-    for fmt, (rc, out, err) in runs.items():
-        assert rc in (0, 1, 2, 3)
+        for fmt, (rc, out, err) in runs.items():
+            assert rc in (0, 1, 2, 3)
+            if rc == 0:
+                (_check_row if fmt == "csv" else _check_json)(out)
+            else:
+                assert out == ""
+                assert err.startswith("error: ")
+        rc, out, _ = runs["json"]
         if rc == 0:
-            (_check_row if fmt == "csv" else _check_json)(out)
-        else:
-            assert out == ""
-            assert err.startswith("error: ")
+            _check_stroke_time(path, json.loads(out)["timing"], stroke)

@@ -2,6 +2,7 @@ import pytest
 
 from qstirling import ConfigError, GevaKosloff, OrderingError, Statistics, ThermalField
 from qstirling.config import load_run_config
+from qstirling.cycles import cycle_kind
 from qstirling.performance import Mode
 
 BASE = """
@@ -35,8 +36,8 @@ def write(tmp_path, text, name="run.ini"):
 
 def test_engine_config_resolves(tmp_path):
     cfg = load_run_config(write(tmp_path, BASE))
-    assert cfg.kind == "engine"
-    assert cfg.statistics is Statistics.BOSONIC
+    assert cycle_kind(cfg.spec).name == "engine"
+    assert cfg.spec.stat is Statistics.BOSONIC
     assert cfg.spec.beta_h == 0.6 * 16.0
     assert cfg.spec.beta_c == 1.4 * 32.0
     assert isinstance(cfg.model, GevaKosloff)
@@ -45,13 +46,16 @@ def test_engine_config_resolves(tmp_path):
     assert cfg.particle_count == 1
 
 
-def test_fridge_config_resolves(tmp_path):
+def fridge_text():
     text = BASE.replace("kind = engine", "kind = fridge")
     text = text.replace("beta1 = 16.0", "beta1p = 16.0").replace("beta2 = 32.0", "beta2p = 32.0")
     text = text.replace("alpha_h = 0.6", "alpha_h = 1.4").replace("alpha_c = 1.4", "alpha_c = 0.8")
-    text = text.replace("gamma1 = 1.4", "b = 1.4").replace("gamma2 = 0.6", "bp = 0.6")
-    cfg = load_run_config(write(tmp_path, text))
-    assert cfg.kind == "fridge"
+    return text.replace("gamma1 = 1.4", "b = 1.4").replace("gamma2 = 0.6", "bp = 0.6")
+
+
+def test_fridge_config_resolves(tmp_path):
+    cfg = load_run_config(write(tmp_path, fridge_text()))
+    assert cycle_kind(cfg.spec).name == "fridge"
     assert cfg.spec.beta_h == 1.4 * 16.0
 
 
@@ -71,6 +75,21 @@ def test_unknown_key_rejected(tmp_path):
     text = BASE.replace("omega1 = 1.0", "omega1 = 1.0\nfrequency = 3")
     with pytest.raises(ConfigError, match="unknown key cycle.frequency"):
         load_run_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("kind, cycle_key, regen_key", [
+    ("engine", "beta2p", "b"),
+    ("fridge", "beta2", "gamma1"),
+])
+def test_other_kinds_keys_rejected(tmp_path, kind, cycle_key, regen_key):
+    # each kind takes only its own [cycle] and [regenerator] keys
+    text = BASE if kind == "engine" else fridge_text()
+    regen_only = text.replace("[regenerator]\n", f"[regenerator]\n{regen_key} = 7.0\n")
+    with pytest.raises(ConfigError, match=f"unknown key regenerator.{regen_key}$"):
+        load_run_config(write(tmp_path, regen_only))
+    both = regen_only.replace("[cycle]\n", f"[cycle]\n{cycle_key} = 99.0\n")
+    with pytest.raises(ConfigError, match=f"unknown key cycle.{cycle_key}$"):
+        load_run_config(write(tmp_path, both))
 
 
 def test_duplicate_section_rejected(tmp_path):

@@ -138,6 +138,12 @@ class TestIsochoricTime:
         assert rel(out.duration, mp_isochoric_time(F, MODEL, 1.4, 1.0, 1e-310, 2.0)) < 1e-11
         assert rel(out.duration, isochoric_time(F, MODEL, 1.4, 1.0, 1e-310, 2.0).duration) < 1e-11
 
+    def test_high_temperature_form_denominator_underflow_is_infinite(self):
+        # B->C of engine_lowtemp.ini with a = omega1 = 1e-300: 2a*dd underflows to zero
+        out = isochoric_time(B, GevaKosloff(1e-300, -0.05), 1.4, 1e-300,
+                             16.666666666666668, 33.333333333333336)
+        assert out.duration == math.inf
+
     def test_crossing_location_reported(self):
         with pytest.raises(SingularityError, match=r"beta_s (=|~=|≈|≈)?\s*"):
             isochoric_time(B, MODEL, lambda b: 2.0 - b, 1.0, 0.5, 1.5, TIGHT)
@@ -343,6 +349,20 @@ class TestConvergenceFailure:
         healthy = isothermal_time(B, MODEL, spec.beta_h, spec.beta1,
                                   spec.omega2, spec.omega1, TIGHT)
         assert rel(excinfo.value.partial, healthy.duration) < 1e-6
+
+    @pytest.mark.parametrize("fn, args", [
+        (isochoric_time, (1.4, 1.0, 1e-310, 2.0)),
+        (isothermal_time, (0.5, 1.0, 2.0, 1e-310)),
+    ])
+    def test_duration_past_float_range_named_before_quadrature(self, fn, args, monkeypatch):
+        # bosonic strokes down to u = 1e-310 last ~1e310: named as such, with
+        # no GK15 panel spent on them
+        def no_quadrature(*_):
+            raise AssertionError("GK15 ran")
+
+        monkeypatch.setattr(qstirling.timing, "integrate", no_quadrature)
+        with pytest.raises(SingularityError, match="duration is past the float range"):
+            fn(B, MODEL, *args)
 
 
 class TestRegeneratorValidation:
