@@ -116,6 +116,8 @@ def _check_stroke_time(path: Path, timing: dict, stroke: int):
         expected = oracle(cfg.spec.stat, cfg.model, by, held, start, end, dps=30)
     except ArithmeticError:  # the oracle cannot judge this stroke
         return
+    if not math.isfinite(expected):  # past the float range: no float to compare with
+        return
     got = timing[f"t{stroke + 1}"]
     assert abs(got - expected) <= 100.0 * cfg.quad.rel_tol * expected, (stroke, got, expected)
 

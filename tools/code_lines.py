@@ -1,18 +1,15 @@
-"""Line and code-line counts of each module of a package, and their total.
+"""Line and code-line counts of each module of ``src/qstirling``, and their total.
 
 A code line holds at least one token that is not a comment or a docstring;
 blank lines, comment-only lines and docstring lines do not count.
 Docstrings are found with ``ast`` (the leading string of a module, class or
 function body) and the remaining tokens with ``tokenize``.
 
-    python3 tools/code_lines.py [PACKAGE_DIR]
-
-PACKAGE_DIR defaults to ``src/qstirling``.
+    python3 tools/code_lines.py
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import sys
@@ -49,14 +46,10 @@ def count(source: str) -> tuple[int, int]:
     return source.count("\n"), len(code)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("package", nargs="?", default=str(ROOT / "src" / "qstirling"),
-                        help="directory whose *.py modules are counted")
-    args = parser.parse_args(argv)
+def main() -> int:
     totals = [0, 0]
     print(f"{'module':<16} {'lines':>6} {'code':>6}")
-    for path in sorted(Path(args.package).glob("*.py")):
+    for path in sorted((ROOT / "src" / "qstirling").glob("*.py")):
         lines, code = count(path.read_text(encoding="utf-8"))
         totals[0] += lines
         totals[1] += code
