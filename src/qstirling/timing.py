@@ -188,9 +188,9 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
         # 1/[(x - x_s) x_s] (bosonic) or 1/[2 (x - x_s)] (fermionic) is the
         # integrand to a relative 2 x_max, below rounding; b cancels or stays
         # as b/dd, so a duration whose raw integral would overflow stays finite.
-        # A duration past the float range is returned as inf, the overflow of
-        # this exact form, and the caller's period check names it; only GK15,
-        # which has no value to return, raises SingularityError below
+        # As with the series, a duration past the float range is returned as
+        # inf, the overflow of an exact form, and the caller's period check
+        # names it; only GK15, which has no value to return, raises below
         if stat is Statistics.BOSONIC:
             den = 2.0 * model.a * dd  # may underflow to zero
             duration = span / hi / lo / den if den else math.inf
