@@ -23,7 +23,7 @@ from .statistics import Statistics
 from .timing import TimingReport, closed_form_cycle_time, cycle_time, regime_extents
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PerformanceReport:
     """Complete per-cycle result for one operating point.
 

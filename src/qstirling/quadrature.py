@@ -54,7 +54,7 @@ class QuadratureConfig:
             raise ParameterError("max_subdivisions must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QuadratureResult:
     value: float
     error_estimate: float

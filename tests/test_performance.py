@@ -22,6 +22,8 @@ from qstirling import (
     fridge_performance,
     power_sweep,
     SweepTemplate,
+    ThermalField,
+    integrate,
 )
 from conftest import (
     lowtemp_engine_spec,
@@ -274,11 +276,30 @@ def test_result_classes_are_slotted_and_round_trip():
     engine = lowtemp_engine_spec(B, 10.0)
     report = cycle_performance(engine, MODEL, ENGINE_REGEN)
     results = (report, report.ledger, report.timing, cycle_ledger(engine),
-               cycle_ledger(lowtemp_fridge_spec(F, 10.0)))
+               cycle_ledger(lowtemp_fridge_spec(F, 10.0)),
+               integrate(math.exp, 0.0, 1.0))
     assert {type(r).__name__ for r in results} == {
-        "PerformanceReport", "StrokeLedger", "TimingReport", "EngineCycle", "FridgeCycle"}
+        "PerformanceReport", "StrokeLedger", "TimingReport", "EngineCycle", "FridgeCycle",
+        "QuadratureResult"}
     for result in results:
         assert not hasattr(result, "__dict__")
         assert pickle.loads(pickle.dumps(result)) == result
         assert dataclasses.replace(result) == result
     assert dataclasses.replace(report, tau=2.0 * report.tau).tau == 2.0 * report.tau
+
+
+@pytest.mark.parametrize("value", [
+    lowtemp_engine_spec(B, 10.0),
+    lowtemp_fridge_spec(F, 10.0),
+    ENGINE_REGEN,
+    FRIDGE_REGEN,
+    MODEL,
+    ThermalField(1.0, 2.0),
+    QuadratureConfig(),
+], ids=lambda value: type(value).__name__)
+def test_input_classes_stay_frozen(value):
+    # inputs are validated once in __post_init__, so assignment must stay
+    # impossible; results (above) are plain records and may be assigned
+    name = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, name, getattr(value, name))

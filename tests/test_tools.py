@@ -1,4 +1,5 @@
-"""tools/code_lines.py against a plain line count and a hand-counted module."""
+"""tools/code_lines.py against a plain line count and a hand-counted module;
+tools/output_parity.py's pool dump against itself."""
 
 import importlib.util
 import subprocess
@@ -7,6 +8,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "code_lines.py"
+PARITY = ROOT / "tools" / "output_parity.py"
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_code_lines_line_column_is_the_plain_line_count():
@@ -25,9 +34,7 @@ def test_code_lines_line_column_is_the_plain_line_count():
 
 
 def test_code_lines_skip_blanks_comments_and_docstrings():
-    spec = importlib.util.spec_from_file_location("code_lines", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _load(TOOL)
     source = ('"""Module doc."""\n'
               '\n'
               'import os  # a trailing comment\n'
@@ -41,3 +48,13 @@ def test_code_lines_skip_blanks_comments_and_docstrings():
               '    return x\n')
     # code: import, def, both lines of the assigned string, return
     assert tool.count(source) == (11, 5)
+
+
+def test_pool_text_is_deterministic_with_one_line_per_point():
+    tool = _load(PARITY)
+    first, second = (tool._pool_run(ROOT / "src", "exact_crossover", tiny=True) for _ in range(2))
+    assert first == second
+    code, out, err = first
+    assert (code, err) == (0, b"")
+    tiny_pool_size = _load(ROOT / "bench" / "workloads.py").TINY_POOL_SIZE
+    assert len(out.decode().splitlines()) == tiny_pool_size

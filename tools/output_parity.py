@@ -6,8 +6,17 @@ cases: ``engine``/``fridge`` on the three cycle configs in every regime mode,
 both statistics and both output formats; ``validate`` on all four configs;
 ``power-sweep`` in csv (with ``--out``) and json; and ``regime-map``.  Each
 case compares exit code, stdout, stderr and every file written under the
-output directory.  Prints one line per differing case and exits 1 if any
-case differs, 0 otherwise.
+output directory.
+
+It also runs the library from both trees on the benchmark's seed-0 pools of
+``exact_lowtemp``, ``exact_crossover`` and ``closed_form_scan``, through
+``make_pool`` and ``OPS`` of ``bench/workloads.py`` (imported, never
+changed), and compares the ``repr`` of every result field of every point, or
+the exception text.  These reach the GK15 and series strokes that the four
+configs barely touch.
+
+Prints one line per differing case or pool and exits 1 if any differs, 0
+otherwise.
 
     python3 tools/output_parity.py --base HEAD~1
 
@@ -18,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import io
 import os
 import shutil
@@ -28,11 +38,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 CONFIGS = ROOT / "configs"
 CYCLE_CONFIGS = ("engine_lowtemp.ini", "engine_hightemp_bosonic.ini", "fridge_lowtemp.ini")
 MODES = ("exact", "low_temp", "high_temp")  # the fridge has no high_temp set; parity covers its error too
 STATISTICS = ("bosonic", "fermionic")
 FORMATS = ("csv", "json")
+POOLS = ("exact_lowtemp", "exact_crossover", "closed_form_scan")
+POOL_SEED = 0
 
 
 def _export(rev: str, dest: Path) -> Path:
@@ -90,6 +103,41 @@ def _run(src: Path, argv: list[str], out: Path):
     return proc.returncode, proc.stdout, proc.stderr, files
 
 
+def _fields(result):
+    """A result as plain data: each record's fields, tuples of records expanded."""
+    if dataclasses.is_dataclass(result):
+        return dataclasses.asdict(result)
+    return [_fields(r) for r in result]
+
+
+def pool_text(workload: str, tiny: bool = False) -> str:
+    """One line per seed-0 pool point: the repr of its result's fields, or its exception.
+
+    Uses whichever ``qstirling`` is first on ``sys.path``.
+    """
+    import qstirling
+    sys.path.insert(0, str(BENCH))
+    import workloads
+    op = workloads.OPS[workload]
+    lines = []
+    for point in workloads.make_pool(workload, POOL_SEED, tiny):
+        try:
+            lines.append(repr(_fields(op(qstirling, point))))
+        except Exception as exc:  # an op's error is part of the output compared
+            lines.append(f"{type(exc).__name__}: {exc}")
+    return "".join(line + "\n" for line in lines)
+
+
+def _pool_run(src: Path, workload: str, tiny: bool = False):
+    """Exit code, stdout and stderr of ``pool_text`` run against the tree at ``src``."""
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import output_parity; "
+            f"sys.stdout.write(output_parity.pool_text({workload!r}, tiny={tiny!r}))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          cwd=src.parent)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, metavar="REV",
@@ -109,8 +157,17 @@ def main(argv=None) -> int:
                 what = ", ".join(p for p, b, h in zip(parts, base, head) if b != h)
                 print(f"DIFFERS {name}: {what}")
                 differing += 1
-    print(f"{total - differing} of {total} cases identical to {args.base}")
-    return 1 if differing else 0
+        pools_differing = 0
+        for workload in POOLS:
+            base, head = _pool_run(base_src, workload), _pool_run(ROOT / "src", workload)
+            if base != head:
+                parts = ("exit code", "results", "stderr")
+                what = ", ".join(p for p, b, h in zip(parts, base, head) if b != h)
+                print(f"DIFFERS pool {workload} seed {POOL_SEED}: {what}")
+                pools_differing += 1
+    print(f"{total - differing} of {total} cases and {len(POOLS) - pools_differing} of "
+          f"{len(POOLS)} pools identical to {args.base}")
+    return 1 if differing or pools_differing else 0
 
 
 if __name__ == "__main__":
