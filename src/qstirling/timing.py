@@ -8,18 +8,18 @@ each branch.  All integrands share the structure
 where ``beta`` is the bath (isotherms) or regenerator (isochores) inverse
 temperature.  Every stroke of the cycles is linear in its integration
 variable u: x = A*u and x_s = B*u, with u = omega, A = beta, B = beta_s on
-isotherms and u = beta_s, A = c*omega, B = omega on linear-regenerator
-isochores.  Such a stroke is summed as an exponential series
-(:mod:`qstirling.series`) to machine precision, whatever ``rel_tol`` says,
-when that fits ``SERIES_TERM_BUDGET`` terms; one whose every product stays
-below 2^-60 takes the high-temperature form, exact there to rounding.  Any
-other stroke, and any isochore with a regenerator callable, is integrated
-by adaptive GK15 in the anchored log variable v = ln(u/lo), where the
-integrand times u, which behaves like 1/u near a hot stroke's lower end,
-is nearly flat.  The gap ``x - x_s`` of a linear stroke is carried as
-``(A - B)*u``, so a slope within ulps of 1 keeps its digits.  In the GK15
-integrand the exponential difference is evaluated in log space,
-``sign * e^{max} * (1 - e^{-|gap|})``, so large products never overflow.
+isotherms and u = beta_s, A = c*omega, B = omega on isochores, whose
+regenerator is linear, beta_r = c*beta_s.  A stroke is summed as an
+exponential series (:mod:`qstirling.series`) to machine precision, whatever
+``rel_tol`` says, when that fits ``SERIES_TERM_BUDGET`` terms; one whose
+every product stays below 2^-60 takes the high-temperature form, exact
+there to rounding.  Any other stroke is integrated by adaptive GK15 in the
+anchored log variable v = ln(u/lo), where the integrand times u, which
+behaves like 1/u near a hot stroke's lower end, is nearly flat.  The gap
+``x - x_s`` is carried as ``(A - B)*u``, so a slope within ulps of 1 keeps
+its digits.  In the GK15 integrand the exponential difference is taken as
+``sign * e^{max} * (1 - e^{-|gap|})``, its sign and e^{max} kept out of the
+quotient, so large products never overflow.
 Callers integrate along the physical stroke direction, which always
 yields a positive duration.
 """
@@ -30,7 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 from math import exp, expm1
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .cycles import (  # the regenerator classes stay importable from here
     EngineSpec,
@@ -41,7 +41,7 @@ from .cycles import (  # the regenerator classes stay importable from here
     cycle_kind,
 )
 from .errors import ConvergenceError, ParameterError, SingularityError
-from .quadrature import QuadratureConfig, _kronrod_panel, integrate
+from .quadrature import QuadratureConfig, integrate
 from .relaxation import GevaKosloff
 from .series import integrate_linear, leading_exponential
 from .statistics import Statistics, require_statistics, weight_function
@@ -73,16 +73,6 @@ class TimingReport:
     error_estimates: tuple[float, float, float, float]
 
 
-def _rate_quotient(stat: Statistics, q: float, u: float, x: float, x_s: float,
-                   gap: float) -> float:
-    """Signed u / [e^{q*x} (e^x - e^{x_s}) (1 +- e^{-x_s})] without overflow; gap = x - x_s.
-
-    u goes over the gap factor first: both vanish like u as u -> 0."""
-    magnitude = u / -math.expm1(-abs(gap)) * math.exp(-q * x - max(x, x_s))
-    value = magnitude / weight_function(stat)(x_s)  # the only statistics-dependent factor
-    return value if gap > 0.0 else -value
-
-
 def isothermal_time(stat: Statistics, model: GevaKosloff, beta: float, beta_s: float,
                     omega_i: float, omega_f: float,
                     cfg: QuadratureConfig | None = None) -> StrokeTime:
@@ -104,65 +94,26 @@ def isothermal_time(stat: Statistics, model: GevaKosloff, beta: float, beta_s: f
                         cfg, "bath")
 
 
-def isochoric_time(stat: Statistics, model: GevaKosloff,
-                   regenerator: Callable[[float], float] | float,
+def isochoric_time(stat: Statistics, model: GevaKosloff, regenerator: float,
                    omega: float, beta_i: float, beta_f: float,
                    cfg: QuadratureConfig | None = None) -> StrokeTime:
     """Duration of a constant-frequency stroke with beta_s sweeping beta_i -> beta_f.
 
-    ``regenerator`` is either the slope c of the linear regenerator
-    ``beta_r = c*beta_s``, which takes the exponential series, or a callable
-    mapping the medium inverse temperature to the regenerator one, which is
-    integrated by GK15.  A callable must stay on a single side of the
-    identity over the sweep, else the heat flow would reverse mid-stroke
-    and the denominator changes sign; the crossing point is located by
-    bisection and reported.
+    ``regenerator`` is the slope c of the linear regenerator ``beta_r =
+    c*beta_s``, a positive finite int or float; a unit slope never relaxes.
     """
     if omega <= 0.0 or beta_i <= 0.0 or beta_f <= 0.0:
         raise ParameterError("frequency and temperatures must be positive")
     require_statistics(stat)
-    if not callable(regenerator):
-        if not 0.0 < regenerator < math.inf:
-            raise ParameterError(f"regenerator slope must be positive and finite, "
-                                 f"got {regenerator!r}")
-        gap = (regenerator - 1.0) * omega
-        if not gap:  # a unit slope, or a gap past the float range
-            raise SingularityError("regenerator and medium temperatures coincide: "
-                                   "infinite relaxation time")
-        return _linear_time(stat, model, regenerator, omega, omega, gap, beta_i, beta_f, cfg,
-                            "regenerator")
-    q, lo = model.q, min(beta_i, beta_f)
-    last = None  # (beta_s, regenerator gap) at the previous evaluation
-
-    def integrand(v: float) -> float:
-        nonlocal last
-        try:
-            beta_s = lo * exp(v)
-        except OverflowError:  # beta_s/lo is past the float range
-            beta_s = exp(v + math.log(lo))
-        beta_r = regenerator(beta_s)
-        gap = beta_r - beta_s
-        if gap == 0.0:
-            raise SingularityError(
-                f"regenerator temperature crosses the medium temperature at "
-                f"beta_s = {beta_s!r}")
-        if last is not None and (gap > 0.0) != (last[1] > 0.0):
-            crossing = _bisect_crossing(regenerator, last[0], beta_s)
-            raise SingularityError(
-                f"regenerator temperature crosses the medium temperature at "
-                f"beta_s = {crossing:.12g}")
-        last = (beta_s, gap)
-        x, x_s = beta_r * omega, beta_s * omega
-        return math.ldexp(_rate_quotient(stat, q, beta_s, x, x_s, x - x_s), -k)
-
-    # as on a linear stroke, GK15 integrates over 2^k, here the power of two
-    # near the first panel's estimate, so abs_tol acts relative to the stroke
-    k = 0
-    first, _ = _kronrod_panel(integrand, 0.0, _log_ratio(lo, max(beta_i, beta_f)))
-    if math.isfinite(first) and first:
-        k = min(max(math.frexp(first)[1], -1000), 1000)
-    return _duration(integrand, beta_i, beta_f, cfg,
-                     math.ldexp(omega / (2.0 * model.a), k), "regenerator")
+    if not (isinstance(regenerator, (int, float)) and 0.0 < regenerator < math.inf):
+        raise ParameterError(f"regenerator slope must be positive and finite, "
+                             f"got {regenerator!r}")
+    gap = (regenerator - 1.0) * omega
+    if not gap:  # a unit slope, or a gap past the float range
+        raise SingularityError("regenerator and medium temperatures coincide: "
+                               "infinite relaxation time")
+    return _linear_time(stat, model, regenerator, omega, omega, gap, beta_i, beta_f, cfg,
+                        "regenerator")
 
 
 def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: float,
@@ -233,21 +184,11 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
         # and x_s cancels one of them before the quotient can overflow
         return x_s * decay / -expm1(-dd * u) / w(x_s) * factor
 
+    # GK15 runs over v in [0, ln(hi/lo)] in the sweep direction; a
+    # convergence failure is rescaled so its partial result is a partial duration
     scale = math.ldexp(math.copysign(0.5 / model.a, d), k)
-    return _duration(integrand, u_i, u_f, cfg, scale, reservoir)
-
-
-def _duration(integrand, u_i: float, u_f: float, cfg, scale: float, reservoir: str) -> StrokeTime:
-    """``scale`` times the GK15 integral from u_i to u_f, taken in v = ln(u/lo).
-
-    ``integrand(v)`` is the stroke integrand times u at u = lo*e^v, up to a
-    constant the caller takes out of ``scale``, with lo the lower sweep end;
-    GK15 runs over v in [0, ln(hi/lo)] in the sweep direction.  An integrand
-    like 1/u^2 near lo is nearly flat in v.  A stroke run away from
-    equilibrium is rejected; a convergence failure is rescaled so its
-    partial result is a partial duration.
-    """
-    end = _log_ratio(min(u_i, u_f), max(u_i, u_f))
+    ratio = hi / lo
+    end = math.log(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
     try:
         result = integrate(integrand, *((0.0, end) if u_f > u_i else (end, 0.0)), cfg)
     except ConvergenceError as exc:
@@ -256,36 +197,12 @@ def _duration(integrand, u_i: float, u_f: float, cfg, scale: float, reservoir: s
     return _checked(scale * result.value, abs(scale) * result.error_estimate, reservoir)
 
 
-def _log_ratio(lo: float, hi: float) -> float:
-    """ln(hi/lo), also where hi/lo overflows."""
-    ratio = hi / lo
-    return math.log(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
-
-
 def _checked(duration: float, error_estimate: float, reservoir: str) -> StrokeTime:
     if duration < 0.0:
         raise ParameterError(
             "integration direction yields a negative duration; the stroke "
             f"must run toward the {reservoir}-driven equilibrium")
     return StrokeTime(duration, error_estimate)
-
-
-def _bisect_crossing(mapping: Callable[[float], float], lo: float, hi: float) -> float:
-    if lo > hi:
-        lo, hi = hi, lo
-    f_lo = mapping(lo) - lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f_mid = mapping(mid) - mid
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _stroke(label: str, fn, *args) -> StrokeTime:

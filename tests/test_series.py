@@ -257,17 +257,6 @@ def test_high_temperature_form_meets_gk15_at_its_threshold(stat, monkeypatch):
 
 
 @pytest.mark.parametrize("stat", [B, F])
-def test_callable_regenerator_holds_rel_tol_at_default_abs_tol(stat):
-    # the duration, ~1.8e-18, lies far below abs_tol = 1e-14: GK15 holds
-    # rel_tol only if abs_tol acts relative to the stroke
-    cfg, model = QuadratureConfig(), GevaKosloff(1.0, -0.05)
-    out = isochoric_time(stat, model, lambda b: 1.4 * b, 1.0, 30.0, 60.0, cfg)
-    exact = mp_isochoric_time(stat, model, 1.4, 1.0, 30.0, 60.0)
-    assert abs(out.duration - exact) <= cfg.rel_tol * exact
-    assert out.error_estimate <= cfg.rel_tol * out.duration
-
-
-@pytest.mark.parametrize("stat", [B, F])
 def test_oracle_resolves_a_stroke_over_300_decades(stat):
     # beta_s 1e-300 -> 33.3: near lo the integrand behaves like 1/beta_s^2
     # (bosonic), a spike no substitution in e^{-lam u} alone resolves
@@ -289,19 +278,7 @@ def test_oracle_raises_on_an_unresolved_quadrature():
         _mp_quad(lambda t: 1 / t, [0, 1])
 
 
-def test_callable_regenerator_keeps_gk15(monkeypatch):
-    calls = []
-    real_integrate = qstirling.timing.integrate
-    monkeypatch.setattr(qstirling.timing, "integrate",
-                        lambda *a, **k: calls.append(1) or real_integrate(*a, **k))
-    model = GevaKosloff(1.0, -0.05)
-    curve = isochoric_time(B, model, lambda b: 1.4 * b, 1.0, 10.0, 20.0, GK15)
-    line = isochoric_time(B, model, 1.4, 1.0, 10.0, 20.0, GK15)
-    assert calls == [1]
-    assert rel(curve.duration, line.duration) < 1e-13
-
-
-@pytest.mark.parametrize("slope", [0.0, -1.4, math.inf, math.nan])
+@pytest.mark.parametrize("slope", [0.0, -1.4, math.inf, math.nan, lambda b: 1.4 * b])
 def test_invalid_linear_slope_rejected(slope):
     with pytest.raises(ParameterError, match="slope"):
         isochoric_time(B, GevaKosloff(1.0, -0.05), slope, 1.0, 10.0, 20.0, GK15)

@@ -42,8 +42,7 @@ STATISTICS_ENTRIES = {
     "FridgeSpec": lambda stat: FridgeSpec(stat, 1.0, 2.0, 0.5, 1.0, 2.0, 3.0),
     "RelaxationSetup": lambda stat: RelaxationSetup(stat, MODEL, 1.0, 1.0, 0.1),
     "isothermal_time": lambda stat: isothermal_time(stat, MODEL, 0.5, 1.0, 2.0, 1.0),
-    "isochoric_time": lambda stat: isochoric_time(stat, MODEL, lambda b: 1.4 * b,
-                                                  1.0, 1.0, 2.0),
+    "isochoric_time": lambda stat: isochoric_time(stat, MODEL, 1.4, 1.0, 1.0, 2.0),
     "heat_current": lambda stat: heat_current(stat, MODEL, 0.5, 1.0, 1.0),
     "ThermalField.rates": lambda stat: ThermalField(1.0, 1.0).rates(stat, 1.0, 1.0),
 }

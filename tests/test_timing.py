@@ -100,58 +100,34 @@ class TestIsothermalTime:
 
 class TestIsochoricTime:
     def test_empty_sweep(self):
-        out = isochoric_time(B, MODEL, lambda b: 1.4 * b, 1.0, 2.0, 2.0, TIGHT)
+        out = isochoric_time(B, MODEL, 1.4, 1.0, 2.0, 2.0, TIGHT)
         assert out.duration == 0.0
 
     @pytest.mark.parametrize("stat", [B, F])
     def test_engine_cooling_stroke_low_temperature_form(self, stat):
         # B->C with gamma1 = 1.4 at beta1*omega1 = 10, beta2 = 2*beta1
         beta1, gamma1 = 10.0, 1.4
-        out = isochoric_time(stat, MODEL, lambda b: gamma1 * b, 1.0, beta1, 2.0 * beta1, TIGHT)
+        out = isochoric_time(stat, MODEL, gamma1, 1.0, beta1, 2.0 * beta1, TIGHT)
         k = gamma1 * (1.0 + MODEL.q)
         closed = (math.exp(-k * beta1) - math.exp(-k * 2.0 * beta1)) / (2.0 * MODEL.a * k)
         assert rel(out.duration, closed) < 0.02
 
     def test_fermionic_high_temperature_logarithm(self):
         beta1, gamma1 = 1e-4, 1.4
-        out = isochoric_time(F, MODEL, lambda b: gamma1 * b, 1.0, beta1, 2.0 * beta1, TIGHT)
+        out = isochoric_time(F, MODEL, gamma1, 1.0, beta1, 2.0 * beta1, TIGHT)
         closed = math.log(2.0) / (4.0 * MODEL.a * (gamma1 - 1.0))
         assert rel(out.duration, closed) < 0.01
 
-    def test_regenerator_crossing_detected(self):
-        # mapping crosses the identity at beta_s = 1.0 inside the sweep
-        with pytest.raises(SingularityError, match="crosses the medium temperature"):
-            isochoric_time(B, MODEL, lambda b: 2.0 - b, 1.0, 0.5, 1.5, TIGHT)
-
-    def test_nonlinear_monotone_mapping_supported(self):
-        # any single-sided monotone mapping works, not just the linear family
-        linear = isochoric_time(F, MODEL, lambda b: 1.4 * b, 1.0, 8.0, 16.0, TIGHT)
-        curved = isochoric_time(F, MODEL, lambda b: 1.4 * b + 0.01 * b * b,
-                                1.0, 8.0, 16.0, TIGHT)
-        assert curved.duration > 0.0
-        assert curved.duration < linear.duration  # hotter-side gap grows, faster stroke
-
     def test_temperature_ratio_past_the_float_range(self):
-        # beta_f/beta_i overflows, and so does e^v at the upper GK15 nodes in
-        # v = ln(beta_s/lo); the slope 1.4 gives the same modest duration
-        out = isochoric_time(F, MODEL, lambda b: 1.4 * b, 1.0, 1e-310, 2.0, TIGHT)
+        # beta_f/beta_i overflows, yet the fermionic duration stays modest
+        out = isochoric_time(F, MODEL, 1.4, 1.0, 1e-310, 2.0, TIGHT)
         assert rel(out.duration, mp_isochoric_time(F, MODEL, 1.4, 1.0, 1e-310, 2.0)) < 1e-11
-        assert rel(out.duration, isochoric_time(F, MODEL, 1.4, 1.0, 1e-310, 2.0).duration) < 1e-11
 
     def test_high_temperature_form_denominator_underflow_is_infinite(self):
         # B->C of engine_lowtemp.ini with a = omega1 = 1e-300: 2a*dd underflows to zero
         out = isochoric_time(B, GevaKosloff(1e-300, -0.05), 1.4, 1e-300,
                              16.666666666666668, 33.333333333333336)
         assert out.duration == math.inf
-
-    def test_crossing_location_reported(self):
-        with pytest.raises(SingularityError, match=r"beta_s (=|~=|≈|≈)?\s*"):
-            isochoric_time(B, MODEL, lambda b: 2.0 - b, 1.0, 0.5, 1.5, TIGHT)
-        try:
-            isochoric_time(B, MODEL, lambda b: 2.0 - b, 1.0, 0.5, 1.5, TIGHT)
-        except SingularityError as exc:
-            reported = float(str(exc).rsplit("=", 1)[1])
-            assert abs(reported - 1.0) < 1e-6
 
 
 class TestEngineCycleTime:
