@@ -138,10 +138,7 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
     if x_max <= _HIGH_TEMP_EXACT:
         # 1/[(x - x_s) x_s] (bosonic) or 1/[2 (x - x_s)] (fermionic) is the
         # integrand to a relative 2 x_max, below rounding; b cancels or stays
-        # as b/dd, so a duration whose raw integral would overflow stays finite.
-        # As with the series, a duration past the float range is returned as
-        # inf, the overflow of an exact form, and the caller's period check
-        # names it; only GK15, which has no value to return, raises below
+        # as b/dd, so a duration whose raw integral would overflow stays finite
         if stat is Statistics.BOSONIC:
             den = 2.0 * model.a * dd  # may underflow to zero
             duration = span / hi / lo / den if den else math.inf
@@ -202,6 +199,8 @@ def _checked(duration: float, error_estimate: float, reservoir: str) -> StrokeTi
         raise ParameterError(
             "integration direction yields a negative duration; the stroke "
             f"must run toward the {reservoir}-driven equilibrium")
+    if not duration < math.inf:
+        raise SingularityError("duration is past the float range")
     return StrokeTime(duration, error_estimate)
 
 

@@ -324,8 +324,9 @@ class TestFridgeCommand:
      "error: regenerator: gamma1 must be finite, got inf\n"),
     ("fridge", FRIDGE_CFG, "\nb = 1.4", "\nb = inf", "exact", 1,
      "error: regenerator: b must be finite, got inf\n"),
+    # the series' b/(2a) overflows on every stroke; the first is named
     ("engine", ENGINE_CFG, "\na = 1.0", "\na = 1e-320", "exact", 3,
-     "error: cycle period is not finite at these parameters: inf\n"),
+     "error: stroke A->B: duration is past the float range\n"),
 ], ids=["omega2-low_temp", "omega2-high_temp", "gamma1", "fridge-b", "a-subnormal"])
 def test_non_finite_cycle_exits_nonzero(tmp_path, capsys, command, config, line, edit,
                                         mode, code, message):
