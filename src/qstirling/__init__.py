@@ -44,7 +44,6 @@ from .relaxation import (
 from .statistics import (
     Statistics,
     internal_energy,
-    inverse_population,
     population,
 )
 from .timing import (

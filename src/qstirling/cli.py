@@ -67,8 +67,11 @@ def _json_text(payload) -> str:
 def _emit(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,16 +85,19 @@ def _build_parser() -> _Parser:
                                  "simulator (natural units hbar = k_B = 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="INI configuration file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="INI configuration file")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
+        p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+
+    def add_formatted(p):  # the commands that read output.format
+        add_common(p)
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="override output.format from the config")
-        p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     for kind in CYCLE_KINDS.values():
         cycle = sub.add_parser(kind.name, help=f"run one {kind.machine} operating point")
-        add_common(cycle)
+        add_formatted(cycle)
         cycle.set_defaults(handler=functools.partial(_cmd_cycle, kind=kind.name))
 
     regime = sub.add_parser("regime-map", help="grid of the conduction-coefficient ratio")
@@ -105,11 +111,12 @@ def _build_parser() -> _Parser:
     regime.set_defaults(handler=_cmd_regime_map)
 
     sweep = sub.add_parser("power-sweep", help="efficiency/power sweep over beta1*omega1")
-    add_common(sweep)
+    add_formatted(sweep)
     sweep.add_argument("--x-grid", required=True, metavar="START:STOP:N",
                        help="inclusive grid of x = beta1*omega1 values")
     sweep.add_argument("--summary-out", default=None,
-                       help="summary JSON path (default: <out>.summary.json)")
+                       help="summary JSON path for csv output (default: <out>.summary.json, "
+                            "or stdout after the rows without --out)")
     sweep.set_defaults(handler=_cmd_power_sweep)
 
     validate = sub.add_parser("validate", help="run the invariant suite on a configuration")
@@ -264,26 +271,23 @@ def _sweep_template(cfg: RunConfig):
 def _cmd_power_sweep(args) -> int:
     cfg = load_run_config(args.config)
     _require_geva_kosloff(cfg, "power-sweep")
+    out_format = args.format or cfg.out_format
+    if out_format == "json" and args.summary_out is not None:
+        raise ConfigError("--summary-out applies to csv output; the json document "
+                          "holds the summary")
     template = _sweep_template(cfg)
     grid = _parse_x_grid(args.x_grid)
     result = performance.power_sweep(template, grid)
     summary = dataclasses.asdict(result.summary)
-    out_format = args.format or cfg.out_format
     out_path = args.out or cfg.out_path
     if out_format == "json":
         _emit(_json_text({"records": [dataclasses.asdict(r) for r in result.records],
                           "summary": summary}), out_path)
         return 0
     columns = [f.name for f in dataclasses.fields(performance.SweepRecord)]
-    csv_text = _csv_text(columns, map(dataclasses.astuple, result.records))
-    summary_text = _json_text(summary)
-    if out_path is None:
-        sys.stdout.write(csv_text)
-        sys.stdout.write(summary_text)
-    else:
-        _emit(csv_text, out_path)
-        summary_path = args.summary_out or f"{out_path}.summary.json"
-        _emit(summary_text, summary_path)
+    _emit(_csv_text(columns, map(dataclasses.astuple, result.records)), out_path)
+    default_summary = f"{out_path}.summary.json" if out_path else None
+    _emit(_json_text(summary), args.summary_out or default_summary)
     return 0
 
 

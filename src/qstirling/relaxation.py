@@ -67,11 +67,6 @@ class ThermalField:
     def __post_init__(self):
         _require_positive(rho0=self.rho0)
 
-    def spectral_class(self) -> str:
-        if self.m == 1.0:
-            return "ohmic"
-        return "super-ohmic" if self.m > 1.0 else "sub-ohmic"
-
     def rates(self, stat: Statistics, beta: float, omega: float) -> tuple[float, float]:
         _require_positive(beta=beta, omega=omega)
         require_statistics(stat)

@@ -120,25 +120,6 @@ def population(stat: Statistics, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def inverse_population(stat: Statistics, n: float, temperature: float) -> float:
-    """Frequency at which the medium holds occupation ``n`` at ``temperature``.
-
-    Inverts :func:`population`: ``omega = T*log((1 -+ n)/n)`` with the
-    statistics-appropriate sign.  Fermionic occupations must lie strictly
-    inside ``(0, 1/2)``; bosonic occupations only need to be positive.
-    """
-    if temperature <= 0.0:
-        raise ParameterError("temperature must be positive")
-    require_statistics(stat)
-    if stat is Statistics.BOSONIC:
-        if n <= 0.0:
-            raise ParameterError("bosonic occupation must be positive")
-        return temperature * math.log1p(1.0 / n)
-    if not 0.0 < n < 0.5:
-        raise ParameterError("fermionic occupation must lie in (0, 1/2)")
-    return temperature * math.log1p((1.0 - 2.0 * n) / n)
-
-
 def internal_energy(stat: Statistics, omega: float, n: float):
     """Oscillator energy ``omega*(n + 1/2)`` bosonic, ``omega*(n - 1/2)`` fermionic.
 

@@ -31,8 +31,8 @@ PACKAGE_EXPORTS = (
     "equivalence_report", "fridge_performance", "power_sweep", "GevaKosloff", "LimitCurrent",
     "Regime", "RelaxationSetup", "ThermalField", "conduction_ratio", "equilibrium_population",
     "heat_current", "limit_heat_current", "rates", "relax", "relaxation_rate", "PathIntegral",
-    "PathSpec", "Statistics", "integrate_path", "internal_energy", "inverse_population",
-    "population", "LinearEngineRegenerator", "LinearFridgeRegenerator", "StrokeTime",
+    "PathSpec", "Statistics", "integrate_path", "internal_energy", "population",
+    "LinearEngineRegenerator", "LinearFridgeRegenerator", "StrokeTime",
     "TimingReport", "closed_form_cycle_time", "cycle_time", "engine_cycle_time",
     "engine_regime_extents", "fridge_cycle_time", "fridge_regime_extents", "isochoric_time",
     "isothermal_time", "regime_extents", "QuadratureConfig", "QuadratureResult", "integrate",
@@ -399,6 +399,23 @@ def test_extreme_stroke_ends_named(tmp_path, capsys, command, config, edits, cod
     assert err.startswith(message) if message else err == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["engine", "--config", ENGINE_CFG, "--out", "{tmp}"],
+    ["regime-map", "--q-min=-0.9", "--q-max=-0.1", "--x-min", "1", "--x-max", "2",
+     "--grid", "3", "--out", "{tmp}/missing/map.csv"],
+    ["power-sweep", "--config", SWEEP_CFG, "--x-grid", "0.5:10:4", "--out", "{tmp}/sweep.csv",
+     "--summary-out", "{tmp}/missing/summary.json"],
+], ids=["cycle-into-directory", "regime-map-missing-directory",
+        "sweep-summary-missing-directory"])
+def test_unwritable_output_path_exits_1(tmp_path, capsys, argv):
+    # each run used to end in an IsADirectoryError or FileNotFoundError traceback
+    rc = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: cannot write output file: ")
+    assert "Traceback" not in err
+
+
 class TestRegimeMapCommand:
     def test_on_curve_classification(self, tmp_path):
         x0 = 2.0 * math.log(2.0)
@@ -544,6 +561,28 @@ class TestPowerSweepCommand:
         assert len(payload["records"]) == 9
         assert "summary" in payload
 
+    def test_summary_out_without_out(self, tmp_path, capsys):
+        # the rows go to stdout and the summary to --summary-out, not after the rows
+        summary = tmp_path / "summary.json"
+        rc = main(["power-sweep", "--config", SWEEP_CFG, "--x-grid", "1:5:3",
+                   "--summary-out", str(summary)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.splitlines()[0] == "x,eta,p_star,ca_bound,ref_curve"
+        assert len(out.splitlines()) == 4
+        assert json.loads(summary.read_text(encoding="utf-8"))["ca_bound"] > 0.0
+
+    def test_json_refuses_summary_out(self, tmp_path, capsys):
+        # the JSON document holds the summary, so --summary-out would be dropped
+        out, summary = tmp_path / "sweep.json", tmp_path / "summary.json"
+        rc = main(["power-sweep", "--config", SWEEP_CFG, "--x-grid", "1:5:3",
+                   "--format", "json", "--out", str(out), "--summary-out", str(summary)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "--summary-out" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_determinism(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -578,6 +617,14 @@ class TestValidateCommand:
         text = Path(ENGINE_CFG).read_text(encoding="utf-8").replace(
             "alpha_c = 1.4", "alpha_c = 0.9")
         assert main(["validate", "--config", write_cfg(tmp_path, text)]) == 2
+
+    def test_format_is_refused(self, capsys):
+        # validate writes text only; --format json used to print that text at exit 0
+        rc = main(["validate", "--config", ENGINE_CFG, "--format", "json"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "--format" in captured.err
 
     def test_path_oracle_memory_peak(self, capsys):
         # the two 10^6-step path integrals keep about five 8 MB arrays alive

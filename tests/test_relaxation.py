@@ -41,11 +41,6 @@ class TestRates:
         assert rel(gp, 0.25) < 1e-14
         assert rel(gm, 0.75) < 1e-14
 
-    def test_spectral_classification(self):
-        assert ThermalField(1.0, 1.0).spectral_class() == "ohmic"
-        assert ThermalField(1.0, 2.0).spectral_class() == "super-ohmic"
-        assert ThermalField(1.0, 0.5).spectral_class() == "sub-ohmic"
-
     @pytest.mark.parametrize("bad", [0.0, -1.0, 0.5, 1.0])
     def test_geva_kosloff_q_domain(self, bad):
         with pytest.raises(ParameterError):

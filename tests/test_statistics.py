@@ -19,7 +19,6 @@ from qstirling import (
     heat_current,
     integrate_path,
     internal_energy,
-    inverse_population,
     isochoric_time,
     isothermal_time,
     population,
@@ -36,7 +35,6 @@ MODEL = GevaKosloff(1.0, -0.5)
 # every public entry that takes a statistics value, called with valid other arguments
 STATISTICS_ENTRIES = {
     "population": lambda stat: population(stat, 1.0),
-    "inverse_population": lambda stat: inverse_population(stat, 0.25, 1.0),
     "internal_energy": lambda stat: internal_energy(stat, 1.0, 0.25),
     "EngineSpec": lambda stat: EngineSpec(stat, 1.0, 2.0, 0.5, 1.0, 2.0, 3.0),
     "FridgeSpec": lambda stat: FridgeSpec(stat, 1.0, 2.0, 0.5, 1.0, 2.0, 3.0),
@@ -144,37 +142,6 @@ class TestPopulation:
         nb = population(B, x)
         assert 0.0 < nf < 0.5
         assert nb > nf
-
-
-class TestInversePopulation:
-    @pytest.mark.parametrize("stat,n,t,expected", [
-        (F, 1.0 / 3.0, 1.0, LN2),
-        (B, 1.0, 1.0, LN2),
-        (B, 2.0, 1.0, math.log(1.5)),
-    ])
-    def test_values(self, stat, n, t, expected):
-        assert rel(inverse_population(stat, n, t), expected) < 1e-14
-
-    @pytest.mark.parametrize("stat,n", [
-        (F, 0.5), (F, 0.7), (F, 0.0), (F, -0.1), (B, 0.0), (B, -1.0),
-    ])
-    def test_domain(self, stat, n):
-        with pytest.raises(ParameterError):
-            inverse_population(stat, n, 1.0)
-
-    def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(ParameterError):
-            inverse_population(B, 1.0, 0.0)
-
-    @given(st.floats(min_value=math.log(1e-3), max_value=math.log(30.0)),
-           st.floats(min_value=0.1, max_value=10.0))
-    @settings(max_examples=400)
-    def test_round_trip(self, log_x, t):
-        x = math.exp(log_x)
-        for stat in (B, F):
-            n = population(stat, x)
-            omega = inverse_population(stat, n, t)
-            assert rel(omega / t, x) < 1e-12
 
 
 class TestInternalEnergy:

@@ -1,5 +1,5 @@
 """tools/code_lines.py against a plain line count and a hand-counted module;
-tools/output_parity.py's pool dump against itself."""
+tools/output_parity.py's pool dump against itself; tools/reach.py's report."""
 
 import importlib.util
 import subprocess
@@ -9,6 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "code_lines.py"
 PARITY = ROOT / "tools" / "output_parity.py"
+REACH = ROOT / "tools" / "reach.py"
 
 
 def _load(path):
@@ -58,3 +59,14 @@ def test_pool_text_is_deterministic_with_one_line_per_point():
     assert (code, err) == (0, b"")
     tiny_pool_size = _load(ROOT / "bench" / "workloads.py").TINY_POOL_SIZE
     assert len(out.decode().splitlines()) == tiny_pool_size
+
+
+def test_reach_lists_only_functions_no_input_runs():
+    out = subprocess.run([sys.executable, str(REACH), "--tiny"], capture_output=True,
+                         text=True, check=True).stdout
+    *missed, total = out.splitlines()
+    # an error path that no shipped input reaches, and two the pipeline always runs
+    assert "cycles.check_corner_overflow" in missed
+    assert "cycles.cycle_ledger" not in missed
+    assert "statistics.population" not in missed
+    assert total.startswith(f"{len(missed)} of ")
