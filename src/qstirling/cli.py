@@ -35,12 +35,11 @@ from .errors import (
     SingularityError,
 )
 from .performance import Mode, PerformanceReport, cycle_performance
-from .relaxation import GevaKosloff, conduction_ratio, rates
+from .relaxation import HIGH_TEMP_THRESHOLD, LOW_TEMP_THRESHOLD, GevaKosloff, conduction_ratio, rates
 from .statistics import Statistics
 
 _LN2 = math.log(2.0)
 _ON_CURVE_TOL = 1e-12
-_THREADS_HELP = "accepted for compatibility; every command runs single-threaded"
 
 _LEDGER_FIELDS = tuple(f.name for f in dataclasses.fields(StrokeLedger))
 COLUMNS = {name: _LEDGER_FIELDS + (kind.merit, "power", kind.rate_column, "tau", "status")
@@ -88,7 +87,6 @@ def _build_parser() -> _Parser:
     def add_common(p):
         p.add_argument("--config", required=True, help="INI configuration file")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     def add_formatted(p):  # the commands that read output.format
         add_common(p)
@@ -107,7 +105,8 @@ def _build_parser() -> _Parser:
     regime.add_argument("--x-max", type=float, required=True)
     regime.add_argument("--grid", type=int, required=True, metavar="N")
     regime.add_argument("--out", default=None)
-    regime.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    regime.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; the map runs single-threaded")
     regime.set_defaults(handler=_cmd_regime_map)
 
     sweep = sub.add_parser("power-sweep", help="efficiency/power sweep over beta1*omega1")
@@ -174,7 +173,6 @@ def _cmd_cycle(args, kind: str) -> int:
     _require_geva_kosloff(cfg, kind)
     report = cycle_performance(cfg.spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)
     out_format = args.format or cfg.out_format
-    out_path = args.out or cfg.out_path
     ledger, figures = _report_values(report, cfg.particle_count)
     if out_format == "csv":
         values = {**ledger, **figures, "status": report.status}
@@ -195,11 +193,11 @@ def _cmd_cycle(args, kind: str) -> int:
             "regime_extents": {
                 "x_min": report.x_min,
                 "x_max": report.x_max,
-                "x_low_threshold": cfg.x_low_threshold,
-                "x_high_threshold": cfg.x_high_threshold,
+                "x_low_threshold": LOW_TEMP_THRESHOLD,
+                "x_high_threshold": HIGH_TEMP_THRESHOLD,
             },
         })
-    _emit(text, out_path)
+    _emit(text, args.out)
     return 0
 
 
@@ -279,14 +277,13 @@ def _cmd_power_sweep(args) -> int:
     grid = _parse_x_grid(args.x_grid)
     result = performance.power_sweep(template, grid)
     summary = dataclasses.asdict(result.summary)
-    out_path = args.out or cfg.out_path
     if out_format == "json":
         _emit(_json_text({"records": [dataclasses.asdict(r) for r in result.records],
-                          "summary": summary}), out_path)
+                          "summary": summary}), args.out)
         return 0
     columns = [f.name for f in dataclasses.fields(performance.SweepRecord)]
-    _emit(_csv_text(columns, map(dataclasses.astuple, result.records)), out_path)
-    default_summary = f"{out_path}.summary.json" if out_path else None
+    _emit(_csv_text(columns, map(dataclasses.astuple, result.records)), args.out)
+    default_summary = f"{args.out}.summary.json" if args.out else None
     _emit(_json_text(summary), args.summary_out or default_summary)
     return 0
 
@@ -339,14 +336,14 @@ def _cmd_validate(args) -> int:
         spec_f = dataclasses.replace(spec, stat=Statistics.FERMIONIC)
         eq = performance.equivalence_report(spec_b, spec_f, cfg.model, cfg.regen, cfg.quad,
                                             Mode.EXACT)
-        if eq.x_min >= cfg.x_low_threshold:
+        if eq.x_min >= LOW_TEMP_THRESHOLD:
             worst = max(eq.deviations.values())
             checks.append(("statistics_equivalence", not eq.exceeding,
                            f"worst deviation {worst:.3e} vs bound {eq.bound:.3e}"))
         else:
             checks.append(("statistics_equivalence", None,
                            f"skipped: x_min {eq.x_min:.3g} below low-temperature "
-                           f"threshold {cfg.x_low_threshold:.3g}"))
+                           f"threshold {LOW_TEMP_THRESHOLD:.3g}"))
     else:
         checks.append(("power_tau_identity", None, "skipped: requires geva-kosloff bath"))
         checks.append(("statistics_equivalence", None, "skipped: requires geva-kosloff bath"))

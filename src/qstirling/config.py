@@ -9,14 +9,13 @@ is an error.
 from __future__ import annotations
 
 import configparser
-import math
 import sys
 from dataclasses import dataclass, fields
 
 from .cycles import CYCLE_KINDS, CycleKind, EngineSpec, FridgeSpec, Mode
 from .errors import ConfigError, ParameterError
 from .quadrature import QuadratureConfig
-from .relaxation import HIGH_TEMP_THRESHOLD, LOW_TEMP_THRESHOLD, GevaKosloff, ThermalField
+from .relaxation import GevaKosloff, ThermalField
 from .statistics import Statistics
 from .timing import LinearEngineRegenerator, LinearFridgeRegenerator
 
@@ -27,9 +26,8 @@ _SCHEMA = {
     "cycle": {"kind", "alpha_h", "alpha_c"},
     "bath": {"a", "q", "rho0", "m"},
     "regenerator": set(),
-    "numerics": {"rel_tol", "abs_tol", "max_subdivisions", "regime_mode",
-                 "x_low_threshold", "x_high_threshold"},
-    "output": {"format", "path", "particle_count"},
+    "numerics": {"rel_tol", "abs_tol", "max_subdivisions", "regime_mode"},
+    "output": {"format", "particle_count"},
 }
 
 
@@ -42,10 +40,7 @@ class RunConfig:
     regen: LinearEngineRegenerator | LinearFridgeRegenerator
     quad: QuadratureConfig
     mode: Mode
-    x_low_threshold: float
-    x_high_threshold: float
     out_format: str
-    out_path: str | None
     particle_count: int
 
 
@@ -194,25 +189,18 @@ def load_run_config(path: str) -> RunConfig:
         raise ConfigError(
             f"numerics.regime_mode: expected exact, low_temp or high_temp, "
             f"got {mode_raw!r}") from exc
-    x_low = numerics.number("x_low_threshold", LOW_TEMP_THRESHOLD)
-    x_high = numerics.number("x_high_threshold", HIGH_TEMP_THRESHOLD)
-    for key, value in (("x_low_threshold", x_low), ("x_high_threshold", x_high)):
-        if not math.isfinite(value):
-            raise ConfigError(f"numerics.{key}: must be finite, got {value!r}")
 
     output = _Section(parser, "output", required=False)
     out_format = output.text("format", "csv").lower()
     if out_format not in ("csv", "json"):
         raise ConfigError(f"output.format: expected csv or json, got {out_format!r}")
-    out_path = output.text("path", "") or None
     particle_count = output.integer("particle_count", 1)
     if particle_count < 1:
         raise ConfigError("output.particle_count: must be at least 1")
     if particle_count > sys.float_info.max:  # extensive outputs are scaled by float(count)
         raise ConfigError(f"output.particle_count: must not exceed {sys.float_info.max!r}")
 
-    return RunConfig(spec, model, regen, quad, mode,
-                     x_low, x_high, out_format, out_path, particle_count)
+    return RunConfig(spec, model, regen, quad, mode, out_format, particle_count)
 
 
 def _build(factory, section: str, *args):

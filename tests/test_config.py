@@ -101,6 +101,17 @@ def test_unknown_key_in_existing_section(tmp_path):
     text = BASE.replace("a = 1.0", "a = 1.0\ncoupling = 2")
     with pytest.raises(ConfigError, match="unknown key bath.coupling"):
         load_run_config(write(tmp_path, text))
+    # the regime thresholds are the constants of qstirling.relaxation, and --out is
+    # the only output path; a NaN x_low_threshold once turned a validate check into a SKIP
+    for section, line in [("numerics", "x_low_threshold = nan"),
+                          ("numerics", "x_low_threshold = inf"),
+                          ("numerics", "x_high_threshold = nan"),
+                          ("numerics", "x_high_threshold = -inf"),
+                          ("output", "path = out.json")]:
+        key = line.split(" =")[0]
+        text = BASE + f"\n[{section}]\n{line}\n"
+        with pytest.raises(ConfigError, match=f"^unknown key {section}.{key}$"):
+            load_run_config(write(tmp_path, text))
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -151,20 +162,16 @@ rel_tol = 1e-8
 abs_tol = 1e-200
 max_subdivisions = 64
 regime_mode = low_temp
-x_low_threshold = 9.0
 
 [output]
 format = json
-path = out.json
 particle_count = 3
 """
     cfg = load_run_config(write(tmp_path, text))
     assert cfg.quad.rel_tol == 1e-8
     assert cfg.quad.max_subdivisions == 64
     assert cfg.mode is Mode.LOW_TEMP
-    assert cfg.x_low_threshold == 9.0
     assert cfg.out_format == "json"
-    assert cfg.out_path == "out.json"
     assert cfg.particle_count == 3
 
 
