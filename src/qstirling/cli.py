@@ -284,7 +284,12 @@ def _cmd_power_sweep(args) -> int:
     columns = [f.name for f in dataclasses.fields(performance.SweepRecord)]
     _emit(_csv_text(columns, map(dataclasses.astuple, result.records)), args.out)
     default_summary = f"{args.out}.summary.json" if args.out else None
-    _emit(_json_text(summary), args.summary_out or default_summary)
+    try:
+        _emit(_json_text(summary), args.summary_out or default_summary)
+    except ConfigError:  # leave no rows file behind a failed run
+        if args.out is not None:
+            Path(args.out).unlink(missing_ok=True)
+        raise
     return 0
 
 
@@ -320,13 +325,20 @@ def _cmd_validate(args) -> int:
     dev = performance._relative_deviation(closed_iso, oracle)
     checks.append(("isochoric_heat_oracle", dev <= 1e-8, f"relative deviation {dev:.3e}"))
 
-    # detailed balance of the configured bath model
+    # detailed balance of the configured bath model, where its rate ratio and the
+    # Boltzmann factor are finite
     beta_probe = spec.beta_h
-    gamma_plus, gamma_minus = rates(cfg.model, beta_probe, spec.omega1, spec.stat)
-    ratio = gamma_minus / gamma_plus
-    reference = math.exp(beta_probe * spec.omega1)
-    ulps = abs(ratio - reference) / math.ulp(reference)
-    checks.append(("detailed_balance", ulps <= 4.0, f"{ulps:.1f} ulp"))
+    try:
+        gamma_plus, gamma_minus = rates(cfg.model, beta_probe, spec.omega1, spec.stat)
+        ratio, reference = gamma_minus / gamma_plus, math.exp(beta_probe * spec.omega1)
+    except (OverflowError, ZeroDivisionError):
+        ratio = reference = math.inf
+    if math.isfinite(ratio) and math.isfinite(reference):
+        ulps = abs(ratio - reference) / math.ulp(reference)
+        checks.append(("detailed_balance", ulps <= 4.0, f"{ulps:.1f} ulp"))
+    else:
+        checks.append(("detailed_balance", None, "skipped: the rates or "
+                       "exp(beta_h*omega1) leave the float range"))
 
     if isinstance(cfg.model, GevaKosloff):
         report = cycle_performance(cfg.spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)

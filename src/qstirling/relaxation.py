@@ -66,6 +66,9 @@ class ThermalField:
 
     def __post_init__(self):
         _require_positive(rho0=self.rho0)
+        for name, value in (("rho0", self.rho0), ("m", self.m)):
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
 
     def rates(self, stat: Statistics, beta: float, omega: float) -> tuple[float, float]:
         _require_positive(beta=beta, omega=omega)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qstirling import FridgeSpec, GevaKosloff, LinearFridgeRegenerator, Statistics, cycle_ledger
 from qstirling.cli import COLUMNS, _csv_text, main
 from qstirling.config import load_run_config
 from conftest import mp_isochoric_time, mp_isothermal_time
@@ -293,6 +294,40 @@ class TestFridgeCommand:
         assert float(row["epsilon"]) > 0.0
         assert float(row["cooling_rate"]) > 0.0
 
+    def test_not_a_refrigerator_row(self, tmp_path):
+        # the one non-finite number allowed at exit 0: the NaN figure of merit of a
+        # cycle whose status says why
+        spec = FridgeSpec(Statistics.FERMIONIC, 1.0, 2.0, 0.1, 0.15, 0.3, 0.4)
+        cycle = cycle_ledger(spec)
+        assert cycle.status == "not_a_refrigerator"
+        assert math.isnan(cycle.epsilon)
+        text = Path(FRIDGE_CFG).read_text(encoding="utf-8")
+        for line, edit in (("beta1p = 16.666666666666668", "beta1p = 0.1"),
+                           ("beta2p = 33.333333333333336", "beta2p = 0.4"),
+                           ("alpha_h = 1.4", "beta_h = 0.15"), ("alpha_c = 0.8", "beta_c = 0.3")):
+            assert line in text
+            text = text.replace(line, edit)
+        config = write_cfg(tmp_path, text)
+        cfg = load_run_config(config)
+        assert (cfg.spec, cfg.model, cfg.regen) == (
+            spec, GevaKosloff(1.0, -0.05), LinearFridgeRegenerator(1.4, 0.6))
+        csv_out, json_out = tmp_path / "row.csv", tmp_path / "row.json"
+        assert main(["fridge", "--config", config, "--out", str(csv_out)]) == 0
+        assert main(["fridge", "--config", config, "--format", "json",
+                     "--out", str(json_out)]) == 0
+        header, rows = read_csv(csv_out)
+        row = dict(zip(header, rows[0]))
+        assert row.pop("status") == "not_a_refrigerator"
+        assert [name for name, value in row.items() if not math.isfinite(float(value))] == \
+            ["epsilon"]
+        assert row["epsilon"] == "nan"
+        document = json_out.read_text(encoding="utf-8")
+        assert "Infinity" not in document
+        assert document.count("NaN") == 1
+        payload = json.loads(document)
+        assert payload["status"] == "not_a_refrigerator"
+        assert math.isnan(payload["performance"]["epsilon"])
+
     def test_broken_ordering_exits_2(self, tmp_path, capsys):
         text = Path(FRIDGE_CFG).read_text(encoding="utf-8").replace(
             "alpha_h = 1.4", "alpha_h = 0.9")
@@ -414,6 +449,7 @@ def test_unwritable_output_path_exits_1(tmp_path, capsys, argv):
     assert rc == 1
     assert err.startswith("error: cannot write output file: ")
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []  # power-sweep used to leave its rows file behind
 
 
 class TestRegimeMapCommand:
@@ -654,6 +690,41 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "SKIP" in out
+
+    @pytest.mark.parametrize("edits,code,expected", [
+        # beta_h*omega1 = 750: e^{(1+q)*750} overflows in the rates; the period underflows
+        ({"beta1 = 16.666666666666668": "beta1 = 1250.0",
+          "beta2 = 33.333333333333336": "beta2 = 2500.0"}, 3,
+         "error: cycle period underflowed to zero at these parameters\n"),
+        # the rates are finite, e^{750} is not, and the pipeline checks still run
+        ({"beta1 = 16.666666666666668": "beta1 = 1250.0",
+          "beta2 = 33.333333333333336": "beta2 = 2500.0", "q = -0.05": "q = -0.9"}, 0,
+         "5 passed, 0 failed, 1 skipped\n"),
+        ({"a = 1.0\nq = -0.05": "rho0 = 1.0\nm = 1e308", "omega1 = 1.0": "omega1 = 1.5"}, 0,
+         "3 passed, 0 failed, 3 skipped\n"),
+        ({"a = 1.0\nq = -0.05": "rho0 = 1.0\nm = -1e308", "omega1 = 1.0": "omega1 = 1.5"}, 0,
+         "3 passed, 0 failed, 3 skipped\n"),
+        ({"a = 1.0\nq = -0.05": "rho0 = 1.0\nm = nan", "omega1 = 1.0": "omega1 = 1.5"}, 1,
+         "error: bath: m must be finite, got nan\n"),
+    ], ids=["gk-rate-overflow", "gk-exp-overflow", "thermal-m-huge", "thermal-m-tiny",
+            "thermal-m-nan"])
+    def test_detailed_balance_probe_past_float_range(self, tmp_path, capsys, edits, code,
+                                                      expected):
+        # each run used to end in an OverflowError or ZeroDivisionError traceback, or
+        # (m = nan) in "FAIL detailed_balance (nan ulp)" at exit 3
+        text = Path(ENGINE_CFG).read_text(encoding="utf-8")
+        for line, edit in edits.items():
+            assert line in text
+            text = text.replace(line, edit)
+        rc = main(["validate", "--config", write_cfg(tmp_path, text)])
+        captured = capsys.readouterr()
+        assert rc == code
+        if code == 0:
+            assert ("SKIP detailed_balance (skipped: the rates or exp(beta_h*omega1) "
+                    "leave the float range)\n") in captured.out
+            assert captured.out.endswith(expected)
+        else:
+            assert (captured.out, captured.err) == ("", expected)
 
     @pytest.mark.parametrize("key,value", [
         ("rel_tol", "nan"), ("rel_tol", "inf"), ("abs_tol", "nan"), ("abs_tol", "inf"),

@@ -50,6 +50,12 @@ class TestRates:
         with pytest.raises(ParameterError):
             GevaKosloff(0.0, -0.5)
 
+    @pytest.mark.parametrize("rho0, m", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
+                                         (1.0, math.inf), (1.0, -math.inf)])
+    def test_thermal_field_domain(self, rho0, m):
+        with pytest.raises(ParameterError, match="must be"):
+            ThermalField(rho0, m)
+
     def test_thermal_field_needs_statistics(self):
         with pytest.raises(ParameterError):
             rates(ThermalField(1.0, 1.0), 1.0, 1.0)

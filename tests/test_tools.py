@@ -1,5 +1,5 @@
 """tools/code_lines.py against a plain line count and a hand-counted module;
-tools/output_parity.py's pool dump against itself; tools/reach.py's report."""
+tools/output_parity.py's pool dump against itself; tools/reach.py's two reports."""
 
 import importlib.util
 import subprocess
@@ -64,9 +64,12 @@ def test_pool_text_is_deterministic_with_one_line_per_point():
 def test_reach_lists_only_functions_no_input_runs():
     out = subprocess.run([sys.executable, str(REACH), "--tiny"], capture_output=True,
                          text=True, check=True).stdout
-    *missed, total = out.splitlines()
+    *missed, total, key_m, key_rho0, key_total = out.splitlines()
     # an error path that no shipped input reaches, and two the pipeline always runs
     assert "cycles.check_corner_overflow" in missed
     assert "cycles.cycle_ledger" not in missed
     assert "statistics.population" not in missed
     assert total.startswith(f"{len(missed)} of ")
+    # every INI key but the thermal-field bath's is set by a shipped or benchmark config
+    assert (key_m, key_rho0) == ("bath.m", "bath.rho0")
+    assert key_total.startswith("2 of ")

@@ -1,4 +1,5 @@
-"""Functions of ``src/qstirling`` whose body no shipped input or benchmark op runs.
+"""Functions of ``src/qstirling`` whose body no shipped input or benchmark op runs,
+and INI keys that no shipped input sets.
 
 Under ``sys.settrace`` (call events only) it runs, in one process:
 
@@ -13,9 +14,12 @@ Under ``sys.settrace`` (call events only) it runs, in one process:
 
 It then prints each function and lambda of the ``qstirling`` first on
 ``sys.path`` (this tree's ``src`` otherwise) whose body never ran, as
-``module.qualname`` in source order, and a count.  ``bench/`` is imported,
-never changed.  A report only: it exits 0 whatever it finds.  ``--tiny``
-runs the benchmark's tiny pools.
+``module.qualname`` in source order, and a count.  Next it prints each
+``section.key`` that ``qstirling.config`` accepts for some cycle kind (its
+``_SCHEMA`` plus each kind's spec fields but ``stat`` and its regenerator
+fields) but that no INI given to a command above as ``--config`` sets, and
+a count.  ``bench/`` is imported, never changed.  A report only: it exits 0
+whatever it finds.  ``--tiny`` runs the benchmark's tiny pools.
 
     python3 tools/reach.py [--tiny]
     PYTHONPATH=<another tree>/src python3 tools/reach.py
@@ -64,7 +68,28 @@ def _config_ops():
         yield workloads.CliOp("validate", ("validate", "--config", str(config)), 0)
 
 
-def _exercise(tiny: bool):
+def _ini_keys(path: str) -> set[str]:
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(path, encoding="utf-8")
+    return {f"{section}.{key}" for section in parser.sections() for key in parser[section]}
+
+
+def _accepted_keys() -> set[str]:
+    """``section.key`` of every INI key ``qstirling.config`` accepts for some cycle kind."""
+    from dataclasses import fields
+
+    from qstirling import config
+    from qstirling.cycles import CYCLE_KINDS
+
+    keys = {f"{section}.{key}" for section, names in config._SCHEMA.items() for key in names}
+    for kind in CYCLE_KINDS.values():
+        keys.update(f"cycle.{f.name}" for f in fields(kind.spec) if f.name != "stat")
+        keys.update(f"regenerator.{f.name}" for f in fields(kind.regen))
+    return keys
+
+
+def _exercise(tiny: bool) -> set[str]:
+    """Run every input under the tracer; return the INI keys its configs set."""
     import output_parity
     import qstirling
     import run
@@ -73,15 +98,19 @@ def _exercise(tiny: bool):
     from qstirling import cli
 
     main_op = run.cli_main_op(cli)
+    set_keys = set()
     with tempfile.TemporaryDirectory(prefix="reach_") as workdir:
         rotation = workloads.write_cli_inputs(workdir, output_parity.POOL_SEED, 1)[0]
         for cli_op in (*_config_ops(), *rotation):
             main_op(cli_op)
+            if "--config" in cli_op.argv:
+                set_keys |= _ini_keys(cli_op.argv[cli_op.argv.index("--config") + 1])
     for workload in output_parity.POOLS:
         output_parity.pool_text(workload, tiny)
     point = workloads.make_pool("exact_crossover", output_parity.POOL_SEED, tiny)[0]
     with spans.Tracer():
         workloads.exact_op(qstirling, point)
+    return set_keys
 
 
 def main(argv=None) -> int:
@@ -98,7 +127,7 @@ def main(argv=None) -> int:
 
     sys.settrace(trace)  # before the package loads, so import-time calls count
     try:
-        _exercise(args.tiny)
+        set_keys = _exercise(args.tiny)
     finally:
         sys.settrace(None)
     import qstirling
@@ -112,6 +141,11 @@ def main(argv=None) -> int:
         print(f"{module}.{qualname}")
     print(f"{len(missed)} of {len(functions)} functions in "
           f"{Path(qstirling.__file__).parent} never ran")
+    accepted = _accepted_keys()
+    unset = sorted(accepted - set_keys)
+    for key in unset:
+        print(key)
+    print(f"{len(unset)} of {len(accepted)} INI keys set by no shipped or cli_cold config")
     return 0
 
 
