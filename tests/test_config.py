@@ -101,15 +101,14 @@ def test_unknown_key_in_existing_section(tmp_path):
     text = BASE.replace("a = 1.0", "a = 1.0\ncoupling = 2")
     with pytest.raises(ConfigError, match="unknown key bath.coupling"):
         load_run_config(write(tmp_path, text))
-    # the regime thresholds are the constants of qstirling.relaxation, and --out is
-    # the only output path; a NaN x_low_threshold once turned a validate check into a SKIP
-    for section, line in [("numerics", "x_low_threshold = nan"),
-                          ("numerics", "x_low_threshold = inf"),
-                          ("numerics", "x_high_threshold = nan"),
-                          ("numerics", "x_high_threshold = -inf"),
-                          ("output", "path = out.json")]:
-        key = line.split(" =")[0]
-        text = BASE + f"\n[{section}]\n{line}\n"
+    # the regime thresholds are constants of qstirling.relaxation and --out is the only
+    # output path, so a config cannot turn validate's equivalence check into a SKIP
+    for section, key, value in [("numerics", "x_low_threshold", "nan"),
+                                ("numerics", "x_low_threshold", "inf"),
+                                ("numerics", "x_high_threshold", "nan"),
+                                ("numerics", "x_high_threshold", "-inf"),
+                                ("output", "path", "out.json")]:
+        text = BASE + f"\n[{section}]\n{key} = {value}\n"
         with pytest.raises(ConfigError, match=f"^unknown key {section}.{key}$"):
             load_run_config(write(tmp_path, text))
 
