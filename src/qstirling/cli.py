@@ -124,20 +124,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_EXIT_CODES = {ConfigError: 1, ParameterError: 1, OrderingError: 2, SingularityError: 3,
+               ConvergenceError: 3}
+
+
 def main(argv=None) -> int:
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except (ConfigError, ParameterError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OrderingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SingularityError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 
 def _require_geva_kosloff(cfg: RunConfig, command: str):
@@ -293,84 +290,79 @@ def _cmd_power_sweep(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    cfg = load_run_config(args.config)
-    spec = cfg.spec
-    checks = []
+def _deviation(name: str, tol: float, value: float, reference: float):
+    dev = performance._relative_deviation(value, reference)
+    return name, dev <= tol, f"relative deviation {dev:.3e}"
 
-    # first-law closure: stroke-heat sum against the closed-form total work
+
+def _path_heat(stat: Statistics, omega_i: float, omega_f: float, beta_i: float,
+               beta_f: float) -> float:
+    """Heat along the 10^6-step straight path from (omega_i, beta_i) to (omega_f, beta_f)."""
+    path = statistics.PathSpec(stat, lambda u: omega_i + (omega_f - omega_i) * u,
+                               lambda u: beta_i + (beta_f - beta_i) * u, 10 ** 6)
+    return statistics.integrate_path(path).heat
+
+
+def _validation_checks(cfg: RunConfig):
+    """(name, verdict, detail) of each check in report order; verdict None is a SKIP."""
+    spec = cfg.spec
     kind = cycle_kind(spec)
     hot_stroke = kind.stroke("q_iso_hot")
     hot_t = 1.0 / getattr(spec, hot_stroke.fixed)
     cold_t = 1.0 / getattr(spec, kind.stroke("q_iso_cold").fixed)
-    iso_omega_i, iso_omega_f = getattr(spec, hot_stroke.start), getattr(spec, hot_stroke.end)
-    dev = performance._relative_deviation(cycle_ledger(spec).ledger.w_tot, work_closed_form(spec))
-    checks.append(("first_law_closure", dev <= 1e-12, f"relative deviation {dev:.3e}"))
+    iso_omegas = getattr(spec, hot_stroke.start), getattr(spec, hot_stroke.end)
+    # first-law closure: stroke-heat sum against the closed-form total work
+    yield _deviation("first_law_closure", 1e-12, cycle_ledger(spec).ledger.w_tot,
+                     work_closed_form(spec))
 
     # quadrature spot checks of both stroke-heat closed forms
-    steps = 10 ** 6
-    path = statistics.PathSpec(spec.stat,
-                               lambda u: iso_omega_i + (iso_omega_f - iso_omega_i) * u,
-                               lambda u: (1.0 / hot_t) + 0.0 * u, steps)
-    oracle = statistics.integrate_path(path).heat
-    closed_iso = isothermal_heat(spec.stat, hot_t, iso_omega_i, iso_omega_f)
-    dev = performance._relative_deviation(closed_iso, oracle)
-    checks.append(("isothermal_heat_oracle", dev <= 1e-8, f"relative deviation {dev:.3e}"))
-
-    beta_lo, beta_hi = 1.0 / hot_t, 1.0 / cold_t
-    path = statistics.PathSpec(spec.stat, lambda u: spec.omega1 + 0.0 * u,
-                               lambda u: beta_lo + (beta_hi - beta_lo) * u, steps)
-    oracle = statistics.integrate_path(path).heat
-    closed_iso = isochoric_heat(spec.stat, spec.omega1, hot_t, cold_t)
-    dev = performance._relative_deviation(closed_iso, oracle)
-    checks.append(("isochoric_heat_oracle", dev <= 1e-8, f"relative deviation {dev:.3e}"))
+    oracle = _path_heat(spec.stat, *iso_omegas, 1.0 / hot_t, 1.0 / hot_t)
+    yield _deviation("isothermal_heat_oracle", 1e-8,
+                     isothermal_heat(spec.stat, hot_t, *iso_omegas), oracle)
+    oracle = _path_heat(spec.stat, spec.omega1, spec.omega1, 1.0 / hot_t, 1.0 / cold_t)
+    yield _deviation("isochoric_heat_oracle", 1e-8,
+                     isochoric_heat(spec.stat, spec.omega1, hot_t, cold_t), oracle)
 
     # detailed balance of the configured bath model, where its rate ratio and the
     # Boltzmann factor are finite
-    beta_probe = spec.beta_h
     try:
-        gamma_plus, gamma_minus = rates(cfg.model, beta_probe, spec.omega1, spec.stat)
-        ratio, reference = gamma_minus / gamma_plus, math.exp(beta_probe * spec.omega1)
+        gamma_plus, gamma_minus = rates(cfg.model, spec.beta_h, spec.omega1, spec.stat)
+        ratio, reference = gamma_minus / gamma_plus, math.exp(spec.beta_h * spec.omega1)
     except (OverflowError, ZeroDivisionError):
         ratio = reference = math.inf
     if math.isfinite(ratio) and math.isfinite(reference):
         ulps = abs(ratio - reference) / math.ulp(reference)
-        checks.append(("detailed_balance", ulps <= 4.0, f"{ulps:.1f} ulp"))
+        yield "detailed_balance", ulps <= 4.0, f"{ulps:.1f} ulp"
     else:
-        checks.append(("detailed_balance", None, "skipped: the rates or "
-                       "exp(beta_h*omega1) leave the float range"))
+        yield ("detailed_balance", None,
+               "skipped: the rates or exp(beta_h*omega1) leave the float range")
 
-    if isinstance(cfg.model, GevaKosloff):
-        report = cycle_performance(cfg.spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)
-        dev = performance._relative_deviation(report.power * report.tau, abs(report.w_tot))
-        checks.append(("power_tau_identity", dev <= 1e-12, f"relative deviation {dev:.3e}"))
-        spec_b = dataclasses.replace(spec, stat=Statistics.BOSONIC)
-        spec_f = dataclasses.replace(spec, stat=Statistics.FERMIONIC)
-        eq = performance.equivalence_report(spec_b, spec_f, cfg.model, cfg.regen, cfg.quad,
-                                            Mode.EXACT)
-        if eq.x_min >= LOW_TEMP_THRESHOLD:
-            worst = max(eq.deviations.values())
-            checks.append(("statistics_equivalence", not eq.exceeding,
-                           f"worst deviation {worst:.3e} vs bound {eq.bound:.3e}"))
-        else:
-            checks.append(("statistics_equivalence", None,
-                           f"skipped: x_min {eq.x_min:.3g} below low-temperature "
-                           f"threshold {LOW_TEMP_THRESHOLD:.3g}"))
+    if not isinstance(cfg.model, GevaKosloff):
+        for name in ("power_tau_identity", "statistics_equivalence"):
+            yield name, None, "skipped: requires geva-kosloff bath"
+        return
+    report = cycle_performance(spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)
+    yield _deviation("power_tau_identity", 1e-12, report.power * report.tau, abs(report.w_tot))
+    mirrored = (dataclasses.replace(spec, stat=stat) for stat in Statistics)
+    eq = performance.equivalence_report(*mirrored, cfg.model, cfg.regen, cfg.quad, Mode.EXACT)
+    if eq.x_min >= LOW_TEMP_THRESHOLD:
+        yield ("statistics_equivalence", not eq.exceeding,
+               f"worst deviation {max(eq.deviations.values()):.3e} vs bound {eq.bound:.3e}")
     else:
-        checks.append(("power_tau_identity", None, "skipped: requires geva-kosloff bath"))
-        checks.append(("statistics_equivalence", None, "skipped: requires geva-kosloff bath"))
+        yield ("statistics_equivalence", None,
+               f"skipped: x_min {eq.x_min:.3g} below low-temperature "
+               f"threshold {LOW_TEMP_THRESHOLD:.3g}")
 
-    verdicts = ["SKIP" if ok is None else "PASS" if ok else "FAIL" for _, ok, _ in checks]
-    lines = [f"{verdict} {name} ({detail})"
-             for verdict, (name, _, detail) in zip(verdicts, checks)]
+
+def _cmd_validate(args) -> int:
+    lines, verdicts = [], []
+    for name, ok, detail in _validation_checks(load_run_config(args.config)):
+        verdicts.append("SKIP" if ok is None else "PASS" if ok else "FAIL")
+        lines.append(f"{verdicts[-1]} {name} ({detail})\n")
     lines.append(f"{verdicts.count('PASS')} passed, {verdicts.count('FAIL')} failed, "
-                 f"{verdicts.count('SKIP')} skipped")
-    text = "\n".join(lines) + "\n"
+                 f"{verdicts.count('SKIP')} skipped\n")
+    text = "".join(lines)
     _emit(text, args.out)
     if args.out is not None:
         sys.stdout.write(text)
     return 3 if "FAIL" in verdicts else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -68,58 +68,40 @@ def _check_keys(parser: configparser.ConfigParser, kind: CycleKind):
                 raise ConfigError(f"unknown key {section}.{key}")
 
 
-class _Section:
-    """Typed accessors over one section with section.key error messages.
-
-    An optional section that is absent reads as empty, so every key takes
-    its default.
-    """
-
-    def __init__(self, parser: configparser.ConfigParser, name: str, required: bool = True):
-        if required and not parser.has_section(name):
-            raise ConfigError(f"missing section [{name}]")
-        self._name = name
-        self._section = parser[name] if parser.has_section(name) else {}
-
-    def has(self, key: str) -> bool:
-        return key in self._section
-
-    def text(self, key: str, default=None) -> str:
-        if key not in self._section:
-            if default is None:
-                raise ConfigError(f"missing key {self._name}.{key}")
-            return default
-        return self._section[key].strip()
-
-    def number(self, key: str, default: float | None = None) -> float:
-        return self._convert(key, default, float, "number")
-
-    def integer(self, key: str, default: int | None = None) -> int:
-        return self._convert(key, default, int, "integer")
-
-    def _convert(self, key: str, default, convert, what: str):
-        raw = self.text(key, default)
-        if key not in self._section:
-            return raw
-        try:
-            return convert(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{self._name}.{key}: invalid {what} {raw!r}") from exc
+def _section(parser: configparser.ConfigParser, name: str, required: bool = True):
+    """One section; an optional one that is absent reads as empty, so every key
+    read from it must have a default."""
+    if parser.has_section(name):
+        return parser[name]
+    if required:
+        raise ConfigError(f"missing section [{name}]")
+    return {}
 
 
-def _exactly_one(section: _Section, name: str, first: tuple, second: tuple):
-    has_first = all(section.has(k) for k in first)
-    has_second = all(section.has(k) for k in second)
-    any_first = any(section.has(k) for k in first)
-    any_second = any(section.has(k) for k in second)
-    if any_first and any_second:
-        raise ConfigError(f"{name}: give either {'/'.join(first)} or "
+def _get(section, key: str, convert=str, default=None):
+    """``convert`` of the stripped value of ``section.key``, or ``default`` if it is absent."""
+    if key not in section:
+        if default is None:
+            raise ConfigError(f"missing key {section.name}.{key}")
+        return default
+    raw = section[key].strip()
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        what = "integer" if convert is int else "number"
+        raise ConfigError(f"{section.name}.{key}: invalid {what} {raw!r}") from exc
+
+
+def _exactly_one(section, first: tuple, second: tuple) -> bool:
+    """True if ``section`` gives all keys of ``first``, False if all of ``second``."""
+    given_first, given_second = ([key in section for key in keys] for keys in (first, second))
+    if any(given_first) and any(given_second):
+        raise ConfigError(f"{section.name}: give either {'/'.join(first)} or "
                           f"{'/'.join(second)}, not both")
-    if has_first:
-        return "first"
-    if has_second:
-        return "second"
-    raise ConfigError(f"{name}: requires either {'/'.join(first)} or {'/'.join(second)}")
+    if all(given_first) or all(given_second):
+        return all(given_first)
+    raise ConfigError(f"{section.name}: requires either {'/'.join(first)} or "
+                      f"{'/'.join(second)}")
 
 
 def _statistics(raw: str) -> Statistics:
@@ -133,56 +115,54 @@ def _statistics(raw: str) -> Statistics:
 def load_run_config(path: str) -> RunConfig:
     """Parse and resolve a configuration file into pipeline-ready objects."""
     parser = _read_ini(path)
-    cycle = _Section(parser, "cycle")
-    kind = cycle.text("kind").lower()
+    cycle = _section(parser, "cycle")
+    kind = _get(cycle, "kind").lower()
     if kind not in CYCLE_KINDS:
         raise ConfigError(f"cycle.kind: expected engine or fridge, got {kind!r}")
     table = CYCLE_KINDS[kind]
     _check_keys(parser, table)
-    medium = _Section(parser, "working_medium")
-    bath = _Section(parser, "bath")
-    regen_section = _Section(parser, "regenerator")
+    medium = _section(parser, "working_medium")
+    bath = _section(parser, "bath")
+    regen_section = _section(parser, "regenerator")
 
-    stat = _statistics(medium.text("statistics"))
-    omega1 = cycle.number("omega1")
-    omega2 = cycle.number("omega2")
+    stat = _statistics(_get(medium, "statistics"))
+    omega1 = _get(cycle, "omega1", float)
+    omega2 = _get(cycle, "omega2", float)
 
     try:
         # medium inverse temperatures of the hot and cold isotherms
         # (beta1/beta2 or beta1p/beta2p); the alpha ratios scale them
         hot = table.stroke("q_iso_hot").fixed
         cold = table.stroke("q_iso_cold").fixed
-        betas = {hot: cycle.number(hot), cold: cycle.number(cold)}
-        which = _exactly_one(cycle, "cycle", ("beta_h", "beta_c"), ("alpha_h", "alpha_c"))
-        if which == "first":
-            betas["beta_h"] = cycle.number("beta_h")
-            betas["beta_c"] = cycle.number("beta_c")
+        betas = {hot: _get(cycle, hot, float), cold: _get(cycle, cold, float)}
+        if _exactly_one(cycle, ("beta_h", "beta_c"), ("alpha_h", "alpha_c")):
+            betas["beta_h"] = _get(cycle, "beta_h", float)
+            betas["beta_c"] = _get(cycle, "beta_c", float)
         else:
-            betas["beta_h"] = cycle.number("alpha_h") * betas[hot]
-            betas["beta_c"] = cycle.number("alpha_c") * betas[cold]
+            betas["beta_h"] = _get(cycle, "alpha_h", float) * betas[hot]
+            betas["beta_c"] = _get(cycle, "alpha_c", float) * betas[cold]
         spec = table.spec(stat, omega1, omega2, **betas)
         regen = _build(table.regen, "regenerator",
-                       *(regen_section.number(f.name) for f in fields(table.regen)))
+                       *(_get(regen_section, f.name, float) for f in fields(table.regen)))
     except ParameterError as exc:
         raise ConfigError(f"cycle: {exc}") from exc
 
-    which_bath = _exactly_one(bath, "bath", ("a", "q"), ("rho0", "m"))
-    if which_bath == "first":
-        model = _build(GevaKosloff, "bath", bath.number("a"), bath.number("q"))
+    if _exactly_one(bath, ("a", "q"), ("rho0", "m")):
+        model = _build(GevaKosloff, "bath", _get(bath, "a", float), _get(bath, "q", float))
     else:
-        model = _build(ThermalField, "bath", bath.number("rho0"), bath.number("m"))
+        model = _build(ThermalField, "bath", _get(bath, "rho0", float), _get(bath, "m", float))
 
-    numerics = _Section(parser, "numerics", required=False)
+    numerics = _section(parser, "numerics", required=False)
     try:
         quad = QuadratureConfig(
-            rel_tol=numerics.number("rel_tol", QuadratureConfig.rel_tol),
-            abs_tol=numerics.number("abs_tol", QuadratureConfig.abs_tol),
-            max_subdivisions=numerics.integer("max_subdivisions",
-                                              QuadratureConfig.max_subdivisions),
+            rel_tol=_get(numerics, "rel_tol", float, QuadratureConfig.rel_tol),
+            abs_tol=_get(numerics, "abs_tol", float, QuadratureConfig.abs_tol),
+            max_subdivisions=_get(numerics, "max_subdivisions", int,
+                                  QuadratureConfig.max_subdivisions),
         )
     except ParameterError as exc:
         raise ConfigError(f"numerics: {exc}") from exc
-    mode_raw = numerics.text("regime_mode", "exact").lower()
+    mode_raw = _get(numerics, "regime_mode", default="exact").lower()
     try:
         mode = Mode(mode_raw)
     except ValueError as exc:
@@ -190,11 +170,11 @@ def load_run_config(path: str) -> RunConfig:
             f"numerics.regime_mode: expected exact, low_temp or high_temp, "
             f"got {mode_raw!r}") from exc
 
-    output = _Section(parser, "output", required=False)
-    out_format = output.text("format", "csv").lower()
+    output = _section(parser, "output", required=False)
+    out_format = _get(output, "format", default="csv").lower()
     if out_format not in ("csv", "json"):
         raise ConfigError(f"output.format: expected csv or json, got {out_format!r}")
-    particle_count = output.integer("particle_count", 1)
+    particle_count = _get(output, "particle_count", int, 1)
     if particle_count < 1:
         raise ConfigError("output.particle_count: must be at least 1")
     if particle_count > sys.float_info.max:  # extensive outputs are scaled by float(count)
