@@ -323,19 +323,23 @@ def _validation_checks(cfg: RunConfig):
     yield _deviation("isochoric_heat_oracle", 1e-8,
                      isochoric_heat(spec.stat, spec.omega1, hot_t, cold_t), oracle)
 
-    # detailed balance of the configured bath model, where its rate ratio and the
-    # Boltzmann factor are finite
+    # detailed balance of the configured bath model, judged where its rate ratio and
+    # the Boltzmann factor are finite and gamma_plus is normal (a subnormal one has
+    # lost bits, and so has the ratio)
     try:
         gamma_plus, gamma_minus = rates(cfg.model, spec.beta_h, spec.omega1, spec.stat)
         ratio, reference = gamma_minus / gamma_plus, math.exp(spec.beta_h * spec.omega1)
-    except (OverflowError, ZeroDivisionError):
+    except (ParameterError, OverflowError, ZeroDivisionError):
         ratio = reference = math.inf
-    if math.isfinite(ratio) and math.isfinite(reference):
-        ulps = abs(ratio - reference) / math.ulp(reference)
-        yield "detailed_balance", ulps <= 4.0, f"{ulps:.1f} ulp"
-    else:
+    if not (math.isfinite(ratio) and math.isfinite(reference)):
         yield ("detailed_balance", None,
                "skipped: the rates or exp(beta_h*omega1) leave the float range")
+    elif gamma_plus < sys.float_info.min:
+        yield ("detailed_balance", None,
+               f"skipped: gamma_plus {gamma_plus:.3e} is subnormal, so the rate ratio is inexact")
+    else:
+        ulps = abs(ratio - reference) / math.ulp(reference)
+        yield "detailed_balance", ulps <= 4.0, f"{ulps:.1f} ulp"
 
     if not isinstance(cfg.model, GevaKosloff):
         for name in ("power_tau_identity", "statistics_equivalence"):
@@ -356,9 +360,13 @@ def _validation_checks(cfg: RunConfig):
 
 def _cmd_validate(args) -> int:
     lines, verdicts = [], []
-    for name, ok, detail in _validation_checks(load_run_config(args.config)):
-        verdicts.append("SKIP" if ok is None else "PASS" if ok else "FAIL")
-        lines.append(f"{verdicts[-1]} {name} ({detail})\n")
+    try:
+        for name, ok, detail in _validation_checks(load_run_config(args.config)):
+            verdicts.append("SKIP" if ok is None else "PASS" if ok else "FAIL")
+            lines.append(f"{verdicts[-1]} {name} ({detail})\n")
+    except tuple(_EXIT_CODES):  # the lines decided so far, then main's error line
+        sys.stdout.write("".join(lines))
+        raise
     lines.append(f"{verdicts.count('PASS')} passed, {verdicts.count('FAIL')} failed, "
                  f"{verdicts.count('SKIP')} skipped\n")
     text = "".join(lines)

@@ -94,14 +94,13 @@ def _get(section, key: str, convert=str, default=None):
 
 def _exactly_one(section, first: tuple, second: tuple) -> bool:
     """True if ``section`` gives all keys of ``first``, False if all of ``second``."""
+    options = f"{'/'.join(first)} or {'/'.join(second)}"
     given_first, given_second = ([key in section for key in keys] for keys in (first, second))
     if any(given_first) and any(given_second):
-        raise ConfigError(f"{section.name}: give either {'/'.join(first)} or "
-                          f"{'/'.join(second)}, not both")
+        raise ConfigError(f"{section.name}: give either {options}, not both")
     if all(given_first) or all(given_second):
         return all(given_first)
-    raise ConfigError(f"{section.name}: requires either {'/'.join(first)} or "
-                      f"{'/'.join(second)}")
+    raise ConfigError(f"{section.name}: requires either {options}")
 
 
 def _statistics(raw: str) -> Statistics:

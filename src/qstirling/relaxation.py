@@ -4,7 +4,9 @@ conduction laws live in :mod:`.studies`.
 Both rate parametrizations obey detailed balance gamma_minus/gamma_plus =
 exp(beta*omega) by construction: the decay rate is computed from the
 excitation rate via a shared factor, so the ratio is exact to a couple of
-ulp rather than merely to analytic identity.
+ulp rather than merely to analytic identity.  That holds only where
+gamma_plus is a normal float: a subnormal one has lost bits, and so has the
+ratio.  A gamma_minus past the float range raises ParameterError.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .statistics import Statistics, require_statistics, weight_function
 # Beyond this product the direct exp(beta*omega) factor would overflow and
 # the rates are computed from explicit exponents instead.
 _X_DIRECT_LIMIT = 700.0
+_GK_DECAY = "a*e^{(1+q)*beta*omega}"
 
 # Default regime windows: exp(-8) ~ 3e-4 keeps neglected terms sub-percent.
 LOW_TEMP_THRESHOLD = 8.0
@@ -51,10 +54,8 @@ class GevaKosloff:
         x = beta * omega
         gamma_plus = self.a * math.exp(self.q * x)
         if x <= _X_DIRECT_LIMIT and gamma_plus > 0.0:
-            gamma_minus = gamma_plus * math.exp(x)
-        else:
-            gamma_minus = self.a * math.exp((1.0 + self.q) * x)
-        return gamma_plus, gamma_minus
+            return gamma_plus, _gamma_minus(lambda: gamma_plus * math.exp(x), _GK_DECAY, x)
+        return gamma_plus, _gamma_minus(lambda: self.a * math.exp((1.0 + self.q) * x), _GK_DECAY, x)
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,21 @@ class ThermalField:
         _require_positive(beta=beta, omega=omega)
         require_statistics(stat)
         x = beta * omega
-        gamma_minus = self.rho0 * omega ** self.m / weight_function(stat)(x)
+        gamma_minus = _gamma_minus(lambda: self.rho0 * omega ** self.m / weight_function(stat)(x),
+                                   "rho0*omega^m/(1 -+ e^{-beta*omega})", x)
         return gamma_minus * math.exp(-x), gamma_minus
+
+
+def _gamma_minus(rate, formula: str, x: float) -> float:
+    """``rate()``, the decay rate ``formula``; ParameterError where it overflows (``rate``
+    raises OverflowError or returns inf)."""
+    try:
+        gamma_minus = rate()
+    except OverflowError:
+        gamma_minus = math.inf
+    if gamma_minus == math.inf:
+        raise ParameterError(f"gamma_minus = {formula} overflows at beta*omega = {x!r}")
+    return gamma_minus
 
 
 RateModel = GevaKosloff | ThermalField

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qstirling import FridgeSpec, GevaKosloff, LinearFridgeRegenerator, Statistics, cycle_ledger
+from qstirling import cli
 from qstirling.cli import COLUMNS, _csv_text, main
 from qstirling.config import load_run_config
 from conftest import mp_isochoric_time, mp_isothermal_time
@@ -630,6 +631,10 @@ class TestPowerSweepCommand:
             (tmp_path / "b.csv.summary.json").read_bytes()
 
 
+RANGE_SKIP = ("SKIP detailed_balance (skipped: the rates or exp(beta_h*omega1) leave the "
+              "float range)\n")
+
+
 class TestValidateCommand:
     def test_valid_config_passes(self, capsys):
         rc = main(["validate", "--config", ENGINE_CFG])
@@ -691,40 +696,71 @@ class TestValidateCommand:
         assert rc == 0
         assert "SKIP" in out
 
-    @pytest.mark.parametrize("edits,code,expected", [
+    @pytest.mark.parametrize("edits,code,skip,out,err", [
         # beta_h*omega1 = 750: e^{(1+q)*750} overflows in the rates; the period underflows
+        # once the first four checks are decided, so those print and no summary does
         ({"beta1 = 16.666666666666668": "beta1 = 1250.0",
-          "beta2 = 33.333333333333336": "beta2 = 2500.0"}, 3,
+          "beta2 = 33.333333333333336": "beta2 = 2500.0"}, 3, RANGE_SKIP,
+         "PASS first_law_closure (relative deviation 0.000e+00)\n"
+         "PASS isothermal_heat_oracle (relative deviation 0.000e+00)\n"
+         "PASS isochoric_heat_oracle (relative deviation 0.000e+00)\n" + RANGE_SKIP,
          "error: cycle period underflowed to zero at these parameters\n"),
         # the rates are finite, e^{750} is not, and the pipeline checks still run
         ({"beta1 = 16.666666666666668": "beta1 = 1250.0",
           "beta2 = 33.333333333333336": "beta2 = 2500.0", "q = -0.05": "q = -0.9"}, 0,
-         "5 passed, 0 failed, 1 skipped\n"),
+         RANGE_SKIP, "5 passed, 0 failed, 1 skipped\n", ""),
         ({"a = 1.0\nq = -0.05": "rho0 = 1.0\nm = 1e308", "omega1 = 1.0": "omega1 = 1.5"}, 0,
-         "3 passed, 0 failed, 3 skipped\n"),
+         RANGE_SKIP, "3 passed, 0 failed, 3 skipped\n", ""),
         ({"a = 1.0\nq = -0.05": "rho0 = 1.0\nm = -1e308", "omega1 = 1.0": "omega1 = 1.5"}, 0,
-         "3 passed, 0 failed, 3 skipped\n"),
+         RANGE_SKIP, "3 passed, 0 failed, 3 skipped\n", ""),
+        # gamma_plus = gamma_minus*e^{-x} is subnormal: the ratio was off by 86259 and
+        # 2.3e15 ulp, a false FAIL at exit 3
+        ({"a = 1.0\nq = -0.05": "rho0 = 1.0\nm = -1740", "omega1 = 1.0": "omega1 = 1.5"}, 0,
+         "SKIP detailed_balance (skipped: gamma_plus 1.221e-313 is subnormal, so the rate "
+         "ratio is inexact)\n", "3 passed, 0 failed, 3 skipped\n", ""),
+        ({"a = 1.0\nq = -0.05": "rho0 = 1.0\nm = -1800", "omega1 = 1.0": "omega1 = 1.5"}, 0,
+         "SKIP detailed_balance (skipped: gamma_plus 4.941e-324 is subnormal, so the rate "
+         "ratio is inexact)\n", "3 passed, 0 failed, 3 skipped\n", ""),
         ({"a = 1.0\nq = -0.05": "rho0 = 1.0\nm = nan", "omega1 = 1.0": "omega1 = 1.5"}, 1,
-         "error: bath: m must be finite, got nan\n"),
+         None, "", "error: bath: m must be finite, got nan\n"),
     ], ids=["gk-rate-overflow", "gk-exp-overflow", "thermal-m-huge", "thermal-m-tiny",
-            "thermal-m-nan"])
+            "thermal-m-subnormal", "thermal-m-least-subnormal", "thermal-m-nan"])
     def test_detailed_balance_probe_past_float_range(self, tmp_path, capsys, edits, code,
-                                                      expected):
+                                                      skip, out, err):
         # each run used to end in an OverflowError or ZeroDivisionError traceback, or
         # (m = nan) in "FAIL detailed_balance (nan ulp)" at exit 3
         text = Path(ENGINE_CFG).read_text(encoding="utf-8")
         for line, edit in edits.items():
             assert line in text
             text = text.replace(line, edit)
-        rc = main(["validate", "--config", write_cfg(tmp_path, text)])
+        report = tmp_path / "report.txt"
+        rc = main(["validate", "--config", write_cfg(tmp_path, text), "--out", str(report)])
         captured = capsys.readouterr()
-        assert rc == code
+        assert (rc, captured.err) == (code, err)
+        if skip is not None:
+            assert skip in captured.out.splitlines(keepends=True)
         if code == 0:
-            assert ("SKIP detailed_balance (skipped: the rates or exp(beta_h*omega1) "
-                    "leave the float range)\n") in captured.out
-            assert captured.out.endswith(expected)
-        else:
-            assert (captured.out, captured.err) == ("", expected)
+            assert captured.out.endswith(out)
+            assert report.read_text(encoding="utf-8") == captured.out
+        else:  # no report file behind an error
+            assert captured.out == out
+            assert not report.exists()
+
+    def test_out_file_holds_the_report_printed(self, tmp_path, capsys):
+        report = tmp_path / "report.txt"
+        rc = main(["validate", "--config", ENGINE_CFG, "--out", str(report)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert report.read_text(encoding="utf-8") == captured.out
+        assert captured.out.endswith("6 passed, 0 failed, 0 skipped\n")
+
+    def test_failed_check_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "work_closed_form", lambda spec: 0.0)
+        rc = main(["validate", "--config", ENGINE_CFG])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert out.startswith("FAIL first_law_closure (relative deviation 1.000e+00)\n")
+        assert out.endswith("5 passed, 1 failed, 0 skipped\n")
 
     @pytest.mark.parametrize("key,value", [
         ("rel_tol", "nan"), ("rel_tol", "inf"), ("abs_tol", "nan"), ("abs_tol", "inf"),

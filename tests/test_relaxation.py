@@ -56,6 +56,17 @@ class TestRates:
         with pytest.raises(ParameterError, match="must be"):
             ThermalField(rho0, m)
 
+    @pytest.mark.parametrize("call", [
+        lambda: GevaKosloff(1.0, -0.05).rates(750.0, 1.0),
+        lambda: ThermalField(1.0, 1e308).rates(B, 10.0, 1.5),
+        lambda: rates(GevaKosloff(1.0, -0.05), 750.0, 1.0),
+        lambda: rates(ThermalField(1.0, 1e308), 10.0, 1.5, B),
+    ], ids=["geva-kosloff", "thermal-field", "rates-geva-kosloff", "rates-thermal-field"])
+    def test_rate_past_float_range_is_a_parameter_error(self, call):
+        # each used to raise a bare OverflowError, in math.exp or in omega ** m
+        with pytest.raises(ParameterError, match="gamma_minus = .* overflows"):
+            call()
+
     def test_thermal_field_needs_statistics(self):
         with pytest.raises(ParameterError):
             rates(ThermalField(1.0, 1.0), 1.0, 1.0)

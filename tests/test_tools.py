@@ -1,6 +1,8 @@
 """tools/code_lines.py against a plain line count and a hand-counted module;
-tools/output_parity.py's pool dump against itself; tools/reach.py's two reports."""
+tools/output_parity.py's pool and config-mutation dumps against themselves;
+tools/reach.py's two reports."""
 
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -59,6 +61,18 @@ def test_pool_text_is_deterministic_with_one_line_per_point():
     assert (code, err) == (0, b"")
     tiny_pool_size = _load(ROOT / "bench" / "workloads.py").TINY_POOL_SIZE
     assert len(out.decode().splitlines()) == tiny_pool_size
+
+
+def test_mutation_text_is_deterministic_with_one_line_per_mutation(tmp_path):
+    tool = _load(PARITY)
+    count = tool.write_mutations(tmp_path, ["fridge_lowtemp.ini"])
+    first, second = (tool._mutation_run(ROOT / "src", tmp_path) for _ in range(2))
+    assert first == second
+    code, out, err = first
+    assert (code, err) == (0, b"")
+    names = [ast.literal_eval(line)[0] for line in out.decode().splitlines()]
+    assert names == sorted(path.name for path in tmp_path.iterdir())
+    assert len(names) == count
 
 
 def test_reach_lists_only_functions_no_input_runs():

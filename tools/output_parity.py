@@ -15,18 +15,28 @@ changed), and compares the ``repr`` of every result field of every point, or
 the exception text.  These reach the GK15 and series strokes that the four
 configs barely touch.
 
-Prints one line per differing case or pool and exits 1 if any differs, 0
-otherwise.
+Last, it reaches the config reader's error paths: each shipped config is
+mutated (every line deleted, duplicated, or with its value replaced by each
+of ``JUNK``; every section header renamed; each of ``EXTRA_KEYS`` added to
+every section), the mutated files are written to one directory both trees
+read (so a parse error quotes the same path), and one child per tree runs
+``cli.main`` in process with the config's cycle command on each.  Exit code,
+stdout and stderr are compared per mutation.
+
+Prints one line per differing case, pool or mutation and exits 1 if any
+differs, 0 otherwise.
 
     python3 tools/output_parity.py --base HEAD~1
 
-Needs git; takes about half a minute.
+Needs git; takes about 20 s.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import configparser
+import contextlib
 import dataclasses
 import io
 import os
@@ -46,6 +56,9 @@ STATISTICS = ("bosonic", "fermionic")
 FORMATS = ("csv", "json")
 POOLS = ("exact_lowtemp", "exact_crossover", "closed_form_scan")
 POOL_SEED = 0
+JUNK = ("", "nan", "inf", "-inf", "0", "-1", "-0.0", "1e308", "1e-310", "5e-324", "1_000",
+        "0x10", "1,5", "abc", "fermionic")
+EXTRA_KEYS = ("kind", "a", "rho0", "beta_h", "alpha_c", "gamma1", "x_low_threshold")
 
 
 def _export(rev: str, dest: Path) -> Path:
@@ -128,14 +141,79 @@ def pool_text(workload: str, tiny: bool = False) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _pool_run(src: Path, workload: str, tiny: bool = False):
-    """Exit code, stdout and stderr of ``pool_text`` run against the tree at ``src``."""
+def _child_run(src: Path, call: str):
+    """Exit code, stdout and stderr of ``output_parity.<call>`` run against the tree at ``src``."""
     code = (f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import output_parity; "
-            f"sys.stdout.write(output_parity.pool_text({workload!r}, tiny={tiny!r}))")
+            f"sys.stdout.write(output_parity.{call})")
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
                           cwd=src.parent)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _pool_run(src: Path, workload: str, tiny: bool = False):
+    """Exit code, stdout and stderr of ``pool_text`` run against the tree at ``src``."""
+    return _child_run(src, f"pool_text({workload!r}, tiny={tiny!r})")
+
+
+def _mutated(lines: list[str]):
+    """(label, text) of each mutation of one config's lines."""
+    for i, line in enumerate(lines):
+        rest = lines[i + 1:]
+        yield f"line{i + 1}-deleted", lines[:i] + rest
+        yield f"line{i + 1}-duplicated", lines[:i + 1] + [line] + rest
+        key, sep, _ = line.partition("=")
+        if sep and not line.startswith("#"):
+            for j, value in enumerate(JUNK):
+                yield f"line{i + 1}-junk{j}", lines[:i] + [f"{key}= {value}"] + rest
+        if line.startswith("["):
+            yield f"line{i + 1}-renamed", lines[:i] + [f"[renamed_{line[1:]}"] + rest
+            for key in EXTRA_KEYS:
+                yield f"line{i + 1}-extra-{key}", lines[:i + 1] + [f"{key} = 1.5"] + rest
+
+
+def write_mutations(dest: Path, names=None) -> int:
+    """Write every mutation of the shipped configs (or of ``names``) to ``dest``.
+
+    Each file is named ``<index>-<command>-<config>-<mutation>.ini``, where
+    ``<command>`` is the unmutated config's cycle kind.  Returns the count.
+    """
+    dest.mkdir(parents=True, exist_ok=True)
+    count = 0
+    for source in names or sorted(path.name for path in CONFIGS.glob("*.ini")):
+        text = (CONFIGS / source).read_text(encoding="utf-8")
+        kind = configparser.ConfigParser(interpolation=None)
+        kind.read_string(text)
+        command = kind["cycle"]["kind"]
+        for label, lines in _mutated(text.splitlines()):
+            count += 1
+            (dest / f"{count:04d}-{command}-{source[:-4]}-{label}.ini").write_text(
+                "\n".join(lines) + "\n", encoding="utf-8")
+    return count
+
+
+def mutation_text(directory: str) -> str:
+    """One line per config in ``directory``: the repr of its (file name, exit code, stdout,
+    stderr) from ``cli.main`` run in process with the command its name holds.
+
+    Uses whichever ``qstirling`` is first on ``sys.path``.
+    """
+    from qstirling import cli
+    lines = []
+    for path in sorted(Path(directory).glob("*.ini")):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([path.name.split("-")[1], "--config", str(path)])
+            except Exception as exc:  # an escaping exception is part of the output compared
+                code = f"{type(exc).__name__}: {exc}"
+        lines.append(repr((path.name, code, out.getvalue(), err.getvalue())))
+    return "".join(line + "\n" for line in lines)
+
+
+def _mutation_run(src: Path, directory: Path):
+    """Exit code, stdout and stderr of ``mutation_text`` run against the tree at ``src``."""
+    return _child_run(src, f"mutation_text({str(directory)!r})")
 
 
 def main(argv=None) -> int:
@@ -165,9 +243,26 @@ def main(argv=None) -> int:
                 what = ", ".join(p for p, b, h in zip(parts, base, head) if b != h)
                 print(f"DIFFERS pool {workload} seed {POOL_SEED}: {what}")
                 pools_differing += 1
-    print(f"{total - differing} of {total} cases and {len(POOLS) - pools_differing} of "
-          f"{len(POOLS)} pools identical to {args.base}")
-    return 1 if differing or pools_differing else 0
+        mutations = work / "mutations"
+        mutation_count = write_mutations(mutations)
+        base, head = (_mutation_run(src, mutations) for src in (base_src, ROOT / "src"))
+        mutations_differing = 0
+        if base[::2] != head[::2]:
+            print(f"DIFFERS mutation run: exit code {base[0]} vs {head[0]}, or stderr")
+            mutations_differing = mutation_count
+        else:
+            for base_line, head_line in zip(base[1].splitlines(), head[1].splitlines()):
+                if base_line != head_line:
+                    name, *b = ast.literal_eval(base_line.decode())
+                    _, *h = ast.literal_eval(head_line.decode())
+                    what = ", ".join(p for p, x, y in zip(("exit code", "stdout", "stderr"), b, h)
+                                     if x != y)
+                    print(f"DIFFERS mutation {name}: {what}")
+                    mutations_differing += 1
+    print(f"{total - differing} of {total} cases, {len(POOLS) - pools_differing} of "
+          f"{len(POOLS)} pools and {mutation_count - mutations_differing} of {mutation_count} "
+          f"config mutations identical to {args.base}")
+    return 1 if differing or pools_differing or mutations_differing else 0
 
 
 if __name__ == "__main__":
