@@ -69,8 +69,10 @@ def _check_keys(parser: configparser.ConfigParser, kind: CycleKind):
 
 
 def _section(parser: configparser.ConfigParser, name: str, required: bool = True):
-    """One section; an optional one that is absent reads as empty, so every key
-    read from it must have a default."""
+    """The section ``name``; an optional one that is absent reads as empty.
+
+    Every key read from an optional section therefore needs a default.
+    """
     if parser.has_section(name):
         return parser[name]
     if required:
