@@ -15,7 +15,7 @@ when work is consumed (refrigerator).
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -71,7 +71,7 @@ def _isochore_heat(omega: float, n_i: float, n_f: float) -> float:
     return omega * (n_f - n_i)
 
 
-def _validate_spec(spec, validate: bool):
+def _validate_spec(spec):
     # the fields after stat: omega1, omega2, then the four inverse
     # temperatures in the ascending order each cycle kind requires
     require_statistics(spec.stat)
@@ -81,7 +81,7 @@ def _validate_spec(spec, validate: bool):
         if not 0.0 < value < math.inf:
             raise ParameterError(f"{name} must be positive and finite, got {value!r}")
     omega1, omega2, first, second, third, fourth = numeric.values()
-    if validate and not (omega1 < omega2 and first < second < third < fourth):
+    if not (omega1 < omega2 and first < second < third < fourth):
         items = list(numeric.items())
         violated = [f"{a} < {b}" for (a, lo), (b, hi) in zip(items, items[1:])
                     if a != "omega2" and not lo < hi]
@@ -94,7 +94,6 @@ class EngineSpec:
     """Engine cycle parameters; temperatures obey T_h > T_1 > T_2 > T_c.
 
     Equivalently beta_h < beta1 < beta2 < beta_c, with omega1 < omega2.
-    Pass ``validate=False`` only to probe degenerate corners in tests.
     """
 
     stat: Statistics
@@ -104,10 +103,9 @@ class EngineSpec:
     beta1: float
     beta2: float
     beta_c: float
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
-        _validate_spec(self, validate)
+    def __post_init__(self):
+        _validate_spec(self)
 
 
 @dataclass(frozen=True)
@@ -124,10 +122,9 @@ class FridgeSpec:
     beta_h: float
     beta_c: float
     beta2p: float
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
-        _validate_spec(self, validate)
+    def __post_init__(self):
+        _validate_spec(self)
 
 
 def _require_slopes(regen):

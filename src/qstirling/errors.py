@@ -14,15 +14,7 @@ class SingularityError(ArithmeticError):
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive quadrature exhausted its subdivision budget.
-
-    Carries the partial result so callers can still inspect it.
-    """
-
-    def __init__(self, message: str, partial: float, error_estimate: float):
-        super().__init__(message)
-        self.partial = partial
-        self.error_estimate = error_estimate
+    """Adaptive quadrature exhausted its subdivision budget."""
 
 
 class ConfigError(ValueError):

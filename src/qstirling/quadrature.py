@@ -99,11 +99,11 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> Qua
     Bisects the panel with the largest error estimate until the summed
     estimate drops below ``max(rel_tol*|integral|, abs_tol)`` or the
     subdivision budget runs out, in which case a :class:`ConvergenceError`
-    carrying the partial result is raised.  A panel whose value or estimate
-    is not finite (the integrand overflowed at a node) is bisected before
-    any other, so an isolated overflow drops out; if the sum is still not
-    finite when the budget runs out, the error says so.  A non-finite
-    result is never returned.
+    names the achieved error.  A panel whose value or estimate is not
+    finite (the integrand overflowed at a node) is bisected before any
+    other, so an isolated overflow drops out; if the sum is still not finite
+    when the budget runs out, the error says so.  A non-finite result is
+    never returned.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -120,20 +120,14 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> Qua
         if splits >= cfg.max_subdivisions:
             state = "still above tolerance" if finite else "is not finite"
             raise ConvergenceError(
-                f"quadrature error {total_err:.3e} {state} after {splits} subdivisions",
-                partial=total,
-                error_estimate=total_err,
-            )
+                f"quadrature error {total_err:.3e} {state} after {splits} subdivisions")
         _, pa, pb, pv, pe = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
         if mid == pa or mid == pb:
             # interval already at floating-point resolution
             state = "" if finite else f" and quadrature error {total_err:.3e} is not finite"
             raise ConvergenceError(
-                f"interval [{pa!r}, {pb!r}] cannot be subdivided further{state}",
-                partial=total,
-                error_estimate=total_err,
-            )
+                f"interval [{pa!r}, {pb!r}] cannot be subdivided further{state}")
         v1, e1 = _kronrod_panel(f, pa, mid)
         v2, e2 = _kronrod_panel(f, mid, pb)
         heapq.heappush(heap, (_priority(v1, e1), pa, mid, v1, e1))

@@ -181,16 +181,11 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
         # and x_s cancels one of them before the quotient can overflow
         return x_s * decay / -expm1(-dd * u) / w(x_s) * factor
 
-    # GK15 runs over v in [0, ln(hi/lo)] in the sweep direction; a
-    # convergence failure is rescaled so its partial result is a partial duration
+    # GK15 runs over v in [0, ln(hi/lo)] in the sweep direction
     scale = math.ldexp(math.copysign(0.5 / model.a, d), k)
     ratio = hi / lo
     end = math.log(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
-    try:
-        result = integrate(integrand, *((0.0, end) if u_f > u_i else (end, 0.0)), cfg)
-    except ConvergenceError as exc:
-        raise ConvergenceError(str(exc), scale * exc.partial,
-                               abs(scale) * exc.error_estimate) from exc
+    result = integrate(integrand, *((0.0, end) if u_f > u_i else (end, 0.0)), cfg)
     return _checked(scale * result.value, abs(scale) * result.error_estimate, reservoir)
 
 
@@ -207,11 +202,8 @@ def _checked(duration: float, error_estimate: float, reservoir: str) -> StrokeTi
 def _stroke(label: str, fn, *args) -> StrokeTime:
     try:
         return fn(*args)
-    except (SingularityError, ParameterError) as exc:
+    except (SingularityError, ParameterError, ConvergenceError) as exc:
         raise type(exc)(f"stroke {label}: {exc}") from exc
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"stroke {label}: {exc}", exc.partial,
-                               exc.error_estimate) from exc
 
 
 def _strokes(spec: EngineSpec | FridgeSpec, regen) -> Iterator[tuple]:

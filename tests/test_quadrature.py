@@ -52,13 +52,11 @@ def test_error_contract():
     assert out.error_estimate <= max(cfg.rel_tol * abs(out.value), cfg.abs_tol)
 
 
-def test_convergence_error_carries_partial():
+def test_convergence_error_names_the_achieved_error():
     cfg = QuadratureConfig(1e-13, 1e-300, 3)
-    with pytest.raises(ConvergenceError) as excinfo:
+    with pytest.raises(ConvergenceError, match=r"^quadrature error \d\.\d{3}e[+-]\d+ still "
+                                                r"above tolerance after 3 subdivisions$"):
         integrate(lambda x: 1.0 / (1e-8 + x * x), -1.0, 1.0, cfg)
-    err = excinfo.value
-    assert math.isfinite(err.partial)
-    assert err.error_estimate > 0.0
 
 
 def test_overflow_at_one_node_is_bisected_away():
@@ -74,9 +72,9 @@ def test_overflow_at_one_node_is_bisected_away():
 @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0)])
 def test_overflow_on_a_subinterval_raises_not_finite(a, b):
     f = lambda x: 1e300 * 1e300 if x < 0.25 else 1.0
-    with pytest.raises(ConvergenceError, match="is not finite") as excinfo:
+    with pytest.raises(ConvergenceError,
+                       match=r"^quadrature error (inf|nan) is not finite after 40 subdivisions$"):
         integrate(f, a, b, QuadratureConfig(1e-10, 1e-300, 40))
-    assert not math.isfinite(excinfo.value.partial)
 
 
 def test_tolerance_halving_stays_within_estimate():

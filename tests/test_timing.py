@@ -316,16 +316,15 @@ class TestIndependentQuadratureOracle:
 
 
 class TestConvergenceFailure:
-    def test_failure_names_stroke_and_carries_scaled_partial(self):
+    def test_failure_names_stroke(self):
         from qstirling import ConvergenceError
         # alpha_h = 0.99 puts A->B past the series term budget, on GK15
         spec = reference_engine_spec(B, 10.0, alpha_h=0.99)
         starved = QuadratureConfig(1e-14, 1e-300, 1)
-        with pytest.raises(ConvergenceError, match="stroke A->B") as excinfo:
+        with pytest.raises(ConvergenceError, match=r"^stroke A->B: quadrature error \S+ "
+                                                   r"still above tolerance after 1 subdivisions$"):
             engine_cycle_time(spec, MODEL, ENGINE_REGEN, starved)
-        healthy = isothermal_time(B, MODEL, spec.beta_h, spec.beta1,
-                                  spec.omega2, spec.omega1, TIGHT)
-        assert rel(excinfo.value.partial, healthy.duration) < 1e-6
+
 
     @pytest.mark.parametrize("fn, args", [
         (isochoric_time, (1.4, 1.0, 1e-310, 2.0)),
