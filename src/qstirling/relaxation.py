@@ -5,21 +5,22 @@ Both rate parametrizations obey detailed balance gamma_minus/gamma_plus =
 exp(beta*omega) by construction: the decay rate is computed from the
 excitation rate via a shared factor, so the ratio is exact to a couple of
 ulp rather than merely to analytic identity.  That holds only where
-gamma_plus is a normal float: a subnormal one has lost bits, and so has the
-ratio.  A gamma_minus past the float range raises ParameterError.
+exp(beta*omega) is finite and gamma_plus is a normal float: a subnormal one
+has lost bits, and so has the ratio.  Past that the Geva-Kosloff decay rate
+takes its own exponent.  A gamma_minus past the float range raises
+ParameterError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError
 from .statistics import Statistics, require_statistics, weight_function
 
-# Beyond this product the direct exp(beta*omega) factor would overflow and
-# the rates are computed from explicit exponents instead.
-_X_DIRECT_LIMIT = 700.0
+_LOG_MAX = math.log(sys.float_info.max)
 _GK_DECAY = "a*e^{(1+q)*beta*omega}"
 
 # Default regime windows: exp(-8) ~ 3e-4 keeps neglected terms sub-percent.
@@ -37,8 +38,9 @@ def _require_positive(**values):
 class GevaKosloff:
     """Bath coupling gamma_plus = a*e^{q*beta*omega}, gamma_minus = a*e^{(1+q)*beta*omega}.
 
-    ``1/a`` sets the relaxation timescale; q must lie in (-1, 0) so that
-    gamma_plus vanishes and gamma_minus diverges at zero temperature.
+    ``1/a`` sets the relaxation timescale, so a must be positive and finite;
+    q must lie in (-1, 0) so that gamma_plus vanishes and gamma_minus
+    diverges at zero temperature.
     """
 
     a: float
@@ -46,6 +48,8 @@ class GevaKosloff:
 
     def __post_init__(self):
         _require_positive(a=self.a)
+        if self.a == math.inf:
+            raise ParameterError(f"a must be finite, got {self.a!r}")
         if not -1.0 < self.q < 0.0:
             raise ParameterError(f"q must lie in (-1, 0), got {self.q!r}")
 
@@ -53,9 +57,11 @@ class GevaKosloff:
         _require_positive(beta=beta, omega=omega)
         x = beta * omega
         gamma_plus = self.a * math.exp(self.q * x)
-        if x <= _X_DIRECT_LIMIT and gamma_plus > 0.0:
-            return gamma_plus, _gamma_minus(lambda: gamma_plus * math.exp(x), _GK_DECAY, x)
-        return gamma_plus, _gamma_minus(lambda: self.a * math.exp((1.0 + self.q) * x), _GK_DECAY, x)
+        # the shared factor where e^x is finite and gamma_plus normal
+        shared = x <= _LOG_MAX and gamma_plus >= sys.float_info.min
+        return gamma_plus, _gamma_minus(
+            lambda: gamma_plus * math.exp(x) if shared else self.a * math.exp((1.0 + self.q) * x),
+            _GK_DECAY, x)
 
 
 @dataclass(frozen=True)

@@ -42,14 +42,13 @@ from .cycles import (  # the regenerator classes stay importable from here
 )
 from .errors import ConvergenceError, ParameterError, SingularityError
 from .quadrature import QuadratureConfig, integrate
-from .relaxation import GevaKosloff
+from .relaxation import _LOG_MAX, GevaKosloff
 from .series import integrate_linear, leading_exponential
 from .statistics import Statistics, require_statistics, weight_function
 
 _EPS = sys.float_info.epsilon
 # below this largest product the high-temperature integrand is exact to rounding
 _HIGH_TEMP_EXACT = 2.0 ** -60
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 class StrokeTime(NamedTuple):
@@ -146,26 +145,40 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
             duration = b / dd * math.log(hi / lo) / (4.0 * model.a)
         return _checked(sign * duration, duration * (2.0 * x_max + 4.0 * _EPS), reservoir)
     # GK15 integrates x_s f(u), the integrand in v times b, over 2^k, the power
-    # of two just above b times the (0, 0) series term, a floor on the
-    # integral: abs_tol then acts relative to the stroke.  Near lo, where a
-    # cold stroke's time accrues, the exponent lambda00 (u - lo) is small
-    # and keeps its digits; e^{-lambda00 lo} comes in once, as a factor
+    # of two just above a floor on the integral: abs_tol then acts relative to
+    # the stroke.  Near lo, where a cold stroke's time accrues, the exponent
+    # lambda00 (u - lo) is small and keeps its digits; e^{-lambda00 lo} comes
+    # in once, as a factor
     base = (1.0 + q) * a + (dd if b > a else 0.0)  # lambda00, as in the series
-    if stat is Statistics.BOSONIC:
-        # |f(u)| >= e^{-lambda00 u} / (dd b u^2), so the duration is at least
-        # e^{-lambda00 h} (1/lo - 1/h) / (2 a dd) for any h in (lo, hi]; past
-        # the float range GK15 would only spend its budget on overflowing panels
-        h = min(hi, 2.0 * lo)
-        if (math.log((h - lo) / h) - math.log(lo) - math.log(2.0 * model.a) - math.log(dd)
-                - base * h > _LOG_MAX):
-            raise SingularityError(f"duration is past the float range: the integrand "
-                                   f"grows like 1/u^2 down to u = {lo!r}")
     leading = leading_exponential(q, a1, a2, b, lo)
     if math.isnan(leading):
         leading = math.exp(-base * lo)
     width = -expm1(-base * span) / base if base * span else span  # T00 / leading
-    k = min(max(math.frexp(b * leading * width)[1], -1000), 1000)
-    factor, w, exponent = math.ldexp(leading, -k), weight_function(stat), base * lo
+    k = math.frexp(b * leading * width)[1]  # the floor b T00
+    if stat is Statistics.BOSONIC:
+        # |f(u)| >= e^{-lambda00 u} / (dd b u^2), so the integral is at least
+        # e^{-lambda00 h} (1/lo - 1/h) / dd for any h in (lo, hi], a floor that
+        # grows like 1/lo.  A duration past the float range would only spend
+        # GK15's budget on overflowing panels.  Near the range, 2^k rises until
+        # the floor sits 2^100 below it, room for GK15's weighted sums; a
+        # stroke further from it keeps b T00's k, and so its bytes
+        h = min(hi, 2.0 * lo)
+        log_floor = math.log((h - lo) / h) - math.log(lo) - math.log(dd) - base * h
+        if log_floor - math.log(2.0 * model.a) > _LOG_MAX:
+            raise SingularityError(f"duration is past the float range: the integrand "
+                                   f"grows like 1/u^2 down to u = {lo!r}")
+        # the k that leaves the floor 2^100 below the range; -inf if dd or lambda00 h overflowed
+        excess = (log_floor - _LOG_MAX) / math.log(2.0) + 100.0
+        if excess > k:
+            k = math.ceil(excess)
+    k = min(max(k, -1000), 1000)
+    # 2^-k divides the gap factor when k > 0 and multiplies e^{-lambda00 lo}
+    # otherwise: either is exact, and near a tiny lo the scaled gap factor
+    # keeps the bosonic 1/u^2 from overflowing before the weight divides it
+    gap_scale, factor = math.ldexp(1.0, max(k, 0)), math.ldexp(leading, -min(k, 0))
+    w, exponent = weight_function(stat), base * lo
+    if not (dd * lo and w(b * lo)):  # w(0) = 0 for bosons; the fermion weight is >= 1
+        raise SingularityError(f"the integrand's gap or weight underflows to zero at u = {lo!r}")
 
     def integrand(v: float) -> float:
         try:
@@ -179,10 +192,10 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
         x_s = b * u
         # left to right: near u -> 0 the gap and a bosonic weight each give 1/u,
         # and x_s cancels one of them before the quotient can overflow
-        return x_s * decay / -expm1(-dd * u) / w(x_s) * factor
+        return x_s * decay / (-expm1(-dd * u) * gap_scale) / w(x_s) * factor
 
     # GK15 runs over v in [0, ln(hi/lo)] in the sweep direction
-    scale = math.ldexp(math.copysign(0.5 / model.a, d), k)
+    scale = math.copysign(0.5 / model.a, d) * 2.0 ** k  # inf, not OverflowError, past the range
     ratio = hi / lo
     end = math.log(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
     result = integrate(integrand, *((0.0, end) if u_f > u_i else (end, 0.0)), cfg)

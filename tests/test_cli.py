@@ -363,7 +363,10 @@ class TestFridgeCommand:
     # the series' b/(2a) overflows on every stroke; the first is named
     ("engine", ENGINE_CFG, "\na = 1.0", "\na = 1e-320", "exact", 3,
      "error: stroke A->B: duration is past the float range\n"),
-], ids=["omega2-low_temp", "omega2-high_temp", "gamma1", "fridge-b", "a-subnormal"])
+    # accepted, a = inf ended in "cycle period underflowed to zero" at exit 3
+    ("engine", ENGINE_CFG, "\na = 1.0", "\na = inf", "exact", 1,
+     "error: bath: a must be finite, got inf\n"),
+], ids=["omega2-low_temp", "omega2-high_temp", "gamma1", "fridge-b", "a-subnormal", "a-inf"])
 def test_non_finite_cycle_exits_nonzero(tmp_path, capsys, command, config, line, edit,
                                         mode, code, message):
     # without the checks each run exits 0 writing nan or inf fields with status ok
@@ -745,6 +748,16 @@ class TestValidateCommand:
         else:  # no report file behind an error
             assert captured.out == out
             assert not report.exists()
+
+    def test_detailed_balance_at_the_exp_edge(self, tmp_path, capsys):
+        # beta_h*omega1 = 709, inside e^x's range: gamma_minus took its own
+        # exponent past 700 and printed "FAIL detailed_balance (350.0 ulp)"
+        text = Path(ENGINE_CFG).read_text(encoding="utf-8")
+        text = text.replace("beta1 = 16.666666666666668", "beta1 = 1181.6666666666667")
+        text = text.replace("beta2 = 33.333333333333336", "beta2 = 2400.0")
+        # the period underflows once the first four checks are decided
+        assert main(["validate", "--config", write_cfg(tmp_path, text)]) == 3
+        assert "PASS detailed_balance (0.0 ulp)\n" in capsys.readouterr().out
 
     def test_out_file_holds_the_report_printed(self, tmp_path, capsys):
         report = tmp_path / "report.txt"

@@ -50,6 +50,11 @@ class TestRates:
         with pytest.raises(ParameterError):
             GevaKosloff(0.0, -0.5)
 
+    def test_geva_kosloff_a_must_be_finite(self):
+        # a = inf was accepted, and a cycle on it ended in a zero period
+        with pytest.raises(ParameterError, match="a must be finite, got inf"):
+            GevaKosloff(math.inf, -0.5)
+
     @pytest.mark.parametrize("rho0, m", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
                                          (1.0, math.inf), (1.0, -math.inf)])
     def test_thermal_field_domain(self, rho0, m):
@@ -66,6 +71,14 @@ class TestRates:
         # each used to raise a bare OverflowError, in math.exp or in omega ** m
         with pytest.raises(ParameterError, match="gamma_minus = .* overflows"):
             call()
+
+    @pytest.mark.parametrize("x", [700.5, 709.0, 709.782712893384])
+    def test_geva_kosloff_detailed_balance_up_to_the_exp_edge(self, x):
+        # past x = 700 gamma_minus took its own exponent, 148 ulp off e^x at
+        # x = 700.5 and 350 at 709; the last x is ln of the largest float
+        gp, gm = GevaKosloff(1.0, -0.05).rates(x, 1.0)
+        reference = math.exp(x)
+        assert abs(gm / gp - reference) <= 4.0 * math.ulp(reference)
 
     def test_thermal_field_needs_statistics(self):
         with pytest.raises(ParameterError):

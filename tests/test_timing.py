@@ -1,11 +1,15 @@
 import math
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qstirling.series
 import qstirling.timing
 from qstirling import (
+    ConvergenceError,
     EngineSpec,
     GevaKosloff,
     LinearEngineRegenerator,
@@ -325,7 +329,6 @@ class TestConvergenceFailure:
                                                    r"still above tolerance after 1 subdivisions$"):
             engine_cycle_time(spec, MODEL, ENGINE_REGEN, starved)
 
-
     @pytest.mark.parametrize("fn, args", [
         (isochoric_time, (1.4, 1.0, 1e-310, 2.0)),
         (isothermal_time, (0.5, 1.0, 2.0, 1e-310)),
@@ -339,6 +342,46 @@ class TestConvergenceFailure:
         monkeypatch.setattr(qstirling.timing, "integrate", no_quadrature)
         with pytest.raises(SingularityError, match="duration is past the float range"):
             fn(B, MODEL, *args)
+
+
+class TestFloatRangeEdges:
+    @pytest.mark.parametrize("a, lo", [(1e10, 1e-310), (1.0, 1e-308)])
+    def test_bosonic_duration_near_the_float_range(self, a, lo):
+        # the integrand grows like 1/u^2 down to lo; scaled by the (0, 0) series
+        # term alone it overflowed on every GK15 panel near lo, and the stroke
+        # ended in "ConvergenceError: quadrature error nan is not finite"
+        model = GevaKosloff(a, -0.05)
+        out = isochoric_time(B, model, 1.4, 1.0, lo, 2.0)
+        assert rel(out.duration, mp_isochoric_time(B, model, 1.4, 1.0, lo, 2.0)) < 1e-12
+        assert out.error_estimate <= 1e-10 * out.duration
+
+    @pytest.mark.parametrize("ends", [(2.0, 5e-324), (5e-324, 2.0)])
+    def test_gap_underflowing_to_zero_is_named(self, ends):
+        # the gap 0.5 * 5e-324 rounds to zero, which GK15 divided by: a bare
+        # ZeroDivisionError escaped
+        with pytest.raises(SingularityError, match="gap or weight underflows to zero at "
+                                                   "u = 5e-324"):
+            isothermal_time(F, MODEL, 0.5, 1.0, *ends)
+
+
+# endpoints across the whole float range: normal values, the bottom of the
+# range (subnormals included) and the top
+_ENDPOINT = st.one_of(st.floats(1e-3, 1e3), st.floats(5e-324, 1e-308),
+                      st.floats(1e306, sys.float_info.max))
+
+
+@given(st.sampled_from([B, F]), st.sampled_from([isothermal_time, isochoric_time]),
+       st.sampled_from([0.5, 1.4]), _ENDPOINT, _ENDPOINT)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_stroke_time_is_finite_or_a_named_error(stat, fn, drive, start, end):
+    # drive is the bath beta against beta_s = 1, or the regenerator slope
+    try:
+        out = fn(stat, MODEL, drive, 1.0, start, end)
+    except (ParameterError, SingularityError, ConvergenceError):
+        return  # any other exception, ZeroDivisionError and OverflowError among them, fails
+    # zero for an empty sweep, and where the duration lies below the least
+    # subnormal (e^{-745} at u = 560 on a 1.4 bath isotherm)
+    assert 0.0 <= out.duration < math.inf
 
 
 class TestRegeneratorValidation:

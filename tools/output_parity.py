@@ -3,8 +3,9 @@
 Exports ``src/`` of ``--base REV`` with ``git archive`` into a temporary
 directory and runs ``python -m qstirling`` on both trees over a fixed set of
 cases: ``engine``/``fridge`` on the three cycle configs in every regime mode,
-both statistics and both output formats; ``validate`` on all four configs;
-``power-sweep`` in csv (with ``--out``) and json; and ``regime-map``.  Each
+both statistics and both output formats; ``validate`` on all four configs
+and on ``engine_lowtemp.ini`` with beta_h*omega1 = 709, next to the top of
+e^x's range; ``power-sweep`` in csv (with ``--out``) and json; and ``regime-map``.  Each
 case compares exit code, stdout, stderr and every file written under the
 output directory.
 
@@ -69,11 +70,12 @@ def _export(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def _edited_config(source: Path, dest: Path, stat: str, mode: str) -> Path:
+def _edited_config(source: Path, dest: Path, **sections: dict) -> Path:
+    """``source`` with the keys each of ``sections`` names set, written to ``dest``."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read(source, encoding="utf-8")
-    parser["working_medium"]["statistics"] = stat
-    parser["numerics"]["regime_mode"] = mode
+    for section, values in sections.items():
+        parser[section].update(values)
     with open(dest, "w", encoding="utf-8") as handle:
         parser.write(handle)
     return dest
@@ -88,12 +90,17 @@ def _cases(work: Path):
         for mode in MODES:
             for stat in STATISTICS:
                 config = _edited_config(CONFIGS / name, work / f"{name[:-4]}-{mode}-{stat}.ini",
-                                        stat, mode)
+                                        working_medium={"statistics": stat},
+                                        numerics={"regime_mode": mode})
                 for fmt in FORMATS:
                     yield (f"{command} {name} {mode} {stat} {fmt}",
                            [command, "--config", str(config), "--format", fmt])
     for config in sorted(CONFIGS.glob("*.ini")):
         yield f"validate {config.name}", ["validate", "--config", str(config)]
+    # beta_h = 0.6 beta1 puts the detailed-balance probe at x = 709
+    edge = _edited_config(CONFIGS / "engine_lowtemp.ini", work / "engine_lowtemp-exp-edge.ini",
+                          cycle={"beta1": "1181.6666666666667", "beta2": "2400.0"})
+    yield "validate engine_lowtemp.ini exp edge", ["validate", "--config", str(edge)]
     sweep = str(CONFIGS / "power_sweep_reference.ini")
     grid = ["--x-grid", "0.5:10:96"]
     yield ("power-sweep csv --out",
