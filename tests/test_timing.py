@@ -321,7 +321,6 @@ class TestIndependentQuadratureOracle:
 
 class TestConvergenceFailure:
     def test_failure_names_stroke(self):
-        from qstirling import ConvergenceError
         # alpha_h = 0.99 puts A->B past the series term budget, on GK15
         spec = reference_engine_spec(B, 10.0, alpha_h=0.99)
         starved = QuadratureConfig(1e-14, 1e-300, 1)

@@ -5,9 +5,9 @@ directory and runs ``python -m qstirling`` on both trees over a fixed set of
 cases: ``engine``/``fridge`` on the three cycle configs in every regime mode,
 both statistics and both output formats; ``validate`` on all four configs
 and on ``engine_lowtemp.ini`` with beta_h*omega1 = 709, next to the top of
-e^x's range; ``power-sweep`` in csv (with ``--out``) and json; and ``regime-map``.  Each
-case compares exit code, stdout, stderr and every file written under the
-output directory.
+e^x's range; ``power-sweep`` in csv (with ``--out``) and json; and
+``regime-map``.  Each case compares exit code, stdout, stderr and every file
+written under the output directory.
 
 It also runs the library from both trees on the benchmark's seed-0 pools of
 ``exact_lowtemp``, ``exact_crossover`` and ``closed_form_scan``, through
