@@ -63,24 +63,23 @@ def leading_exponential(q: float, a1: float, a2: float, b: float, lo: float) -> 
         return math.nan
 
 
-def integrate_linear(stat: Statistics, q: float, a1: float, a2: float, b: float, d: float,
-                     lo: float, hi: float) -> tuple[float, float, int] | None:
-    """Integral of |rate denominator| over [lo, hi] for x = a1*a2*u, x_s = b*u, gap d*u.
+def integrate_linear(stat: Statistics, b: float, dd: float, base: float, leading: float,
+                     width: float, lo: float, hi: float) -> tuple[float, float, int] | None:
+    """Integral of |rate denominator| over [lo, hi] for x = A*u, x_s = b*u and gap dd*u.
 
-    With x = A*u (A = a1*a2), x_s = B*u and gap D*u, the integrand is
-    ``e^{-lambda00 u} sum_j e^{-j|D|u} sum_k (+-1)^k e^{-kBu}``, the sign
-    alternating for fermions, with ``lambda_jk = qA + max(A, B) + j|D| + kB``.
-    With r = e^{-|D| lo} and s = e^{-B lo} the terms past J and K sum to at
-    most ``(r^J + s^K)/((1-r)(1-s))`` times the (0, 0) term T00, and the
-    value is at least T00 (bosons) or T00/(1+s) (fermions); J and K hold
-    that ratio under machine epsilon.  Returns (value, error bound, J*K),
-    or None when the stroke needs more than SERIES_TERM_BUDGET terms.
+    The caller forms the stroke's leading decay rate ``base`` = lambda00,
+    ``leading`` = e^{-lambda00 lo} (nan if :func:`leading_exponential`
+    overflowed) and ``width`` = (1 - e^{-lambda00 (hi - lo)})/lambda00, so the
+    (0, 0) term is T00 = leading*width.  The integrand is
+    ``e^{-lambda00 u} sum_j e^{-j dd u} sum_k (+-1)^k e^{-kBu}``, the sign
+    alternating for fermions, with ``lambda_jk = qA + max(A, B) + j dd + kB``.
+    With r = e^{-dd lo} and s = e^{-B lo} the terms past J and K sum to at
+    most ``(r^J + s^K)/((1-r)(1-s))`` times T00, and the value is at least
+    T00 (bosons) or T00/(1+s) (fermions); J and K hold that ratio under
+    machine epsilon.  Returns (value, error bound, J*K), or None when the
+    stroke needs more than SERIES_TERM_BUDGET terms.
     """
-    dd = abs(d)
     dl, bl = dd * lo, b * lo
-    a = a1 * a2
-    # lambda00 = (1+q)A + (B - A if B > A): positive parts, no cancellation
-    base = (1.0 + q) * a + (dd if b > a else 0.0)
     if not (dl >= _MIN_DECAY and bl >= _MIN_DECAY and 0.0 < base * lo < _MAX_EXPONENT):
         return None
     fermi = stat is Statistics.FERMIONIC
@@ -92,7 +91,6 @@ def integrate_linear(stat: Statistics, q: float, a1: float, a2: float, b: float,
     n_k = max(1, math.ceil(log_ratio / bl))
     if n_j * n_k > SERIES_TERM_BUDGET:
         return None
-    leading = leading_exponential(q, a1, a2, b, lo)
     if not leading > 0.0:  # nan where a Dekker split overflowed
         return None
     span = hi - lo
@@ -105,7 +103,6 @@ def integrate_linear(stat: Statistics, q: float, a1: float, a2: float, b: float,
             lam = lam_k + j * dd
             row += r_powers[j] * -math.expm1(-lam * span) / lam
         total += (-row if fermi and k % 2 else row) * math.exp(-k * bl)
-    t00 = -math.expm1(-base * span) / base
     # the tail bound plus 8 eps of rounding on the absolute series
-    bound = t00 * (r ** n_j + s ** n_k + 8.0 * _EPS) / (one_r * one_s)
+    bound = width * (r ** n_j + s ** n_k + 8.0 * _EPS) / (one_r * one_s)
     return leading * total, leading * bound, n_j * n_k

@@ -129,7 +129,12 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
     a, q, dd, span = a1 * a2, model.q, abs(d), hi - lo
     # the integrand has the sign of the gap; the sweep direction orients it
     sign = 1.0 if (u_f > u_i) == (d > 0.0) else -1.0
-    series = integrate_linear(stat, q, a1, a2, b, d, lo, hi)
+    # the series and GK15 both read lambda00 = (1+q)A + (B - A if B > A), a sum of
+    # positive parts, its factor e^{-lambda00 lo} and T00 / e^{-lambda00 lo} from here
+    base = (1.0 + q) * a + (dd if b > a else 0.0)
+    leading = leading_exponential(q, a1, a2, b, lo)
+    width = -expm1(-base * span) / base if base * span else span
+    series = integrate_linear(stat, b, dd, base, leading, width, lo, hi)
     if series is not None:
         value, error, _ = series
         return _checked(scale * (sign * value), scale * error, reservoir)
@@ -149,11 +154,8 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
     # the stroke.  Near lo, where a cold stroke's time accrues, the exponent
     # lambda00 (u - lo) is small and keeps its digits; e^{-lambda00 lo} comes
     # in once, as a factor
-    base = (1.0 + q) * a + (dd if b > a else 0.0)  # lambda00, as in the series
-    leading = leading_exponential(q, a1, a2, b, lo)
     if math.isnan(leading):
         leading = math.exp(-base * lo)
-    width = -expm1(-base * span) / base if base * span else span  # T00 / leading
     k = math.frexp(b * leading * width)[1]  # the floor b T00
     if stat is Statistics.BOSONIC:
         # |f(u)| >= e^{-lambda00 u} / (dd b u^2), so the integral is at least
