@@ -46,7 +46,7 @@ from .relaxation import _LOG_MAX, GevaKosloff
 from .series import integrate_linear, leading_exponential
 from .statistics import Statistics, require_statistics, weight_function
 
-_EPS = sys.float_info.epsilon
+_EPS, _MIN = sys.float_info.epsilon, sys.float_info.min
 # below this largest product the high-temperature integrand is exact to rounding
 _HIGH_TEMP_EXACT = 2.0 ** -60
 
@@ -197,11 +197,15 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
         return x_s * decay / (-expm1(-dd * u) * gap_scale) / w(x_s) * factor
 
     # GK15 runs over v in [0, ln(hi/lo)] in the sweep direction
-    scale = math.copysign(0.5 / model.a, d) * 2.0 ** k  # inf, not OverflowError, past the range
     ratio = hi / lo
     end = math.log(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
     result = integrate(integrand, *((0.0, end) if u_f > u_i else (end, 0.0)), cfg)
-    return _checked(scale * result.value, abs(scale) * result.error_estimate, reservoir)
+    # the scale 2^(k-1)/a in one rounding, inf rather than OverflowError past the
+    # range; where it is subnormal it would drop digits, so the integral is divided by a last
+    half = math.copysign(2.0 ** (k - 1), d)
+    scale, over = (half / model.a, 1.0) if abs(half / model.a) >= _MIN else (half, model.a)
+    return _checked(scale * result.value / over, abs(scale) * result.error_estimate / over,
+                    reservoir)
 
 
 def _checked(duration: float, error_estimate: float, reservoir: str) -> StrokeTime:

@@ -354,6 +354,16 @@ class TestFloatRangeEdges:
         assert rel(out.duration, mp_isochoric_time(B, model, 1.4, 1.0, lo, 2.0)) < 1e-12
         assert out.error_estimate <= 1e-10 * out.duration
 
+    @pytest.mark.parametrize("a", [1e306, 1e307, 3e307, 1e308])
+    def test_huge_bath_rate_keeps_the_duration_digits(self, a):
+        # stroke A->B of configs/engine_hightemp_bosonic.ini takes GK15 with
+        # k = -12; the scale 0.5/a * 2^k was subnormal and the duration lost
+        # digits: 1.8e-14, 9.8e-14, 3.1e-13 and 1.1e-12 relative
+        model = GevaKosloff(a, -0.05)
+        args = (0.00010714285714285714, 0.00017857142857142857, 2.0, 1.0)
+        out = isothermal_time(B, model, *args)
+        assert rel(out.duration, mp_isothermal_time(B, model, *args)) < 1e-15
+
     @pytest.mark.parametrize("ends", [(2.0, 5e-324), (5e-324, 2.0)])
     def test_gap_underflowing_to_zero_is_named(self, ends):
         # the gap 0.5 * 5e-324 rounds to zero, which GK15 divided by: a bare
