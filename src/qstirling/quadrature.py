@@ -99,7 +99,7 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> Qua
     Bisects the panel with the largest error estimate until the summed
     estimate drops below ``max(rel_tol*|integral|, abs_tol)`` or the
     subdivision budget runs out, in which case a :class:`ConvergenceError`
-    names the achieved error.  A panel whose value or estimate is not
+    names the achieved error, absolute and relative to the integral.  A panel whose value or estimate is not
     finite (the integrand overflowed at a node) is bisected before any
     other, so an isolated overflow drops out; if the sum is still not finite
     when the budget runs out, the error says so.  A non-finite result is
@@ -118,7 +118,9 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> Qua
         if finite and total_err <= max(cfg.rel_tol * abs(total), cfg.abs_tol):
             return QuadratureResult(total, total_err, splits + 1)
         if splits >= cfg.max_subdivisions:
-            state = "still above tolerance" if finite else "is not finite"
+            # relative to the integral, the error reads the same in any units f is scaled by
+            state = (f"({total_err / abs(total) if total else math.inf:.1e} relative) still "
+                     "above tolerance" if finite else "is not finite")
             raise ConvergenceError(
                 f"quadrature error {total_err:.3e} {state} after {splits} subdivisions")
         _, pa, pb, pv, pe = heapq.heappop(heap)

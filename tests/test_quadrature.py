@@ -52,11 +52,18 @@ def test_error_contract():
     assert out.error_estimate <= max(cfg.rel_tol * abs(out.value), cfg.abs_tol)
 
 
-def test_convergence_error_names_the_achieved_error():
+@pytest.mark.parametrize("f, relative", [
+    (lambda x: 1.0 / (1e-8 + x * x), r"1\.9e\+00"),
+    # an odd integrand sums to exactly zero: no ZeroDivisionError
+    (lambda x: x / (1e-8 + x * x), "inf"),
+])
+def test_convergence_error_names_the_achieved_error(f, relative):
+    # absolute, and relative to the integral, which reads the same in any units
     cfg = QuadratureConfig(1e-13, 1e-300, 3)
-    with pytest.raises(ConvergenceError, match=r"^quadrature error \d\.\d{3}e[+-]\d+ still "
-                                                r"above tolerance after 3 subdivisions$"):
-        integrate(lambda x: 1.0 / (1e-8 + x * x), -1.0, 1.0, cfg)
+    with pytest.raises(ConvergenceError, match=rf"^quadrature error \d\.\d{{3}}e[+-]\d+ "
+                                                rf"\({relative} relative\) still above "
+                                                r"tolerance after 3 subdivisions$"):
+        integrate(f, -1.0, 1.0, cfg)
 
 
 def test_overflow_at_one_node_is_bisected_away():

@@ -325,7 +325,8 @@ class TestConvergenceFailure:
         spec = reference_engine_spec(B, 10.0, alpha_h=0.99)
         starved = QuadratureConfig(1e-14, 1e-300, 1)
         with pytest.raises(ConvergenceError, match=r"^stroke A->B: quadrature error \S+ "
-                                                   r"still above tolerance after 1 subdivisions$"):
+                                                   r"\(\d\.\de-\d\d relative\) still above "
+                                                   r"tolerance after 1 subdivisions$"):
             engine_cycle_time(spec, MODEL, ENGINE_REGEN, starved)
 
     @pytest.mark.parametrize("fn, args", [
