@@ -1,5 +1,5 @@
 """tools/code_lines.py against a plain line count and a hand-counted module;
-tools/output_parity.py's pool and config-mutation dumps against themselves;
+tools/output_parity.py's pool, stroke and config-mutation dumps against themselves;
 tools/reach.py's two reports."""
 
 import ast
@@ -61,6 +61,20 @@ def test_pool_text_is_deterministic_with_one_line_per_point():
     assert (code, err) == (0, b"")
     tiny_pool_size = _load(ROOT / "bench" / "workloads.py").TINY_POOL_SIZE
     assert len(out.decode().splitlines()) == tiny_pool_size
+
+
+def test_stroke_text_is_deterministic_with_one_line_per_call():
+    tool = _load(PARITY)
+    first, second = (tool._child_run(ROOT / "src", "stroke_text()") for _ in range(2))
+    assert first == second
+    code, out, err = first
+    assert (code, err) == (0, b"")
+    lines = out.decode().splitlines()
+    assert len(lines) == len(tool.STROKES)
+    # the zero gap at u = 5e-324 is named either way round; every other call returns
+    named = [line for line in lines if not line.startswith("StrokeTime(duration=")]
+    assert named == ["SingularityError: the integrand's gap or weight underflows to zero "
+                     "at u = 5e-324"] * 2
 
 
 def test_mutation_text_is_deterministic_with_one_line_per_mutation(tmp_path):

@@ -16,6 +16,12 @@ changed), and compares the ``repr`` of every result field of every point, or
 the exception text.  These reach the GK15 and series strokes that the four
 configs barely touch.
 
+It calls the stroke functions of both trees on ``STROKES``, a fixed list of
+library calls that reach branches of ``timing._linear_time`` no config, pool
+or mutation reaches (the bosonic high-temperature form, GK15's floor-raised
+2^k, a gap that rounds to zero), and a bath rate whose GK15 scale 2^(k-1)/a
+is subnormal, and compares the ``repr`` of each result or its exception text.
+
 Last, it reaches the config reader's error paths: each shipped config is
 mutated (every line deleted, duplicated, or with its value replaced by each
 of ``JUNK``; every section header renamed; each of ``EXTRA_KEYS`` added to
@@ -24,8 +30,8 @@ read (so a parse error quotes the same path), and one child per tree runs
 ``cli.main`` in process with the config's cycle command on each.  Exit code,
 stdout and stderr are compared per mutation.
 
-Prints one line per differing case, pool or mutation and exits 1 if any
-differs, 0 otherwise.
+Prints one line per differing case, pool, stroke or mutation and exits 1 if
+any differs, 0 otherwise.
 
     python3 tools/output_parity.py --base HEAD~1
 
@@ -60,6 +66,21 @@ POOL_SEED = 0
 JUNK = ("", "nan", "inf", "-inf", "0", "-1", "-0.0", "1e308", "1e-310", "5e-324", "1_000",
         "0x10", "1,5", "abc", "fermionic")
 EXTRA_KEYS = ("kind", "a", "rho0", "beta_h", "alpha_c", "gamma1", "x_low_threshold")
+_B, _F, _MODEL = "Statistics.BOSONIC", "Statistics.FERMIONIC", "GevaKosloff(1.0, -0.05)"
+STROKES = (
+    # the bosonic high-temperature form
+    f"isothermal_time({_B}, {_MODEL}, 2e-20, 1e-20, 1.0, 2.0)",
+    # a bosonic 1/u^2 floor near the float range raises GK15's 2^k
+    f"isochoric_time({_B}, GevaKosloff(1e10, -0.05), 1.4, 1.0, 1e-310, 2.0)",
+    f"isochoric_time({_B}, {_MODEL}, 1.4, 1.0, 1e-308, 2.0)",
+    # a gap 0.5 * 5e-324 that rounds to zero, either way round, and one that does not
+    f"isothermal_time({_F}, {_MODEL}, 0.5, 1.0, 2.0, 5e-324)",
+    f"isothermal_time({_F}, {_MODEL}, 0.5, 1.0, 5e-324, 2.0)",
+    f"isothermal_time({_F}, {_MODEL}, 2.0, 1.0, 5e-324, 2.0)",
+    # stroke A->B of engine_hightemp_bosonic.ini, whose GK15 scale is subnormal at these a
+    *(f"isothermal_time({_B}, GevaKosloff({a}, -0.05), 0.00010714285714285714, "
+      "0.00017857142857142857, 2.0, 1.0)" for a in ("1e306", "1e307", "3e307", "1e308")),
+)
 
 
 def _export(rev: str, dest: Path) -> Path:
@@ -144,6 +165,21 @@ def pool_text(workload: str, tiny: bool = False) -> str:
         try:
             lines.append(repr(_fields(op(qstirling, point))))
         except Exception as exc:  # an op's error is part of the output compared
+            lines.append(f"{type(exc).__name__}: {exc}")
+    return "".join(line + "\n" for line in lines)
+
+
+def stroke_text() -> str:
+    """One line per call of ``STROKES``: the repr of its result, or its exception.
+
+    Uses whichever ``qstirling`` is first on ``sys.path``.
+    """
+    import qstirling
+    lines = []
+    for call in STROKES:
+        try:
+            lines.append(repr(eval(call, vars(qstirling))))
+        except Exception as exc:  # a stroke's error is part of the output compared
             lines.append(f"{type(exc).__name__}: {exc}")
     return "".join(line + "\n" for line in lines)
 
@@ -250,6 +286,17 @@ def main(argv=None) -> int:
                 what = ", ".join(p for p, b, h in zip(parts, base, head) if b != h)
                 print(f"DIFFERS pool {workload} seed {POOL_SEED}: {what}")
                 pools_differing += 1
+        base, head = (_child_run(src, "stroke_text()") for src in (base_src, ROOT / "src"))
+        strokes_differing = 0
+        if base[0] or head[0] or base[2] != head[2]:  # a child failed, so nothing is compared
+            print(f"DIFFERS stroke run: the children exited {base[0]} and {head[0]}")
+            strokes_differing = len(STROKES)
+        else:
+            for call, b, h in zip(STROKES, base[1].decode().splitlines(),
+                                  head[1].decode().splitlines()):
+                if b != h:
+                    print(f"DIFFERS stroke {call}: {b} -> {h}")
+                    strokes_differing += 1
         mutations = work / "mutations"
         mutation_count = write_mutations(mutations)
         base, head = (_mutation_run(src, mutations) for src in (base_src, ROOT / "src"))
@@ -267,9 +314,10 @@ def main(argv=None) -> int:
                     print(f"DIFFERS mutation {name}: {what}")
                     mutations_differing += 1
     print(f"{total - differing} of {total} cases, {len(POOLS) - pools_differing} of "
-          f"{len(POOLS)} pools and {mutation_count - mutations_differing} of {mutation_count} "
+          f"{len(POOLS)} pools, {len(STROKES) - strokes_differing} of {len(STROKES)} strokes "
+          f"and {mutation_count - mutations_differing} of {mutation_count} "
           f"config mutations identical to {args.base}")
-    return 1 if differing or pools_differing or mutations_differing else 0
+    return 1 if differing or pools_differing or strokes_differing or mutations_differing else 0
 
 
 if __name__ == "__main__":
