@@ -99,11 +99,11 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> Qua
     Bisects the panel with the largest error estimate until the summed
     estimate drops below ``max(rel_tol*|integral|, abs_tol)`` or the
     subdivision budget runs out, in which case a :class:`ConvergenceError`
-    names the achieved error, absolute and relative to the integral.  A panel whose value or estimate is not
-    finite (the integrand overflowed at a node) is bisected before any
-    other, so an isolated overflow drops out; if the sum is still not finite
-    when the budget runs out, the error says so.  A non-finite result is
-    never returned.
+    names the achieved error, absolute and relative to the integral.  A
+    panel whose value or estimate is not finite (the integrand overflowed at
+    a node) is bisected before any other, so an isolated overflow drops out;
+    if the sum is still not finite when the budget runs out, the error says
+    so.  A non-finite result is never returned.
     """
     if cfg is None:
         cfg = QuadratureConfig()
