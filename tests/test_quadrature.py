@@ -52,18 +52,22 @@ def test_error_contract():
     assert out.error_estimate <= max(cfg.rel_tol * abs(out.value), cfg.abs_tol)
 
 
-@pytest.mark.parametrize("f, relative", [
-    (lambda x: 1.0 / (1e-8 + x * x), r"1\.9e\+00"),
-    # an odd integrand sums to exactly zero: no ZeroDivisionError
-    (lambda x: x / (1e-8 + x * x), "inf"),
-])
-def test_convergence_error_names_the_achieved_error(f, relative):
+def test_convergence_error_names_the_achieved_error():
     # absolute, and relative to the integral, which reads the same in any units
     cfg = QuadratureConfig(1e-13, 1e-300, 3)
-    with pytest.raises(ConvergenceError, match=rf"^quadrature error \d\.\d{{3}}e[+-]\d+ "
-                                                rf"\({relative} relative\) still above "
+    with pytest.raises(ConvergenceError, match=r"^quadrature error \d\.\d{3}e[+-]\d+ "
+                                                r"\(1\.9e\+00 relative\) still above "
                                                 r"tolerance after 3 subdivisions$"):
-        integrate(f, -1.0, 1.0, cfg)
+        integrate(lambda x: 1.0 / (1e-8 + x * x), -1.0, 1.0, cfg)
+
+
+def test_convergence_error_on_a_zero_integral_is_inf_relative():
+    # an odd integrand sums to exactly zero: no ZeroDivisionError
+    cfg = QuadratureConfig(1e-13, 1e-300, 3)
+    with pytest.raises(ConvergenceError, match=r"^quadrature error \d\.\d{3}e[+-]\d+ "
+                                                r"\(inf relative\) still above "
+                                                r"tolerance after 3 subdivisions$"):
+        integrate(lambda x: x / (1e-8 + x * x), -1.0, 1.0, cfg)
 
 
 def test_overflow_at_one_node_is_bisected_away():
