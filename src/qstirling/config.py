@@ -130,39 +130,29 @@ def load_run_config(path: str) -> RunConfig:
     omega1 = _get(cycle, "omega1", float)
     omega2 = _get(cycle, "omega2", float)
 
-    try:
-        # medium inverse temperatures of the hot and cold isotherms
-        # (beta1/beta2 or beta1p/beta2p); the alpha ratios scale them
-        hot = table.stroke("q_iso_hot").fixed
-        cold = table.stroke("q_iso_cold").fixed
-        betas = {hot: _get(cycle, hot, float), cold: _get(cycle, cold, float)}
-        if _exactly_one(cycle, ("beta_h", "beta_c"), ("alpha_h", "alpha_c")):
-            betas["beta_h"] = _get(cycle, "beta_h", float)
-            betas["beta_c"] = _get(cycle, "beta_c", float)
-        else:
-            betas["beta_h"] = _get(cycle, "alpha_h", float) * betas[hot]
-            betas["beta_c"] = _get(cycle, "alpha_c", float) * betas[cold]
-        spec = table.spec(stat, omega1, omega2, **betas)
-        regen = _build(table.regen, "regenerator",
-                       *(_get(regen_section, f.name, float) for f in fields(table.regen)))
-    except ParameterError as exc:
-        raise ConfigError(f"cycle: {exc}") from exc
-
-    if _exactly_one(bath, ("a", "q"), ("rho0", "m")):
-        model = _build(GevaKosloff, "bath", _get(bath, "a", float), _get(bath, "q", float))
+    # medium inverse temperatures of the hot and cold isotherms
+    # (beta1/beta2 or beta1p/beta2p); the alpha ratios scale them
+    hot = table.stroke("q_iso_hot").fixed
+    cold = table.stroke("q_iso_cold").fixed
+    betas = {hot: _get(cycle, hot, float), cold: _get(cycle, cold, float)}
+    if _exactly_one(cycle, ("beta_h", "beta_c"), ("alpha_h", "alpha_c")):
+        betas["beta_h"] = _get(cycle, "beta_h", float)
+        betas["beta_c"] = _get(cycle, "beta_c", float)
     else:
-        model = _build(ThermalField, "bath", _get(bath, "rho0", float), _get(bath, "m", float))
+        betas["beta_h"] = _get(cycle, "alpha_h", float) * betas[hot]
+        betas["beta_c"] = _get(cycle, "alpha_c", float) * betas[cold]
+    spec = _build(table.spec, "cycle", stat, omega1, omega2, **betas)
+    regen = _build(table.regen, "regenerator",
+                   *(_get(regen_section, f.name, float) for f in fields(table.regen)))
+
+    factory = GevaKosloff if _exactly_one(bath, ("a", "q"), ("rho0", "m")) else ThermalField
+    model = _build(factory, "bath", *(_get(bath, f.name, float) for f in fields(factory)))
 
     numerics = _section(parser, "numerics", required=False)
-    try:
-        quad = QuadratureConfig(
-            rel_tol=_get(numerics, "rel_tol", float, QuadratureConfig.rel_tol),
-            abs_tol=_get(numerics, "abs_tol", float, QuadratureConfig.abs_tol),
-            max_subdivisions=_get(numerics, "max_subdivisions", int,
-                                  QuadratureConfig.max_subdivisions),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"numerics: {exc}") from exc
+    quad = _build(QuadratureConfig, "numerics",
+                  _get(numerics, "rel_tol", float, QuadratureConfig.rel_tol),
+                  _get(numerics, "abs_tol", float, QuadratureConfig.abs_tol),
+                  _get(numerics, "max_subdivisions", int, QuadratureConfig.max_subdivisions))
     mode_raw = _get(numerics, "regime_mode", default="exact").lower()
     try:
         mode = Mode(mode_raw)
@@ -184,8 +174,8 @@ def load_run_config(path: str) -> RunConfig:
     return RunConfig(spec, model, regen, quad, mode, out_format, particle_count)
 
 
-def _build(factory, section: str, *args):
+def _build(factory, section: str, *args, **kwargs):
     try:
-        return factory(*args)
+        return factory(*args, **kwargs)
     except ParameterError as exc:
         raise ConfigError(f"{section}: {exc}") from exc

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .errors import OrderingError, ParameterError
-from .relaxation import _require_positive
+from .errors import OrderingError, ParameterError, require_positive
 from .statistics import Statistics, log_weight, population, require_statistics
 
 STATUS_OK = "ok"
@@ -43,14 +42,14 @@ def isothermal_heat(stat: Statistics, temperature: float, omega_i: float, omega_
     ``omega_f n_f - omega_i n_i +- T ln[(1 +- e^{-omega_f/T})/(1 +- e^{-omega_i/T})]``.
     Antisymmetric under swapping the endpoints.
     """
-    _require_positive(temperature=temperature, omega_i=omega_i, omega_f=omega_f)
+    require_positive({"temperature": temperature, "omega_i": omega_i, "omega_f": omega_f})
     return _isotherm_heat(temperature, omega_i, _corner(stat, omega_i / temperature),
                           omega_f, _corner(stat, omega_f / temperature))
 
 
 def isochoric_heat(stat: Statistics, omega: float, t_i: float, t_f: float) -> float:
     """Heat absorbed at fixed frequency while T_s moves t_i -> t_f: omega*(n_f - n_i)."""
-    _require_positive(omega=omega, t_i=t_i, t_f=t_f)
+    require_positive({"omega": omega, "t_i": t_i, "t_f": t_f})
     return _isochore_heat(omega, population(stat, omega / t_i), population(stat, omega / t_f))
 
 
@@ -77,9 +76,7 @@ def _validate_spec(spec):
     require_statistics(spec.stat)
     numeric = vars(spec).copy()
     del numeric["stat"]
-    for name, value in numeric.items():
-        if not 0.0 < value < math.inf:
-            raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+    require_positive(numeric)
     omega1, omega2, first, second, third, fourth = numeric.values()
     if not (omega1 < omega2 and first < second < third < fourth):
         items = list(numeric.items())

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one positive-and-finite check."""
+
+import math
 
 
 class ParameterError(ValueError):
@@ -19,3 +21,10 @@ class ConvergenceError(RuntimeError):
 
 class ConfigError(ValueError):
     """A run-configuration file cannot be parsed or fails key validation."""
+
+
+def require_positive(values: dict[str, float]) -> None:
+    """Reject, by name, the first of ``values`` outside (0, inf); NaN is outside too."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ParameterError(f"{name} must be positive and finite, got {value!r}")

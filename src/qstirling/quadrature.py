@@ -6,7 +6,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, ParameterError, require_positive
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre: positive abscissae
 # (centre node handled separately), Kronrod weights, embedded Gauss weights.
@@ -48,8 +48,7 @@ class QuadratureConfig:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise ParameterError("quadrature tolerances must be positive and finite")
+        require_positive({"rel_tol": self.rel_tol, "abs_tol": self.abs_tol})
         if self.max_subdivisions < 1:
             raise ParameterError("max_subdivisions must be at least 1")
 

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, require_positive
 from .statistics import Statistics, require_statistics, weight_function
 
 _LOG_MAX = math.log(sys.float_info.max)
@@ -26,12 +26,6 @@ _GK_DECAY = "a*e^{(1+q)*beta*omega}"
 # Default regime windows: exp(-8) ~ 3e-4 keeps neglected terms sub-percent.
 LOW_TEMP_THRESHOLD = 8.0
 HIGH_TEMP_THRESHOLD = 0.1
-
-
-def _require_positive(**values):
-    for name, value in values.items():
-        if not value > 0.0:
-            raise ParameterError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -47,14 +41,12 @@ class GevaKosloff:
     q: float
 
     def __post_init__(self):
-        _require_positive(a=self.a)
-        if self.a == math.inf:
-            raise ParameterError(f"a must be finite, got {self.a!r}")
+        require_positive({"a": self.a})
         if not -1.0 < self.q < 0.0:
             raise ParameterError(f"q must lie in (-1, 0), got {self.q!r}")
 
     def rates(self, beta: float, omega: float) -> tuple[float, float]:
-        _require_positive(beta=beta, omega=omega)
+        require_positive({"beta": beta, "omega": omega})
         x = beta * omega
         gamma_plus = self.a * math.exp(self.q * x)
         # the shared factor where e^x is finite and gamma_plus normal
@@ -72,13 +64,12 @@ class ThermalField:
     m: float
 
     def __post_init__(self):
-        _require_positive(rho0=self.rho0)
-        for name, value in (("rho0", self.rho0), ("m", self.m)):
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
+        require_positive({"rho0": self.rho0})
+        if not math.isfinite(self.m):
+            raise ParameterError(f"m must be finite, got {self.m!r}")
 
     def rates(self, stat: Statistics, beta: float, omega: float) -> tuple[float, float]:
-        _require_positive(beta=beta, omega=omega)
+        require_positive({"beta": beta, "omega": omega})
         require_statistics(stat)
         x = beta * omega
         gamma_minus = _gamma_minus(lambda: self.rho0 * omega ** self.m / weight_function(stat)(x),
@@ -126,7 +117,7 @@ def heat_current(stat: Statistics, model: GevaKosloff, beta: float, beta_s: floa
     """
     if not isinstance(model, GevaKosloff):
         raise ParameterError("heat_current is defined for the Geva-Kosloff parametrization only")
-    _require_positive(beta=beta, beta_s=beta_s, omega=omega)
+    require_positive({"beta": beta, "beta_s": beta_s, "omega": omega})
     require_statistics(stat)
     x = beta * omega
     x_s = beta_s * omega

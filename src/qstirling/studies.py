@@ -13,9 +13,9 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import performance, relaxation, statistics
 from .cycles import EngineSpec, Mode
-from .errors import ParameterError
+from .errors import ParameterError, require_positive
 from .quadrature import QuadratureConfig
-from .relaxation import HIGH_TEMP_THRESHOLD, LOW_TEMP_THRESHOLD, GevaKosloff, _require_positive
+from .relaxation import HIGH_TEMP_THRESHOLD, LOW_TEMP_THRESHOLD, GevaKosloff
 from .statistics import Statistics, internal_energy, require_statistics
 from .timing import LinearEngineRegenerator
 
@@ -288,7 +288,7 @@ class RelaxationSetup:
 
     def __post_init__(self):
         require_statistics(self.stat)
-        _require_positive(beta=self.beta, omega=self.omega)
+        require_positive({"beta": self.beta, "omega": self.omega})
         if self.n0 < 0.0 or (self.stat is Statistics.FERMIONIC and self.n0 > 0.5):
             raise ParameterError("n0 outside the statistics domain")
         if relaxation.relaxation_rate(self) <= 0.0:
@@ -350,7 +350,7 @@ def limit_heat_current(regime: Regime, model: GevaKosloff, beta: float, beta_s: 
     """
     if not isinstance(model, GevaKosloff):
         raise ParameterError("limit_heat_current requires the Geva-Kosloff parametrization")
-    _require_positive(beta=beta, beta_s=beta_s, omega=omega)
+    require_positive({"beta": beta, "beta_s": beta_s, "omega": omega})
     x = beta * omega
     x_s = beta_s * omega
     a = model.a

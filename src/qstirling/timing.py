@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from math import exp, expm1
+from math import exp, expm1, inf
 from typing import Iterator, NamedTuple
 
 from .cycles import (  # the regenerator classes stay importable from here
@@ -40,7 +40,7 @@ from .cycles import (  # the regenerator classes stay importable from here
     Mode,
     cycle_kind,
 )
-from .errors import ConvergenceError, ParameterError, SingularityError
+from .errors import ConvergenceError, ParameterError, SingularityError, require_positive
 from .quadrature import QuadratureConfig, integrate
 from .relaxation import _LOG_MAX, GevaKosloff
 from .series import integrate_linear, leading_exponential
@@ -83,8 +83,9 @@ def isothermal_time(stat: Statistics, model: GevaKosloff, beta: float, beta_s: f
     when beta = beta_s, and a reversed sweep direction yields a negative
     duration, which is rejected.
     """
-    if beta <= 0.0 or beta_s <= 0.0 or omega_i <= 0.0 or omega_f <= 0.0:
-        raise ParameterError("temperatures and frequencies must be positive")
+    if not (0.0 < beta < inf and 0.0 < beta_s < inf and 0.0 < omega_i < inf
+            and 0.0 < omega_f < inf):  # inline: the helper only names the offender
+        require_positive({"beta": beta, "beta_s": beta_s, "omega_i": omega_i, "omega_f": omega_f})
     require_statistics(stat)
     if beta == beta_s:
         raise SingularityError("bath and medium temperatures coincide: "
@@ -101,12 +102,13 @@ def isochoric_time(stat: Statistics, model: GevaKosloff, regenerator: float,
     ``regenerator`` is the slope c of the linear regenerator ``beta_r =
     c*beta_s``, a positive finite int or float; a unit slope never relaxes.
     """
-    if omega <= 0.0 or beta_i <= 0.0 or beta_f <= 0.0:
-        raise ParameterError("frequency and temperatures must be positive")
+    if not isinstance(regenerator, (int, float)):
+        raise ParameterError(f"regenerator slope must be a number, got {regenerator!r}")
+    if not (0.0 < regenerator < inf and 0.0 < omega < inf and 0.0 < beta_i < inf
+            and 0.0 < beta_f < inf):
+        require_positive({"regenerator slope": regenerator, "omega": omega,
+                          "beta_i": beta_i, "beta_f": beta_f})
     require_statistics(stat)
-    if not (isinstance(regenerator, (int, float)) and 0.0 < regenerator < math.inf):
-        raise ParameterError(f"regenerator slope must be positive and finite, "
-                             f"got {regenerator!r}")
     gap = (regenerator - 1.0) * omega
     if not gap:  # a unit slope, or a gap past the float range
         raise SingularityError("regenerator and medium temperatures coincide: "

@@ -365,7 +365,7 @@ class TestFridgeCommand:
      "error: stroke A->B: duration is past the float range\n"),
     # accepted, a = inf ended in "cycle period underflowed to zero" at exit 3
     ("engine", ENGINE_CFG, "\na = 1.0", "\na = inf", "exact", 1,
-     "error: bath: a must be finite, got inf\n"),
+     "error: bath: a must be positive and finite, got inf\n"),
 ], ids=["omega2-low_temp", "omega2-high_temp", "gamma1", "fridge-b", "a-subnormal", "a-inf"])
 def test_non_finite_cycle_exits_nonzero(tmp_path, capsys, command, config, line, edit,
                                         mode, code, message):
@@ -454,6 +454,36 @@ def test_unwritable_output_path_exits_1(tmp_path, capsys, argv):
     assert err.startswith("error: cannot write output file: ")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []  # power-sweep used to leave its rows file behind
+
+
+_SWEEP = ["power-sweep", "--config", SWEEP_CFG, "--x-grid"]
+
+
+@pytest.mark.parametrize("argv, edit, message", [
+    (_SWEEP + ["1:2:x"], None, "--x-grid: invalid literal for int() with base 10: 'x'"),
+    (_SWEEP + ["1:2:0"], None, "--x-grid: N must be at least 1"),
+    (_SWEEP + ["1:2:1"], None, "--x-grid: single-point grid requires START == STOP"),
+    (["power-sweep", "--config", FRIDGE_CFG, "--x-grid", "1:2:3"], None,
+     "power-sweep requires an engine configuration"),
+    (["engine"], lambda text: text[:text.index("[cycle]")] + text[text.index("[bath]"):],
+     "missing section [cycle]"),
+    (["engine"], lambda text: text.replace("alpha_h = 0.6\nalpha_c = 1.4\n", ""),
+     "cycle: requires either beta_h/beta_c or alpha_h/alpha_c"),
+    (["engine"], lambda text: text.replace("kind = engine", "kind = motor"),
+     "cycle.kind: expected engine or fridge, got 'motor'"),
+    (["engine"], lambda text: text.replace("format = csv", "format = xml"),
+     "output.format: expected csv or json, got 'xml'"),
+], ids=["x-grid-count", "x-grid-zero", "x-grid-single", "sweep-fridge", "missing-cycle",
+        "requires-either", "cycle-kind", "output-format"])
+def test_rejected_input_exits_1_naming_it(tmp_path, capsys, argv, edit, message):
+    if edit is not None:
+        text = Path(ENGINE_CFG).read_text(encoding="utf-8")
+        assert edit(text) != text
+        argv = argv + ["--config", write_cfg(tmp_path, edit(text))]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 class TestRegimeMapCommand:

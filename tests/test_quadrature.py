@@ -88,6 +88,16 @@ def test_overflow_on_a_subinterval_raises_not_finite(a, b):
         integrate(f, a, b, QuadratureConfig(1e-10, 1e-300, 40))
 
 
+def test_interval_at_float_resolution_raises():
+    # four ulp of 1.0: after two bisections a panel's midpoint is one of its ends,
+    # long before the 200-subdivision budget or a tolerance no sum can reach
+    with pytest.raises(ConvergenceError, match=r"^interval \[1\.0000000000000007, "
+                                                r"1\.0000000000000009\] cannot be subdivided "
+                                                r"further$"):
+        integrate(lambda x: x, 1.0, 1.0 + 4 * math.ulp(1.0),
+                  QuadratureConfig(1e-300, 5e-324, 200))
+
+
 def test_tolerance_halving_stays_within_estimate():
     f = lambda x: math.exp(-40.0 * (x - 0.37) ** 2)
     coarse = integrate(f, 0.0, 1.0, QuadratureConfig(1e-6, 1e-300, 200))

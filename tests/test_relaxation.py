@@ -52,7 +52,7 @@ class TestRates:
 
     def test_geva_kosloff_a_must_be_finite(self):
         # a = inf was accepted, and a cycle on it ended in a zero period
-        with pytest.raises(ParameterError, match="a must be finite, got inf"):
+        with pytest.raises(ParameterError, match="a must be positive and finite, got inf"):
             GevaKosloff(math.inf, -0.5)
 
     @pytest.mark.parametrize("rho0, m", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),

@@ -228,6 +228,17 @@ def test_default_abs_tol_holds_rel_tol_on_a_declined_stroke():
 
 
 @pytest.mark.parametrize("stat", [B, F])
+def test_nan_leading_exponential_falls_back_to_gk15(stat):
+    # beta*lo and beta_s*lo are ~10 and ~15, but splitting beta = 1e301 into
+    # Dekker halves overflows: the T00 factor is NaN and the series declines
+    model = GevaKosloff(1.0, -0.05)
+    assert math.isnan(qstirling.series.leading_exponential(-0.05, 1e301, 1.0, 1.5e301, 1e-300))
+    out = isothermal_time(stat, model, 1e301, 1.5e301, 2e-300, 1e-300)
+    exact = mp_isothermal_time(stat, model, 1e301, 1.5e301, 2e-300, 1e-300)
+    assert rel(out.duration, exact) <= QuadratureConfig().rel_tol
+
+
+@pytest.mark.parametrize("stat", [B, F])
 def test_deep_high_temperature_stroke_is_finite(stat):
     # beta_s = 1e-300: the raw integral (1.25e600) overflows, the duration
     # does not; below products of 2^-60 the high-temperature form is exact

@@ -19,8 +19,9 @@ configs barely touch.
 It calls the stroke functions of both trees on ``STROKES``, a fixed list of
 library calls that reach branches of ``timing._linear_time`` no config, pool
 or mutation reaches (the bosonic high-temperature form, GK15's floor-raised
-2^k, a gap that rounds to zero), and a bath rate whose GK15 scale 2^(k-1)/a
-is subnormal, and compares the ``repr`` of each result or its exception text.
+2^k, a gap that rounds to zero), a bath rate whose GK15 scale 2^(k-1)/a is
+subnormal and an infinite stroke end or frequency, and compares the ``repr``
+of each result or its exception text.
 
 Last, it reaches the config reader's error paths: each shipped config is
 mutated (every line deleted, duplicated, or with its value replaced by each
@@ -67,6 +68,7 @@ JUNK = ("", "nan", "inf", "-inf", "0", "-1", "-0.0", "1e308", "1e-310", "5e-324"
         "0x10", "1,5", "abc", "fermionic")
 EXTRA_KEYS = ("kind", "a", "rho0", "beta_h", "alpha_c", "gamma1", "x_low_threshold")
 _B, _F, _MODEL = "Statistics.BOSONIC", "Statistics.FERMIONIC", "GevaKosloff(1.0, -0.05)"
+_INF = "float('inf')"
 STROKES = (
     # the bosonic high-temperature form
     f"isothermal_time({_B}, {_MODEL}, 2e-20, 1e-20, 1.0, 2.0)",
@@ -80,6 +82,11 @@ STROKES = (
     # stroke A->B of engine_hightemp_bosonic.ini, whose GK15 scale is subnormal at these a
     *(f"isothermal_time({_B}, GevaKosloff({a}, -0.05), 0.00010714285714285714, "
       "0.00017857142857142857, 2.0, 1.0)" for a in ("1e306", "1e307", "3e307", "1e308")),
+    # an infinite end or frequency, which the config reader never passes on
+    f"isothermal_time({_B}, GevaKosloff(1.0, -0.9), 1e-323, 5e-324, 1.0, {_INF})",
+    f"isothermal_time({_B}, {_MODEL}, 2.0, 1.0, 1.0, {_INF})",
+    f"isochoric_time({_B}, {_MODEL}, 1.4, 1.0, 1.0, {_INF})",
+    f"isochoric_time({_B}, {_MODEL}, 1.4, {_INF}, 1.0, 2.0)",
 )
 
 
