@@ -221,8 +221,8 @@ def _cmd_regime_map(args) -> int:
     xs = _linspace(args.x_min, args.x_max, args.grid)
     # each grid coordinate is spelled once, not once for every row it is in
     x_cells = [(x, "%.17g" % x) for x in xs]
-    rows = [("%.17g" % q, x_text, conduction_ratio(q, x), _classify(q, x))
-            for q in qs for x, x_text in x_cells]
+    rows = [(q_text, x_text, conduction_ratio(q, x), _classify(q, x))
+            for q, q_text in [(q, "%.17g" % q) for q in qs] for x, x_text in x_cells]
     _emit(_csv_text(REGIME_MAP_COLUMNS, rows), args.out)
     return 0
 

@@ -1,7 +1,9 @@
-"""Globally adaptive 15-point Gauss-Kronrod integration on finite intervals."""
+"""Globally adaptive 15-point Gauss-Kronrod integration on finite intervals,
+and the n-point Gauss-Legendre rule for callers that fix n a priori."""
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -146,3 +148,30 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> Qua
 def _priority(value: float, err: float) -> float:
     """Heap key: the largest estimate first, a non-finite panel before all others."""
     return -err if math.isfinite(value) and math.isfinite(err) else -math.inf
+
+
+@functools.cache
+def gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1], each correctly rounded.
+
+    Newton's method on the Legendre polynomial P_n, evaluated by its
+    three-term recurrence, runs in 40-digit decimal arithmetic from the float
+    estimate cos(pi (i + 3/4)/(n + 1/2)); each n's rule is built on first use.
+    """
+    from decimal import Decimal, localcontext
+    nodes, weights = [], []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for i in range(n):
+            t = Decimal(math.cos(math.pi * (i + 0.75) / (n + 0.5)))
+            for _ in range(7):  # quadratic steps from a 2-digit estimate pass 40 digits by the 6th
+                p0, p = 1, t
+                for k in range(2, n + 1):
+                    p0, p = p, ((2 * k - 1) * t * p - (k - 1) * p0) / k
+                dp = n * (t * p - p0) / (t * t - 1)
+                t -= p / dp
+            # on [-1, 1] the node is t and the weight 2 / ((1 - t^2) P_n'(t)^2); the
+            # last step moved t below the 40th digit, so dp is P_n' at the node
+            nodes.append(float((1 + t) / 2))
+            weights.append(float(1 / ((1 - t * t) * dp * dp)))
+    return tuple(nodes), tuple(weights)

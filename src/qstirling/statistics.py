@@ -128,13 +128,14 @@ def internal_energy(stat: Statistics, omega: float, n: float):
     """
     import numpy as np
 
-    if np.any(np.asarray(omega) <= 0.0):
-        raise ParameterError("omega must be positive")
-    if np.any(np.asarray(n) < 0.0):
-        raise ParameterError("occupation must be nonnegative")
+    w, m = np.asarray(omega), np.asarray(n)
+    if not np.all((w > 0.0) & (w < np.inf)):  # NaN fails both comparisons
+        raise ParameterError("omega must be positive and finite")
+    if not np.all((m >= 0.0) & (m < np.inf)):
+        raise ParameterError("occupation must be nonnegative and finite")
     require_statistics(stat)
     if stat is Statistics.BOSONIC:
         return omega * (n + 0.5)
-    if np.any(np.asarray(n) > 0.5):
+    if np.any(m > 0.5):
         raise ParameterError("fermionic occupation cannot exceed 1/2")
     return omega * (n - 0.5)

@@ -162,7 +162,7 @@ def _sweep_point(template: SweepTemplate, x: float) -> tuple[float, float]:
 
 
 def power_sweep(template: SweepTemplate, grid: Sequence[float]) -> SweepResult:
-    """Sweep x = beta1*omega1 over a strictly increasing positive grid.
+    """Sweep x = beta1*omega1 over a strictly increasing positive, finite grid.
 
     Emits eta, dimensionless power P* = P/(a*k_B*T1), the constant
     Curzon-Ahlborn bound and the 1/(1+x) reference per point; the summary
@@ -171,8 +171,7 @@ def power_sweep(template: SweepTemplate, grid: Sequence[float]) -> SweepResult:
     xs = [float(x) for x in grid]
     if not xs:
         raise ParameterError("sweep grid must not be empty")
-    if xs[0] <= 0.0:
-        raise ParameterError("sweep grid must be positive")
+    require_positive({f"sweep grid point {i}": x for i, x in enumerate(xs)})
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ParameterError("sweep grid must be strictly increasing")
     ca = template.curzon_ahlborn_bound()

@@ -13,15 +13,16 @@ regenerator is linear, beta_r = c*beta_s.  A stroke is summed as an
 exponential series (:mod:`qstirling.series`) to machine precision, whatever
 ``rel_tol`` says, when that fits ``SERIES_TERM_BUDGET`` terms; one whose
 every product stays below 2^-60 takes the high-temperature form, exact
-there to rounding.  Any other stroke is integrated by adaptive GK15 in the
-anchored log variable v = ln(u/lo), where the integrand times u, which
-behaves like 1/u near a hot stroke's lower end, is nearly flat.  The gap
-``x - x_s`` is carried as ``(A - B)*u``, so a slope within ulps of 1 keeps
-its digits.  In the GK15 integrand the exponential difference is taken as
+there to rounding.  Any other stroke is integrated in the anchored log
+variable v = ln(u/lo), where the integrand times u, which behaves like 1/u
+near a hot stroke's lower end, is nearly flat: by Gauss-Legendre, again to
+machine precision, where a node count fixed a priori from the integrand's
+poles is small, and by adaptive GK15 otherwise.  The gap ``x - x_s`` is
+carried as ``(A - B)*u``, so a slope within ulps of 1 keeps its digits.  In
+the integrand in v the exponential difference is taken as
 ``sign * e^{max} * (1 - e^{-|gap|})``, its sign and e^{max} kept out of the
-quotient, so large products never overflow.
-Callers integrate along the physical stroke direction, which always
-yields a positive duration.
+quotient, so large products never overflow.  Callers integrate along the
+physical stroke direction, which always yields a positive duration.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .cycles import (  # the regenerator classes stay importable from here
     cycle_kind,
 )
 from .errors import ConvergenceError, ParameterError, SingularityError, require_positive
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import QuadratureConfig, QuadratureResult, gauss_legendre, integrate
 from .relaxation import _LOG_MAX, GevaKosloff
 from .series import integrate_linear, leading_exponential
 from .statistics import Statistics, require_statistics, weight_function
@@ -49,6 +50,12 @@ from .statistics import Statistics, require_statistics, weight_function
 _EPS, _MIN = sys.float_info.epsilon, sys.float_info.min
 # below this largest product the high-temperature integrand is exact to rounding
 _HIGH_TEMP_EXACT = 2.0 ** -60
+# Gauss-Legendre takes a declined stroke needing at most this many nodes.  Past
+# 12, n calls plus the node-count rule cost about what GK15's one 15-call panel
+# does; such strokes, and the rest, keep GK15.  _LOG_TARGET: ln(32/15 / eps),
+# Theorem 4.5's constant over the error target eps (see _gauss_legendre)
+_GL_MAX_NODES = 12
+_LOG_TARGET, _LN2 = math.log(32.0 / 15.0 / _EPS), math.log(2.0)
 
 
 class StrokeTime(NamedTuple):
@@ -61,7 +68,8 @@ class TimingReport:
     """Stroke durations in cycle order plus each one's error estimate.
 
     A series stroke reports a bound (its tail bound plus a rounding
-    allowance); a GK15 stroke reports the quadrature's error estimate.
+    allowance); a Gauss-Legendre stroke its a-priori truncation bound plus
+    GK15's round-off floor; a GK15 stroke the quadrature's error estimate.
     """
 
     t1: float
@@ -122,7 +130,8 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
     """Duration of a stroke with x = a1*a2*u, x_s = b*u and gap d*u: b/(2a) times the integral.
 
     The exponential series when it fits the term budget, the high-temperature
-    form where that is exact to rounding, GK15 otherwise.
+    form where that is exact to rounding, Gauss-Legendre where its a-priori
+    node count fits ``_GL_MAX_NODES``, GK15 otherwise.
     """
     scale = b / (2.0 * model.a)
     if u_i == u_f:
@@ -151,11 +160,11 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
         else:
             duration = b / dd * math.log(hi / lo) / (4.0 * model.a)
         return _checked(sign * duration, duration * (2.0 * x_max + 4.0 * _EPS), reservoir)
-    # GK15 integrates x_s f(u), the integrand in v times b, over 2^k, the power
-    # of two just above a floor on the integral: abs_tol then acts relative to
-    # the stroke.  Near lo, where a cold stroke's time accrues, the exponent
-    # lambda00 (u - lo) is small and keeps its digits; e^{-lambda00 lo} comes
-    # in once, as a factor
+    # the quadrature integrates x_s f(u), the integrand in v times b, over 2^k,
+    # the power of two just above a floor on the integral: abs_tol then acts
+    # relative to the stroke.  Near lo, where a cold stroke's time accrues, the
+    # exponent lambda00 (u - lo) is small and keeps its digits; e^{-lambda00 lo}
+    # comes in once, as a factor
     if math.isnan(leading):
         leading = math.exp(-base * lo)
     k = math.frexp(b * leading * width)[1]  # the floor b T00
@@ -198,16 +207,87 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
         # and x_s cancels one of them before the quotient can overflow
         return x_s * decay / (-expm1(-dd * u) * gap_scale) / w(x_s) * factor
 
-    # GK15 runs over v in [0, ln(hi/lo)] in the sweep direction
+    # v runs over [0, ln(hi/lo)] in the sweep direction: Gauss-Legendre where its
+    # a-priori node count fits, GK15 otherwise
     ratio = hi / lo
     end = math.log(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
-    result = integrate(integrand, *((0.0, end) if u_f > u_i else (end, 0.0)), cfg)
+    ends = (0.0, end) if u_f > u_i else (end, 0.0)
+    result = (_gauss_legendre(integrand, stat is Statistics.FERMIONIC, dd * lo, b * lo, exponent,
+                              ratio, ends, cfg) or integrate(integrand, *ends, cfg))
     # the scale 2^(k-1)/a in one rounding, inf rather than OverflowError past the
     # range; where it is subnormal it would drop digits, so the integral is divided by a last
     half = math.copysign(2.0 ** (k - 1), d)
     scale, over = (half / model.a, 1.0) if abs(half / model.a) >= _MIN else (half, model.a)
     return _checked(scale * result.value / over, abs(scale) * result.error_estimate / over,
                     reservoir)
+
+
+def _gauss_legendre(f, fermi: bool, dl: float, bl: float, c: float, ratio: float,
+                    ends: tuple[float, float], cfg) -> QuadratureResult | None:
+    """``f`` over ``ends``, (0, L) or (L, 0), by Gauss-Legendre at a node count fixed a priori.
+
+    Up to constants ``f`` is e^{-c (e^v - 1)} h(dl e^v) h(bl e^v)/(dl e^v) for
+    bosons and h(dl e^v)/(1 + e^{-bl e^v}) for fermions, with h(w) =
+    w/(1 - e^{-w}) and e^L = ``ratio``.  Its poles lie on Im v = +-pi/2, at
+    Re v = ln(2 pi k/dl) (the gap), ln(2 pi k/bl) (the boson weight) or
+    ln(pi (2k + 1)/bl) (the fermion weight).
+
+    Theorem 4.5 of Trefethen (SIAM Review 50, 2008): where |f| <= M on the
+    Bernstein ellipse E_rho of [0, L], the n-point error is at most
+    (L/2)(64/15) M rho^{-2(n-1)}/(rho^2 - 1).  Here E_rho passes through the
+    nearest pole.  With its semi-axes A and B, X = e^{L/2 + A} and I >= L min f,
+    the error is at most (32/15) R rho^{-2(n-1)}/(rho^2 - 1) of I, where R
+    bounds max |f| on E_rho over min f on [0, L] factor by factor:
+    - the boson 1/(dl e^v): e^{A + L/2}, exactly;
+    - the decay: e^{c e^L + c X min(1, B - pi/2)}, rigorously;
+    - each h: 1 + dl X and 1 + bl X, and the fermion weight: 2.  These are
+      heuristic, since h and the weight are unbounded at the pole on E_rho.
+    Against a 40-point rule on the benchmark's seed-0 pools, for 2 to 20
+    nodes, the bound exceeded every truncation error above rounding at least
+    9-fold.
+
+    n is the least count, at least 2, whose bound is at most eps, whatever
+    ``rel_tol`` says, as for the series; the error estimate is that bound
+    plus GK15's round-off floor of 50 eps, times I.  Returns None when n
+    exceeds ``_GL_MAX_NODES``, when the bound cannot be formed (a product past
+    the float range), when the sum is not finite, or when the estimate exceeds
+    ``max(rel_tol*|I|, abs_tol)``.
+    """
+    length = max(ends)
+    centre, scale, nearest = 0.5 * length, math.sqrt(ratio) / (2.0 * math.pi), inf
+    # a pole of index k (k + 1/2 for the fermion weight) would sit at Re v = L/2
+    # for k = y; e^delta, delta the nearest pole's distance from L/2 along Re v,
+    # is the least ratio between y and an index on either side of it
+    for x, shift in ((dl, 0.0), (bl, 0.5 if fermi else 0.0)):
+        y = x * scale
+        if not y < 2.0 ** 52:  # poles denser than rounding there, or a product past the range
+            return None
+        if y:  # else the poles lie past the float range
+            k = math.floor(y - shift) + shift
+            nearest = min(nearest, (k + 1.0) / y, y / k if k > 0.0 else inf)
+    # that pole at (alpha, beta) relative to [-1, 1]; cosh(ln rho) of the ellipse through it
+    alpha, beta = math.log(nearest) / centre, math.pi / length
+    cosh = 0.5 * (math.hypot(alpha - 1.0, beta) + math.hypot(alpha + 1.0, beta))
+    reach = centre * (1.0 + cosh)  # L/2 + A, so X = e^reach
+    if not reach < _LOG_MAX:
+        return None
+    x, semi_minor = exp(reach), centre * math.sqrt((cosh - 1.0) * (cosh + 1.0))
+    log_ratio = (c * ratio + c * (x * min(1.0, max(0.0, semi_minor - 0.5 * math.pi)))
+                 + math.log1p(dl * x) + (_LN2 if fermi else reach + math.log1p(bl * x)))
+    log_rho = math.acosh(cosh)
+    need = (_LOG_TARGET + log_ratio - math.log(expm1(2.0 * log_rho))) / (2.0 * log_rho)
+    if not need <= _GL_MAX_NODES - 1:
+        return None
+    n = max(2, 1 + math.ceil(need))
+    try:
+        total = math.fsum([w * f(length * t) for t, w in zip(*gauss_legendre(n))])
+    except OverflowError:  # the sum passed the float range
+        return None
+    error = length * total * _EPS * (50.0 + exp(2.0 * log_rho * (need + 1 - n)))
+    cfg = cfg or QuadratureConfig()
+    if not (total < inf and error <= max(cfg.rel_tol * length * total, cfg.abs_tol)):
+        return None
+    return QuadratureResult((ends[1] - ends[0]) * total, error, 0)
 
 
 def _checked(duration: float, error_estimate: float, reservoir: str) -> StrokeTime:

@@ -263,6 +263,17 @@ class TestPowerSweep:
         with pytest.raises(ParameterError):
             power_sweep(REFERENCE, [-1.0, 1.0])
 
+    @pytest.mark.parametrize("grid, bad", [
+        ([1.0, math.inf], "point 1 must be positive and finite, got inf"),
+        ([math.nan], "point 0 must be positive and finite, got nan"),
+        ([-math.inf, 1.0], "point 0 must be positive and finite, got -inf"),
+    ])
+    def test_grid_names_a_non_finite_point(self, grid, bad):
+        # a non-finite point was named as the spec field it became (beta_h),
+        # and NaN passed the positivity check
+        with pytest.raises(ParameterError, match=f"^sweep grid {bad}$"):
+            power_sweep(REFERENCE, grid)
+
     def test_template_validation(self):
         with pytest.raises(ParameterError):
             SweepTemplate(0.9, 2.0, 0.6, 1.4, 1.4, 0.6, -0.05)

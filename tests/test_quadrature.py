@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import pytest
 from scipy.integrate import quad as scipy_quad
 
 from qstirling import ConvergenceError, ParameterError, QuadratureConfig, integrate
+from qstirling.quadrature import gauss_legendre
 from conftest import rel
 
 
@@ -117,3 +119,22 @@ def test_config_validation():
                        {"abs_tol": math.nan}, {"abs_tol": math.inf}):
         with pytest.raises(ParameterError):
             QuadratureConfig(**tolerances)
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_gauss_legendre_rule_matches_mpmath(n):
+    # nodes and weights on [0, 1] from mpmath's Legendre roots at 30 digits,
+    # within 2 ulp; the weights sum to the interval's length
+    nodes, weights = gauss_legendre(n)
+    assert gauss_legendre(n) is gauss_legendre(n)  # built once per n
+    with mpmath.workdps(30):
+        for x, w in zip(nodes, weights):
+            t = mpmath.findroot(lambda y: mpmath.legendre(n, y), mpmath.mpf(2 * x - 1))
+            dp = mpmath.diff(lambda y: mpmath.legendre(n, y), t)
+            for got, exact in ((x, (1 + t) / 2), (w, 1 / ((1 - t * t) * dp * dp))):
+                assert abs(got - float(exact)) <= 2 * math.ulp(float(exact)), (n, got)
+    assert len(set(nodes)) == n
+    assert abs(math.fsum(weights) - 1.0) <= 2e-16
+    # exact through degree 2n - 1
+    moment = math.fsum(w * x ** (2 * n - 1) for x, w in zip(nodes, weights))
+    assert rel(moment, 1 / (2 * n)) < 1e-14

@@ -1,13 +1,17 @@
-"""Exponential-series and GK15-fallback stroke times against a 40-digit mpmath oracle.
+"""Exponential-series and quadrature stroke times against a 40-digit mpmath oracle.
 
-A linear stroke whose series fits ``series.SERIES_TERM_BUDGET`` makes no
-GK15 call; setting the budget to 0 pins every stroke to GK15, which stays
-the in-package reference.  The strokes the series declines (crossover
-temperatures) take GK15 in v = ln(u/lo).
+A linear stroke whose series fits ``series.SERIES_TERM_BUDGET`` reaches no
+quadrature.  The strokes the series declines (crossover temperatures) are
+integrated in v = ln(u/lo): by Gauss-Legendre where its a-priori node count
+fits ``timing._GL_MAX_NODES``, by GK15 otherwise.  Setting the budget and
+the node cap to 0 pins every stroke to GK15, which stays the in-package
+reference.
 """
 
+import importlib.util
 import math
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -87,20 +91,26 @@ def _oracle(stroke):
     return fn(stat, model, reservoir, held, start, end)
 
 
-def _timed(stroke, monkeypatch, budget=None):
-    """(StrokeTime, GK15 calls) of one stroke, with the series budget optionally replaced."""
+def _timed(stroke, monkeypatch, budget=None, gk15=False):
+    """(StrokeTime, 1 if the stroke was declined to quadrature else 0) of one stroke.
+
+    ``budget`` replaces the series term budget; ``gk15`` sends a declined
+    stroke to GK15 rather than Gauss-Legendre.
+    """
     _, stat, model, isotherm, reservoir, held, start, end = stroke
     calls = []
-    real_integrate = qstirling.timing.integrate
+    real_gauss_legendre = qstirling.timing._gauss_legendre
 
-    def counting_integrate(f, a, b, cfg=None):
-        calls.append(1)
-        return real_integrate(f, a, b, cfg)
+    def counting_gauss_legendre(*args):
+        calls.append(1)  # neither the series nor the high-temperature form took the stroke
+        return real_gauss_legendre(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(qstirling.timing, "integrate", counting_integrate)
+        patch.setattr(qstirling.timing, "_gauss_legendre", counting_gauss_legendre)
         if budget is not None:
             patch.setattr(qstirling.series, "SERIES_TERM_BUDGET", budget)
+        if gk15:
+            patch.setattr(qstirling.timing, "_GL_MAX_NODES", 0)
         fn = isothermal_time if isotherm else isochoric_time
         return fn(stat, model, reservoir, held, start, end, GK15), len(calls)
 
@@ -120,11 +130,11 @@ def test_series_strokes_match_the_oracle_at_least_as_well_as_gk15(monkeypatch):
     series_strokes = 0
     for stroke in POOL:
         exact = _oracle(stroke)
-        out, gk15_calls = _timed(stroke, monkeypatch)
-        if gk15_calls:
+        out, declined = _timed(stroke, monkeypatch)
+        if declined:
             continue
         series_strokes += 1
-        pinned, _ = _timed(stroke, monkeypatch, budget=0)
+        pinned, _ = _timed(stroke, monkeypatch, budget=0, gk15=True)
         err = abs(out.duration - exact)
         assert err <= abs(pinned.duration - exact) + 4.0 * EPS * exact, stroke
         # the reported error bounds the true one
@@ -165,12 +175,12 @@ def test_paths_agree_at_the_term_budget(family, stat, monkeypatch):
         exact = _oracle(stroke)
         series, calls = _timed(stroke, monkeypatch, budget=10**6)
         assert calls == 0
-        pinned, _ = _timed(stroke, monkeypatch, budget=0)
+        pinned, _ = _timed(stroke, monkeypatch, budget=0, gk15=True)
         assert rel(series.duration, pinned.duration) < 1e-13, stroke
         err = abs(series.duration - exact)
         assert err <= abs(pinned.duration - exact) + 4.0 * EPS * exact, stroke
         assert err <= series.error_estimate, stroke
-    # the default path is the series inside the budget, GK15 past it
+    # the default path is the series inside the budget, the quadrature past it
     assert _timed(inside, monkeypatch)[0] == _timed(inside, monkeypatch, budget=10**6)[0]
     assert _timed(outside, monkeypatch)[0] == _timed(outside, monkeypatch, budget=0)[0]
 
@@ -194,8 +204,9 @@ CROSSOVER_POOL = _seeded_strokes(24, 1e-3, 8.0, seed=7)
 
 @pytest.mark.parametrize("cfg", [GK15, QuadratureConfig()], ids=["abs_tol_1e-300", "default"])
 def test_crossover_fallback_strokes_hold_rel_tol(cfg, monkeypatch):
-    # strokes the series declines go to GK15 in v = ln(u/lo): each within
-    # rel_tol of the oracle, with an error estimate that bounds its true error
+    # strokes the series declines go to Gauss-Legendre or GK15 in v = ln(u/lo):
+    # each within rel_tol of the oracle, with an error estimate that bounds its
+    # true error
     fallback = 0
     for stroke in CROSSOVER_POOL:
         _, stat, model, isotherm, reservoir, held, start, end = stroke
@@ -209,6 +220,49 @@ def test_crossover_fallback_strokes_hold_rel_tol(cfg, monkeypatch):
         assert err <= cfg.rel_tol * exact, stroke
         assert err <= out.error_estimate <= cfg.rel_tol * out.duration, stroke
     assert fallback >= 64
+
+
+def _benchmark_strokes(workload, count):
+    """Every stroke of ``count`` evenly spaced points of a seed-0 benchmark pool, and the
+    benchmark's quadrature config."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    pool = workloads.make_pool(workload, 0)
+    strokes = []
+    for point in pool[::len(pool) // count][:count]:
+        strokes += _cycle_strokes(*workloads.build(qstirling, point))
+    return strokes, QuadratureConfig(*workloads.NUMERICS)
+
+
+def test_gauss_legendre_strokes_lie_within_their_estimate(monkeypatch):
+    # the a-priori node count is set against a heuristic bound on the integrand
+    # in the complex plane: on a fixed sample of the benchmark's crossover
+    # strokes, each Gauss-Legendre duration lies within its estimate of the
+    # oracle, and the estimate meets rel_tol
+    strokes, cfg = _benchmark_strokes("exact_crossover", 16)
+    taken = []
+    real_gauss_legendre = qstirling.timing._gauss_legendre
+
+    def recording_gauss_legendre(*args):
+        result = real_gauss_legendre(*args)
+        taken.append(result is not None)
+        return result
+
+    monkeypatch.setattr(qstirling.timing, "_gauss_legendre", recording_gauss_legendre)
+    judged = 0
+    for stroke in strokes:
+        _, stat, model, isotherm, reservoir, held, start, end = stroke
+        taken.clear()
+        fn = isothermal_time if isotherm else isochoric_time
+        out = fn(stat, model, reservoir, held, start, end, cfg)
+        if taken != [True]:
+            continue
+        judged += 1
+        assert abs(out.duration - _oracle(stroke)) <= out.error_estimate, stroke
+        assert out.error_estimate <= cfg.rel_tol * out.duration, stroke
+    assert judged >= 48
 
 
 def test_default_abs_tol_holds_rel_tol_on_a_declined_stroke():
@@ -256,7 +310,8 @@ def test_deep_high_temperature_stroke_is_finite(stat):
 
 @pytest.mark.parametrize("stat", [B, F])
 def test_high_temperature_form_meets_gk15_at_its_threshold(stat, monkeypatch):
-    # the same isotherm just below and just above products of 2^-60
+    # the same isotherm just below and just above products of 2^-60, where
+    # the quadrature takes over
     model = GevaKosloff(1.0, -0.05)
     limit = 2.0 ** -60 / 2.0  # omega_f = 2 is the stroke's largest frequency
     below, calls = _timed(("A->B", stat, model, True, 0.6 * limit, limit, 2.0, 1.0), monkeypatch)

@@ -166,6 +166,19 @@ class TestInternalEnergy:
         with pytest.raises(ParameterError):
             internal_energy(F, 1.0, 0.7)
 
+    @pytest.mark.parametrize("stat", [B, F])
+    @pytest.mark.parametrize("omega, n, name", [
+        (math.inf, 0.1, "omega"), (math.nan, 0.1, "omega"),
+        (np.array([1.0, math.inf]), 0.1, "omega"), (np.array([math.nan, 1.0]), 0.1, "omega"),
+        (1.0, math.inf, "occupation"), (1.0, math.nan, "occupation"),
+        (1.0, np.array([0.1, math.inf]), "occupation"),
+        (1.0, np.array([0.1, math.nan]), "occupation"),
+    ])
+    def test_non_finite_input_is_rejected(self, stat, omega, n, name):
+        # inf and NaN passed the sign checks and came back as an inf or NaN energy
+        with pytest.raises(ParameterError, match=f"^{name} must be .* and finite$"):
+            internal_energy(stat, omega, n)
+
 
 def _linear_path(stat, omega_span, beta_span, steps):
     w0, w1 = omega_span

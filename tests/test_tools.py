@@ -1,6 +1,6 @@
 """tools/code_lines.py against a plain line count and a hand-counted module;
 tools/output_parity.py's pool, stroke and config-mutation dumps against themselves;
-tools/reach.py's two reports."""
+tools/reach.py's two reports; tools/ulp_report.py on a tiny sample."""
 
 import ast
 import importlib.util
@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "code_lines.py"
 PARITY = ROOT / "tools" / "output_parity.py"
 REACH = ROOT / "tools" / "reach.py"
+ULP = ROOT / "tools" / "ulp_report.py"
 
 
 def _load(path):
@@ -104,3 +105,19 @@ def test_reach_lists_only_functions_no_input_runs():
     # every INI key but the thermal-field bath's is set by a shipped or benchmark config
     assert (key_m, key_rho0) == ("bath.m", "bath.rho0")
     assert key_total.startswith("2 of ")
+
+
+def test_ulp_report_judges_every_stroke_of_a_tiny_sample():
+    # one point of each pool and the three shipped EXACT configs: four strokes
+    # each, all within a few ulp of the 40-digit oracle
+    out = subprocess.run([sys.executable, str(ULP), "--sample", "1"], capture_output=True,
+                         text=True, check=True).stdout
+    header, *rows = out.splitlines()
+    assert header.split() == ["group", "strokes", "unjudged", "head", "max", "head", "median"]
+    assert [row.split()[0] for row in rows] == [
+        "exact_crossover", "exact_lowtemp", "engine_hightemp_bosonic.ini", "engine_lowtemp.ini",
+        "fridge_lowtemp.ini"]
+    for row in rows:
+        _, judged, unjudged, worst, median = row.split()
+        assert (judged, unjudged) == ("4", "0"), row
+        assert 0.0 <= float(median) <= float(worst) <= 8.0, row
