@@ -38,7 +38,8 @@ _WG = (
 )
 _WG_CENTRE = 0.4179591836734694
 
-_EPS = 2.220446049250313e-16
+# QUADPACK's round-off floor on a panel's error estimate: 50 eps of the integral of |f|
+ROUNDOFF_FLOOR = 50.0 * 2.220446049250313e-16
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,7 @@ def _kronrod_panel(f, a: float, b: float) -> tuple[float, float]:
     err = abs((resk - resg) * half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    # round-off floor as in QUADPACK
-    err = max(err, 50.0 * _EPS * resabs)
+    err = max(err, ROUNDOFF_FLOOR * resabs)
     return resk * half, err
 
 

@@ -8,7 +8,8 @@ low-temperature closed form; the term counts follow a priori from a tail
 bound set against machine epsilon, so the sum is as accurate as double
 precision allows.  Strokes whose series converges slowly (bath or
 regenerator close to the medium, or small ``B*u``) are declined and left
-to GK15 quadrature (:mod:`qstirling.quadrature`).
+to :mod:`qstirling.timing`'s other methods: the high-temperature form,
+Gauss-Legendre, and GK15 quadrature (:mod:`qstirling.quadrature`) last.
 """
 
 from __future__ import annotations
@@ -18,14 +19,15 @@ import sys
 
 from .statistics import Statistics
 
-# a stroke needing more terms than this is left to GK15 quadrature
+# a stroke needing more terms than this is left to timing's other methods
 SERIES_TERM_BUDGET = 64
 
 _EPS = sys.float_info.epsilon
 # J >= ln(2/eps)/(|A-B| lo) and K >= ln(2/eps)/(B lo), both at least 1, so a
 # stroke whose either decay is below this cannot fit the budget
 _MIN_DECAY = math.log(2.0 / _EPS) / SERIES_TERM_BUDGET
-# past e^{-708} the stroke's magnitude leaves the normal range; GK15 keeps it
+# past e^{-708} the stroke's magnitude leaves the normal range; the quadrature,
+# which scales it by a power of two, keeps it
 _MAX_EXPONENT = -math.log(sys.float_info.min)
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 

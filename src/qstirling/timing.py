@@ -20,9 +20,11 @@ machine precision, where a node count fixed a priori from the integrand's
 poles is small, and by adaptive GK15 otherwise.  The gap ``x - x_s`` is
 carried as ``(A - B)*u``, so a slope within ulps of 1 keeps its digits.  In
 the integrand in v the exponential difference is taken as
-``sign * e^{max} * (1 - e^{-|gap|})``, its sign and e^{max} kept out of the
-quotient, so large products never overflow.  Callers integrate along the
-physical stroke direction, which always yields a positive duration.
+``e^{max} * (1 - e^{-|gap|})``, e^{max} kept out of the quotient, so large
+products never overflow.  Every method sums the stroke's magnitude over its
+ascending range; the sweep direction is checked once, at the end: a stroke
+run away from the equilibrium its bath or regenerator drives would take a
+negative time, and is rejected.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from .cycles import (  # the regenerator classes stay importable from here
     cycle_kind,
 )
 from .errors import ConvergenceError, ParameterError, SingularityError, require_positive
-from .quadrature import QuadratureConfig, QuadratureResult, gauss_legendre, integrate
+from .quadrature import (ROUNDOFF_FLOOR, QuadratureConfig, QuadratureResult, gauss_legendre,
+                         integrate)
 from .relaxation import _LOG_MAX, GevaKosloff
 from .series import integrate_linear, leading_exponential
 from .statistics import Statistics, require_statistics, weight_function
@@ -55,9 +58,10 @@ _HIGH_TEMP_EXACT = 2.0 ** -60
 # exact_crossover op; 12 keeps a GK15 call in the EXACT crossover point that
 # tests/test_bench_contract.py traces (one of its strokes needs 13), so the
 # benchmark's quadrature spans stay covered.  _LOG_TARGET: ln(32/15 / eps),
-# Theorem 4.5's constant over the error target eps (see _gauss_legendre)
+# Theorem 4.5's constant over the error target eps (see _gauss_legendre);
+# _GL_ERROR: that target plus GK15's round-off floor, relative to the stroke
 _GL_MAX_NODES = 12
-_LOG_TARGET, _LN2, _GL_ERROR = math.log(32.0 / 15.0 / _EPS), math.log(2.0), 51.0 * _EPS
+_LOG_TARGET, _LN2, _GL_ERROR = math.log(32.0 / 15.0 / _EPS), math.log(2.0), _EPS + ROUNDOFF_FLOOR
 
 
 class StrokeTime(NamedTuple):
@@ -90,8 +94,9 @@ def isothermal_time(stat: Statistics, model: GevaKosloff, beta: float, beta_s: f
     ``t = (beta_s / 2a) * integral domega / [e^{q*beta*omega} (e^{beta*omega} -
     e^{beta_s*omega}) (1 +- e^{-beta_s*omega})]``.  The bath must sit on the
     side that drives the stroke: relaxation toward equilibrium takes forever
-    when beta = beta_s, and a reversed sweep direction yields a negative
-    duration, which is rejected.
+    when beta = beta_s, and a stroke swept away from the bath's equilibrium
+    raises a ``ParameterError`` (its time would be negative), however small
+    its magnitude.
     """
     if not (0.0 < beta < inf and 0.0 < beta_s < inf and 0.0 < omega_i < inf
             and 0.0 < omega_f < inf):  # inline: the helper only names the offender
@@ -135,12 +140,12 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
     form where that is exact to rounding, Gauss-Legendre where its a-priori
     node count fits ``_GL_MAX_NODES``, GK15 otherwise.
     """
-    scale = b / (2.0 * model.a)
     if u_i == u_f:
         return StrokeTime(0.0, 0.0)
     lo, hi = min(u_i, u_f), max(u_i, u_f)
     a, q, dd, span = a1 * a2, model.q, abs(d), hi - lo
-    # the integrand has the sign of the gap; the sweep direction orients it
+    # every method sums the stroke's magnitude over [lo, hi]; the stroke runs toward its
+    # reservoir when the sweep direction agrees with the sign of the gap
     sign = 1.0 if (u_f > u_i) == (d > 0.0) else -1.0
     # the series and GK15 both read lambda00 = (1+q)A + (B - A if B > A), a sum of
     # positive parts, its factor e^{-lambda00 lo} and T00 / e^{-lambda00 lo} from here
@@ -150,7 +155,7 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
     series = integrate_linear(stat, b, dd, base, leading, width, lo, hi)
     if series is not None:
         value, error, _ = series
-        return _checked(scale * (sign * value), scale * error, reservoir)
+        return _checked(sign, b / (2.0 * model.a) * value, b / (2.0 * model.a) * error, reservoir)
     x_max = max(a, b) * hi
     if x_max <= _HIGH_TEMP_EXACT:
         # 1/[(x - x_s) x_s] (bosonic) or 1/[2 (x - x_s)] (fermionic) is the
@@ -161,7 +166,7 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
             duration = span / hi / lo / den if den else math.inf
         else:
             duration = b / dd * math.log(hi / lo) / (4.0 * model.a)
-        return _checked(sign * duration, duration * (2.0 * x_max + 4.0 * _EPS), reservoir)
+        return _checked(sign, duration, duration * (2.0 * x_max + 4.0 * _EPS), reservoir)
     # the quadrature integrates x_s f(u), the integrand in v times b, over 2^k,
     # the power of two just above a floor on the integral: abs_tol then acts
     # relative to the stroke.  Near lo, where a cold stroke's time accrues, the
@@ -209,24 +214,23 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
         # and x_s cancels one of them before the quotient can overflow
         return x_s * decay / (-expm1(-dd * u) * gap_scale) / w(x_s) * factor
 
-    # v runs over [0, ln(hi/lo)] in the sweep direction: Gauss-Legendre where its
-    # a-priori node count fits, GK15 otherwise
+    # v runs up [0, ln(hi/lo)]: Gauss-Legendre where its a-priori node count
+    # fits, GK15 otherwise
     ratio = hi / lo
     end = math.log(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
-    ends = (0.0, end) if u_f > u_i else (end, 0.0)
     result = (_gauss_legendre(integrand, stat is Statistics.FERMIONIC, dd * lo, b * lo, exponent,
-                              ratio, ends, cfg) or integrate(integrand, *ends, cfg))
+                              ratio, end, cfg) or integrate(integrand, 0.0, end, cfg))
     # the scale 2^(k-1)/a in one rounding, inf rather than OverflowError past the
     # range; where it is subnormal it would drop digits, so the integral is divided by a last
-    half = math.copysign(2.0 ** (k - 1), d)
-    scale, over = (half / model.a, 1.0) if abs(half / model.a) >= _MIN else (half, model.a)
-    return _checked(scale * result.value / over, abs(scale) * result.error_estimate / over,
+    half = 2.0 ** (k - 1)
+    scale, over = (half / model.a, 1.0) if half / model.a >= _MIN else (half, model.a)
+    return _checked(sign, scale * result.value / over, scale * result.error_estimate / over,
                     reservoir)
 
 
 def _gauss_legendre(f, fermi: bool, dl: float, bl: float, c: float, ratio: float,
-                    ends: tuple[float, float], cfg) -> QuadratureResult | None:
-    """``f`` over ``ends``, (0, L) or (L, 0), by Gauss-Legendre at a node count fixed a priori.
+                    length: float, cfg) -> QuadratureResult | None:
+    """``f`` over [0, L], L = ``length``, by Gauss-Legendre at a node count fixed a priori.
 
     Up to constants ``f`` is e^{-c (e^v - 1)} h(dl e^v) h(bl e^v)/(dl e^v) for
     bosons and h(dl e^v)/(1 + e^{-bl e^v}) for fermions, with h(w) =
@@ -257,9 +261,8 @@ def _gauss_legendre(f, fermi: bool, dl: float, bl: float, c: float, ratio: float
     round-off floor of 50 eps, times I.  Returns None when n exceeds
     ``_GL_MAX_NODES``, when the bound cannot be formed (a product past the
     float range), when the sum is not finite, or when the estimate exceeds
-    ``max(rel_tol*|I|, abs_tol)``.
+    ``max(rel_tol*I, abs_tol)``.
     """
-    length = max(ends)
     # relative to [-1, 1] the semi-minor axis is beta = sinh(ln rho); cosh(ln rho)
     # then fixes A, and rho^2 - 1 = 2 beta rho
     beta = math.pi / length
@@ -282,11 +285,12 @@ def _gauss_legendre(f, fermi: bool, dl: float, bl: float, c: float, ratio: float
     cfg = cfg or QuadratureConfig()
     if not (total < inf and error <= max(cfg.rel_tol * length * total, cfg.abs_tol)):
         return None
-    return QuadratureResult((ends[1] - ends[0]) * total, error, 0)
+    return QuadratureResult(length * total, error, 0)
 
 
-def _checked(duration: float, error_estimate: float, reservoir: str) -> StrokeTime:
-    if duration < 0.0:
+def _checked(sign: float, duration: float, error_estimate: float, reservoir: str) -> StrokeTime:
+    """The stroke time of magnitude ``duration``; ``sign`` < 0 marks a stroke run backwards."""
+    if sign < 0.0:
         raise ParameterError(
             "integration direction yields a negative duration; the stroke "
             f"must run toward the {reservoir}-driven equilibrium")

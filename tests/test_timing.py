@@ -48,6 +48,24 @@ ENGINE_REGEN = LinearEngineRegenerator(1.4, 0.6)
 FRIDGE_REGEN = LinearFridgeRegenerator(1.4, 0.6)
 
 
+# the method of timing._linear_time that each name returns a result from
+RUNGS = {"integrate_linear": "series", "_gauss_legendre": "gauss_legendre", "integrate": "gk15"}
+# a wrong-direction isotherm (bath beta, beta_s, omega_i, omega_f) and isochore
+# (slope, omega, beta_i, beta_f) for each method
+WRONG_WAY = [
+    ("series", isothermal_time, (12.0, 20.0, 1.0, 2.0)),
+    ("series", isochoric_time, (1.5, 1.0, 20.0, 10.0)),
+    # every product below 2^-60
+    ("high_temp", isothermal_time, (2e-20, 1e-20, 2.0, 1.0)),
+    ("high_temp", isochoric_time, (1.4, 1e-20, 2.0, 1.0)),
+    ("gauss_legendre", isothermal_time, (0.6, 1.0, 1.0, 2.0)),
+    ("gauss_legendre", isochoric_time, (1.4, 1.0, 2.0, 1.0)),
+    # colder strokes, each needing 13 or more Gauss-Legendre nodes
+    ("gk15", isothermal_time, (3.0, 5.0, 1.0, 2.0)),
+    ("gk15", isochoric_time, (1.4, 1.0, 10.0, 5.0)),
+]
+
+
 def reference_engine_spec(stat, x, alpha_h=0.6, alpha_c=1.4):
     beta1 = x
     return EngineSpec(stat, 1.0, 2.0, alpha_h * beta1, beta1, 2.0 * beta1,
@@ -63,10 +81,35 @@ class TestIsothermalTime:
         with pytest.raises(SingularityError, match="infinite relaxation"):
             isothermal_time(B, MODEL, 1.0, 1.0, 1.0, 2.0, TIGHT)
 
-    def test_wrong_direction_rejected(self):
-        # hot-bath stroke must sweep downward in frequency
+    @pytest.mark.parametrize("rung,fn,args", WRONG_WAY,
+                             ids=[f"{rung}-{fn.__name__[:-5]}" for rung, fn, _ in WRONG_WAY])
+    def test_wrong_direction_rejected(self, rung, fn, args, monkeypatch):
+        # each stroke sweeps away from its reservoir's equilibrium (a hot bath, or a
+        # regenerator slope above 1, drives omega or beta_s down), whichever method sums it
+        taken = []
+
+        def counting(name, real):
+            def wrapped(*call):
+                result = real(*call)
+                if result is not None:  # the series or Gauss-Legendre took the stroke
+                    taken.append(RUNGS[name])
+                return result
+            return wrapped
+
+        for name in RUNGS:
+            monkeypatch.setattr(qstirling.timing, name,
+                                counting(name, getattr(qstirling.timing, name)))
         with pytest.raises(ParameterError, match="negative duration"):
-            isothermal_time(B, MODEL, 0.6, 1.0, 1.0, 2.0, TIGHT)
+            fn(B, MODEL, *args, TIGHT)
+        assert (taken or ["high_temp"]) == [rung]
+
+    def test_wrong_direction_rejected_when_its_duration_underflows(self):
+        # at a = 1e308 this series stroke's magnitude rounds to zero
+        model = GevaKosloff(1e308, -0.05)
+        with pytest.raises(ParameterError, match="negative duration"):
+            isothermal_time(B, model, 150.0, 250.0, 1.0, 2.0)
+        out = isothermal_time(B, model, 150.0, 250.0, 2.0, 1.0)
+        assert out.duration == 0.0 and math.copysign(1.0, out.duration) == 1.0
 
     @pytest.mark.parametrize("x,tol", [(10.0, 0.02), (20.0, 0.001)])
     def test_engine_hot_stroke_low_temperature_form(self, x, tol):

@@ -72,13 +72,16 @@ def test_stroke_text_is_deterministic_with_one_line_per_call():
     assert (code, err) == (0, b"")
     lines = out.decode().splitlines()
     assert len(lines) == len(tool.STROKES)
-    # the zero gap at u = 5e-324 is named either way round, and each infinite end
-    # or frequency by its argument; every other call returns
+    # the zero gap at u = 5e-324 is named either way round, each infinite end or
+    # frequency by its argument, and the wrong-direction stroke by its bath;
+    # every other call returns
     named = [line for line in lines if not line.startswith("StrokeTime(duration=")]
     assert named == ["SingularityError: the integrand's gap or weight underflows to zero "
                      "at u = 5e-324"] * 2 + [
         f"ParameterError: {name} must be positive and finite, got inf"
-        for name in ("omega_f", "omega_f", "beta_f", "omega")]
+        for name in ("omega_f", "omega_f", "beta_f", "omega")] + [
+        "ParameterError: integration direction yields a negative duration; the stroke "
+        "must run toward the bath-driven equilibrium"]
 
 
 def test_mutation_text_is_deterministic_with_one_line_per_mutation(tmp_path):

@@ -20,8 +20,9 @@ It calls the stroke functions of both trees on ``STROKES``, a fixed list of
 library calls that reach branches of ``timing._linear_time`` no config, pool
 or mutation reaches (the bosonic high-temperature form, GK15's floor-raised
 2^k, a gap that rounds to zero), a bath rate whose GK15 scale 2^(k-1)/a is
-subnormal and an infinite stroke end or frequency, and compares the ``repr``
-of each result or its exception text.
+subnormal, an infinite stroke end or frequency and a wrong-direction stroke
+whose magnitude underflows, and compares the ``repr`` of each result or its
+exception text.
 
 Last, it reaches the config reader's error paths: each shipped config is
 mutated (every line deleted, duplicated, or with its value replaced by each
@@ -87,6 +88,8 @@ STROKES = (
     f"isothermal_time({_B}, {_MODEL}, 2.0, 1.0, 1.0, {_INF})",
     f"isochoric_time({_B}, {_MODEL}, 1.4, 1.0, 1.0, {_INF})",
     f"isochoric_time({_B}, {_MODEL}, 1.4, {_INF}, 1.0, 2.0)",
+    # a wrong-direction series stroke whose magnitude underflows to zero
+    f"isothermal_time({_B}, GevaKosloff(1e308, -0.05), 150.0, 250.0, 1.0, 2.0)",
 )
 
 

@@ -22,14 +22,12 @@ Needs mpmath; the oracle takes about 10 ms per stroke.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -111,14 +109,6 @@ def _tree_durations(src: Path, rows: list[list]) -> list[float | None]:
     return json.loads(proc.stdout)
 
 
-def _export(rev: str, dest: Path) -> Path:
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
-                             check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest)
-    return dest / "src"
-
-
 def ulps(values: list[float | None], exact: list[float | None]) -> list[float | None]:
     """``|value - exact| / ulp(exact)`` per stroke; None where either is missing."""
     return [None if v is None or e is None else abs(v - e) / math.ulp(e)
@@ -152,6 +142,7 @@ def main(argv=None) -> int:
     exact = oracle(list(rows))
     trees = {"head": ulps(_tree_durations(ROOT / "src", list(rows)), exact)}
     if args.base:
+        from output_parity import _export
         with tempfile.TemporaryDirectory(prefix="ulp_report_") as tmp:
             base_src = _export(args.base, Path(tmp))
             trees["base"] = ulps(_tree_durations(base_src, list(rows)), exact)
