@@ -48,8 +48,9 @@ ENGINE_REGEN = LinearEngineRegenerator(1.4, 0.6)
 FRIDGE_REGEN = LinearFridgeRegenerator(1.4, 0.6)
 
 
-# the method of timing._linear_time that each name returns a result from
-RUNGS = {"integrate_linear": "series", "_gauss_legendre": "gauss_legendre", "integrate": "gk15"}
+# the method of timing._linear_time whose result each name returns; a stroke
+# that none of them returns a result for took the high-temperature form
+METHODS = {"integrate_linear": "series", "_gauss_legendre": "gauss_legendre", "integrate": "gk15"}
 # a wrong-direction isotherm (bath beta, beta_s, omega_i, omega_f) and isochore
 # (slope, omega, beta_i, beta_f) for each method
 WRONG_WAY = [
@@ -81,9 +82,9 @@ class TestIsothermalTime:
         with pytest.raises(SingularityError, match="infinite relaxation"):
             isothermal_time(B, MODEL, 1.0, 1.0, 1.0, 2.0, TIGHT)
 
-    @pytest.mark.parametrize("rung,fn,args", WRONG_WAY,
-                             ids=[f"{rung}-{fn.__name__[:-5]}" for rung, fn, _ in WRONG_WAY])
-    def test_wrong_direction_rejected(self, rung, fn, args, monkeypatch):
+    @pytest.mark.parametrize("method,fn,args", WRONG_WAY,
+                             ids=[f"{method}-{fn.__name__[:-5]}" for method, fn, _ in WRONG_WAY])
+    def test_wrong_direction_rejected(self, method, fn, args, monkeypatch):
         # each stroke sweeps away from its reservoir's equilibrium (a hot bath, or a
         # regenerator slope above 1, drives omega or beta_s down), whichever method sums it
         taken = []
@@ -91,17 +92,17 @@ class TestIsothermalTime:
         def counting(name, real):
             def wrapped(*call):
                 result = real(*call)
-                if result is not None:  # the series or Gauss-Legendre took the stroke
-                    taken.append(RUNGS[name])
+                if result is not None:  # None: the series or Gauss-Legendre declined it
+                    taken.append(METHODS[name])
                 return result
             return wrapped
 
-        for name in RUNGS:
+        for name in METHODS:
             monkeypatch.setattr(qstirling.timing, name,
                                 counting(name, getattr(qstirling.timing, name)))
         with pytest.raises(ParameterError, match="negative duration"):
             fn(B, MODEL, *args, TIGHT)
-        assert (taken or ["high_temp"]) == [rung]
+        assert (taken or ["high_temp"]) == [method]
 
     def test_wrong_direction_rejected_when_its_duration_underflows(self):
         # at a = 1e308 this series stroke's magnitude rounds to zero
