@@ -21,10 +21,16 @@ poles is small, and by adaptive GK15 otherwise.  The gap ``x - x_s`` is
 carried as ``(A - B)*u``, so a slope within ulps of 1 keeps its digits.  In
 the integrand in v the exponential difference is taken as
 ``e^{max} * (1 - e^{-|gap|})``, e^{max} kept out of the quotient, so large
-products never overflow.  Every method sums the stroke's magnitude over its
-ascending range; the sweep direction is checked once, at the end: a stroke
-run away from the equilibrium its bath or regenerator drives would take a
-negative time, and is rejected.
+products never overflow.  The a-priori node counts of the seed-0 benchmark
+pools reach 31, so every pool stroke the series declines takes
+Gauss-Legendre.  GK15 takes what no rule sized in advance covers: a stroke
+whose ends lie more than about 100-fold apart (an end near the bottom of the
+float range, or a frequency or temperature 1,000-fold its neighbour's), and
+a tolerance below Gauss-Legendre's 51 eps estimate.  Every
+method sums the stroke's magnitude over its ascending range; the sweep
+direction is checked once, before any of them: a stroke run away from the
+equilibrium its bath or regenerator drives would take a negative time, and
+is rejected.
 """
 
 from __future__ import annotations
@@ -53,14 +59,18 @@ from .statistics import Statistics, require_statistics, weight_function
 _EPS, _MIN = sys.float_info.epsilon, sys.float_info.min
 # below this largest product the high-temperature integrand is exact to rounding
 _HIGH_TEMP_EXACT = 2.0 ** -60
-# Gauss-Legendre takes a declined stroke needing at most this many nodes.  At 13
-# to 15 it would still save a little over one 15-call GK15 panel, about 1% of an
-# exact_crossover op; 12 keeps a GK15 call in the EXACT crossover point that
-# tests/test_bench_contract.py traces (one of its strokes needs 13), so the
-# benchmark's quadrature spans stay covered.  _LOG_TARGET: ln(32/15 / eps),
-# Theorem 4.5's constant over the error target eps (see _gauss_legendre);
-# _GL_ERROR: that target plus GK15's round-off floor, relative to the stroke
-_GL_MAX_NODES = 12
+# Gauss-Legendre takes a declined stroke needing at most this many nodes.  The
+# benchmark's seed-0 pools need at most 23 (exact_crossover) and 31
+# (exact_lowtemp), so GK15 takes no pool stroke.  It keeps what no count fixed in
+# advance covers: a stroke whose ends lie more than about 100-fold apart (even a
+# hot stroke needs more than 32 nodes past ln(hi/lo) = 4.5), which among the
+# inputs of tools/output_parity.py only its three float-range STROKES and 23 of
+# its 1,433 config mutations (a value set to 1e308, 1_000, 1e-310 or 5e-324)
+# make, and a rel_tol below the 51 eps estimate.
+# _LOG_TARGET: ln(32/15 / eps), Theorem 4.5's constant over the error target
+# eps (see _gauss_legendre); _GL_ERROR: that target plus GK15's round-off
+# floor, relative to the stroke
+_GL_MAX_NODES = 32
 _LOG_TARGET, _LN2, _GL_ERROR = math.log(32.0 / 15.0 / _EPS), math.log(2.0), _EPS + ROUNDOFF_FLOOR
 
 
@@ -142,11 +152,13 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
     """
     if u_i == u_f:
         return StrokeTime(0.0, 0.0)
+    # the stroke runs toward its reservoir when the sweep direction agrees with the
+    # sign of the gap; every method then sums its magnitude over [lo, hi]
+    if (u_f > u_i) != (d > 0.0):
+        raise ParameterError("integration direction yields a negative duration; the stroke "
+                             f"must run toward the {reservoir}-driven equilibrium")
     lo, hi = min(u_i, u_f), max(u_i, u_f)
     a, q, dd, span = a1 * a2, model.q, abs(d), hi - lo
-    # every method sums the stroke's magnitude over [lo, hi]; the stroke runs toward its
-    # reservoir when the sweep direction agrees with the sign of the gap
-    sign = 1.0 if (u_f > u_i) == (d > 0.0) else -1.0
     # the series and GK15 both read lambda00 = (1+q)A + (B - A if B > A), a sum of
     # positive parts, its factor e^{-lambda00 lo} and T00 / e^{-lambda00 lo} from here
     base = (1.0 + q) * a + (dd if b > a else 0.0)
@@ -155,7 +167,7 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
     series = integrate_linear(stat, b, dd, base, leading, width, lo, hi)
     if series is not None:
         value, error, _ = series
-        return _checked(sign, b / (2.0 * model.a) * value, b / (2.0 * model.a) * error, reservoir)
+        return _checked(b / (2.0 * model.a) * value, b / (2.0 * model.a) * error)
     x_max = max(a, b) * hi
     if x_max <= _HIGH_TEMP_EXACT:
         # 1/[(x - x_s) x_s] (bosonic) or 1/[2 (x - x_s)] (fermionic) is the
@@ -166,7 +178,7 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
             duration = span / hi / lo / den if den else math.inf
         else:
             duration = b / dd * math.log(hi / lo) / (4.0 * model.a)
-        return _checked(sign, duration, duration * (2.0 * x_max + 4.0 * _EPS), reservoir)
+        return _checked(duration, duration * (2.0 * x_max + 4.0 * _EPS))
     # the quadrature integrates x_s f(u), the integrand in v times b, over 2^k,
     # the power of two just above a floor on the integral: abs_tol then acts
     # relative to the stroke.  Near lo, where a cold stroke's time accrues, the
@@ -224,8 +236,7 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
     # range; where it is subnormal it would drop digits, so the integral is divided by a last
     half = 2.0 ** (k - 1)
     scale, over = (half / model.a, 1.0) if half / model.a >= _MIN else (half, model.a)
-    return _checked(sign, scale * result.value / over, scale * result.error_estimate / over,
-                    reservoir)
+    return _checked(scale * result.value / over, scale * result.error_estimate / over)
 
 
 def _gauss_legendre(f, fermi: bool, dl: float, bl: float, c: float, ratio: float,
@@ -288,12 +299,8 @@ def _gauss_legendre(f, fermi: bool, dl: float, bl: float, c: float, ratio: float
     return QuadratureResult(length * total, error, 0)
 
 
-def _checked(sign: float, duration: float, error_estimate: float, reservoir: str) -> StrokeTime:
-    """The stroke time of magnitude ``duration``; ``sign`` < 0 marks a stroke run backwards."""
-    if sign < 0.0:
-        raise ParameterError(
-            "integration direction yields a negative duration; the stroke "
-            f"must run toward the {reservoir}-driven equilibrium")
+def _checked(duration: float, error_estimate: float) -> StrokeTime:
+    """The stroke time ``duration``, unless it is past the float range."""
     if not duration < math.inf:
         raise SingularityError("duration is past the float range")
     return StrokeTime(duration, error_estimate)

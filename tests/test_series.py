@@ -3,14 +3,19 @@
 A linear stroke whose series fits ``series.SERIES_TERM_BUDGET`` reaches no
 quadrature.  The strokes the series declines (crossover temperatures) are
 integrated in v = ln(u/lo): by Gauss-Legendre where its a-priori node count
-fits ``timing._GL_MAX_NODES``, by GK15 otherwise.  Setting the budget and
-the node cap to 0 pins every stroke to GK15, which stays the in-package
-reference.
+fits ``timing._GL_MAX_NODES``, which covers every declined stroke of the
+benchmark's pools, and by GK15 otherwise (ends more than about 100-fold
+apart, or a tolerance below 51 eps).  The oracle of ``tests/conftest.py`` is
+the only reference: a sample of each seed-0 EXACT pool and the shipped EXACT
+configs are gated stroke by stroke against it, and the tiny pools' stroke-time
+work is gated per method.
 """
 
+import functools
 import importlib.util
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import mpmath as mp
@@ -26,12 +31,14 @@ from qstirling import (
     ParameterError,
     QuadratureConfig,
     SingularityError,
+    Mode,
     Statistics,
     cycle_time,
     isochoric_time,
     isothermal_time,
     regime_extents,
 )
+from qstirling.config import load_run_config
 from qstirling.cycles import EngineSpec, cycle_kind
 from conftest import (
     _mp_quad,
@@ -42,10 +49,15 @@ from conftest import (
     rel,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 EPS = sys.float_info.epsilon
 B = Statistics.BOSONIC
 F = Statistics.FERMIONIC
-GK15 = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-300, max_subdivisions=200)
+# the numerics of the shipped configs and the benchmark
+SHIPPED = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-300, max_subdivisions=200)
+# the most ulp any stroke of either seed-0 EXACT pool lies from the oracle
+# (tools/ulp_report.py over every stroke)
+ULPS = 4
 
 
 def _rescaled(spec, regen, x_min):
@@ -85,17 +97,23 @@ def _cycle_strokes(spec, model, regen):
     return rows
 
 
+@functools.cache  # several tests judge the same strokes
 def _oracle(stroke):
     _, stat, model, isotherm, reservoir, held, start, end = stroke
     fn = mp_isothermal_time if isotherm else mp_isochoric_time
     return fn(stat, model, reservoir, held, start, end)
 
 
-def _timed(stroke, monkeypatch, budget=None, gk15=False):
+def _within(out, stroke, ulps=ULPS):
+    """Whether ``out`` lies within ``ulps`` ulp of the oracle and within its own estimate."""
+    err = abs(out.duration - _oracle(stroke))
+    return err <= ulps * math.ulp(_oracle(stroke)) and err <= out.error_estimate
+
+
+def _timed(stroke, monkeypatch, budget=None):
     """(StrokeTime, 1 if the stroke was declined to quadrature else 0) of one stroke.
 
-    ``budget`` replaces the series term budget; ``gk15`` sends a declined
-    stroke to GK15 rather than Gauss-Legendre.
+    ``budget`` replaces the series term budget.
     """
     _, stat, model, isotherm, reservoir, held, start, end = stroke
     calls = []
@@ -109,10 +127,8 @@ def _timed(stroke, monkeypatch, budget=None, gk15=False):
         patch.setattr(qstirling.timing, "_gauss_legendre", counting_gauss_legendre)
         if budget is not None:
             patch.setattr(qstirling.series, "SERIES_TERM_BUDGET", budget)
-        if gk15:
-            patch.setattr(qstirling.timing, "_GL_MAX_NODES", 0)
         fn = isothermal_time if isotherm else isochoric_time
-        return fn(stat, model, reservoir, held, start, end, GK15), len(calls)
+        return fn(stat, model, reservoir, held, start, end, SHIPPED), len(calls)
 
 
 POOL = _seeded_strokes(24)
@@ -127,19 +143,16 @@ def test_pool_covers_both_statistics_stroke_kinds_and_cycles():
 
 
 def test_series_strokes_match_the_oracle_at_least_as_well_as_gk15(monkeypatch):
+    # every series stroke within ULPS ulp of the oracle (at most 4 eps relative,
+    # the slack it once had over a GK15 result), and within its own bound
     series_strokes = 0
     for stroke in POOL:
-        exact = _oracle(stroke)
         out, declined = _timed(stroke, monkeypatch)
         if declined:
             continue
         series_strokes += 1
-        pinned, _ = _timed(stroke, monkeypatch, budget=0, gk15=True)
-        err = abs(out.duration - exact)
-        assert err <= abs(pinned.duration - exact) + 4.0 * EPS * exact, stroke
-        # the reported error bounds the true one
-        assert err <= out.error_estimate, stroke
-        assert out.error_estimate <= 1e-13 * exact
+        assert _within(out, stroke), stroke
+        assert out.error_estimate <= 1e-13 * _oracle(stroke)
     assert series_strokes >= 64
 
 
@@ -172,14 +185,14 @@ def test_paths_agree_at_the_term_budget(family, stat, monkeypatch):
     make_stroke, grid = BOUNDARY_FAMILIES[family](stat)
     inside, outside = _boundary_pair(make_stroke, grid, monkeypatch)
     for stroke in (inside, outside):
-        exact = _oracle(stroke)
+        # the series and the quadrature each within ULPS ulp of the oracle, so within
+        # 2 ULPS of each other, and each within its own estimate
         series, calls = _timed(stroke, monkeypatch, budget=10**6)
         assert calls == 0
-        pinned, _ = _timed(stroke, monkeypatch, budget=0, gk15=True)
-        assert rel(series.duration, pinned.duration) < 1e-13, stroke
-        err = abs(series.duration - exact)
-        assert err <= abs(pinned.duration - exact) + 4.0 * EPS * exact, stroke
-        assert err <= series.error_estimate, stroke
+        assert _within(series, stroke), stroke
+        quadrature, calls = _timed(stroke, monkeypatch, budget=0)
+        assert calls == 1
+        assert _within(quadrature, stroke), stroke
     # the default path is the series inside the budget, the quadrature past it
     assert _timed(inside, monkeypatch)[0] == _timed(inside, monkeypatch, budget=10**6)[0]
     assert _timed(outside, monkeypatch)[0] == _timed(outside, monkeypatch, budget=0)[0]
@@ -202,7 +215,7 @@ def test_default_tolerances_hold_rel_tol_at_low_temperature(x):
 CROSSOVER_POOL = _seeded_strokes(24, 1e-3, 8.0, seed=7)
 
 
-@pytest.mark.parametrize("cfg", [GK15, QuadratureConfig()], ids=["abs_tol_1e-300", "default"])
+@pytest.mark.parametrize("cfg", [SHIPPED, QuadratureConfig()], ids=["abs_tol_1e-300", "default"])
 def test_crossover_fallback_strokes_hold_rel_tol(cfg, monkeypatch):
     # strokes the series declines go to Gauss-Legendre or GK15 in v = ln(u/lo):
     # each within rel_tol of the oracle, with an error estimate that bounds its
@@ -222,18 +235,131 @@ def test_crossover_fallback_strokes_hold_rel_tol(cfg, monkeypatch):
     assert fallback >= 64
 
 
+@functools.cache
+def _workloads():
+    """``bench/workloads.py``, which draws the benchmark's pools, imported."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def _benchmark_strokes(workload, count):
     """Every stroke of ``count`` evenly spaced points of a seed-0 benchmark pool, and the
     benchmark's quadrature config."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _workloads()
     pool = workloads.make_pool(workload, 0)
     strokes = []
     for point in pool[::len(pool) // count][:count]:
         strokes += _cycle_strokes(*workloads.build(qstirling, point))
     return strokes, QuadratureConfig(*workloads.NUMERICS)
+
+
+def _recording_work(monkeypatch) -> Counter:
+    """A counter of each stroke's method and work, filled as strokes are timed.
+
+    Keys: ``strokes``; the strokes the ``series`` and ``gauss_legendre``
+    returned; ``gk15``, its calls, one per stroke it takes (``high_temp`` takes
+    the rest); ``series_terms``; the Gauss-Legendre ``nodes`` summed, declined
+    sums included.
+    """
+    timing, work = qstirling.timing, Counter()
+    real = {name: getattr(timing, name) for name in
+            ("_linear_time", "integrate_linear", "_gauss_legendre", "gauss_legendre", "integrate")}
+
+    def stroke(*args):
+        work["strokes"] += 1
+        return real["_linear_time"](*args)
+
+    def series(*args):
+        result = real["integrate_linear"](*args)
+        if result is not None:
+            work["series"] += 1
+            work["series_terms"] += result[2]
+        return result
+
+    def gauss_legendre_sum(*args):
+        result = real["_gauss_legendre"](*args)
+        work["gauss_legendre"] += result is not None
+        return result
+
+    def rule(n):
+        work["nodes"] += n
+        return real["gauss_legendre"](n)
+
+    def gk15(*args):
+        work["gk15"] += 1
+        return real["integrate"](*args)
+
+    for name, wrapper in (("_linear_time", stroke), ("integrate_linear", series),
+                          ("_gauss_legendre", gauss_legendre_sum), ("gauss_legendre", rule),
+                          ("integrate", gk15)):
+        monkeypatch.setattr(timing, name, wrapper)
+    return work
+
+
+def _shipped_exact_strokes():
+    """(stroke, quadrature config) for every stroke of the shipped EXACT configs."""
+    out = []
+    for path in sorted((ROOT / "configs").glob("*.ini")):
+        cfg = load_run_config(str(path))
+        if cfg.mode is Mode.EXACT:
+            out += [(stroke, cfg.quad) for stroke in _cycle_strokes(cfg.spec, cfg.model, cfg.regen)]
+    return out
+
+
+# evenly spaced points of each seed-0 EXACT pool the ulp gate judges: four strokes
+# each.  The oracle takes ~20 ms on a crossover stroke and ~33 ms on a low-temperature one
+GATE_POINTS = {"exact_crossover": 64, "exact_lowtemp": 32}
+
+
+def test_sampled_pool_and_shipped_strokes_lie_within_4_ulp_of_the_oracle(monkeypatch):
+    # every stroke of the sample within ULPS ulp of the oracle and within its own
+    # error estimate, whichever method summed it
+    work = _recording_work(monkeypatch)
+    judged = []
+    for workload, count in GATE_POINTS.items():
+        strokes, cfg = _benchmark_strokes(workload, count)
+        judged += [(stroke, cfg) for stroke in strokes]
+    judged += _shipped_exact_strokes()
+    outside = []
+    for stroke, cfg in judged:
+        _, stat, model, isotherm, reservoir, held, start, end = stroke
+        out = (isothermal_time if isotherm else isochoric_time)(stat, model, reservoir, held,
+                                                                start, end, cfg)
+        if not _within(out, stroke):
+            outside.append((stroke, out, _oracle(stroke)))
+    assert outside == []
+    # both methods the pools use are judged, and GK15 takes none of their strokes
+    assert work["series"] >= 128 and work["gauss_legendre"] >= 128, work
+    assert work["gk15"] == 0, work
+
+
+# upper bounds on the stroke-time work of the tiny seed-0 EXACT pools (96 strokes
+# each): strokes per method, series terms, Gauss-Legendre nodes and GK15 calls.
+# More of any is a regression; a change that moves strokes between methods
+# restates the split
+TINY_POOL_WORK = {
+    "exact_crossover": {"series": 4, "high_temp": 0, "gauss_legendre": 92, "gk15": 0,
+                        "series_terms": 148, "nodes": 899},
+    "exact_lowtemp": {"series": 95, "high_temp": 0, "gauss_legendre": 1, "gk15": 0,
+                      "series_terms": 533, "nodes": 17},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TINY_POOL_WORK))
+def test_tiny_pool_stroke_time_work(workload, monkeypatch):
+    workloads = _workloads()
+    work = _recording_work(monkeypatch)
+    cfg = QuadratureConfig(*workloads.NUMERICS)
+    for point in workloads.make_pool(workload, 0, tiny=True):
+        cycle_time(*workloads.build(qstirling, point), cfg)
+    assert work["strokes"] == 4 * workloads.TINY_POOL_SIZE
+    work["high_temp"] = work["strokes"] - work["series"] - work["gauss_legendre"] - work["gk15"]
+    over = {key: work[key] for key, bound in TINY_POOL_WORK[workload].items()
+            if work[key] > bound}
+    assert over == {}, dict(work)
 
 
 def test_gauss_legendre_strokes_lie_within_their_estimate(monkeypatch):
@@ -267,8 +393,8 @@ def test_gauss_legendre_strokes_lie_within_their_estimate(monkeypatch):
 
 def test_default_abs_tol_holds_rel_tol_on_a_declined_stroke():
     # alpha_c = 1.01 puts C->D past the series budget; its time (3.3e-17) sits
-    # far below the default abs_tol = 1e-14, which GK15 now takes relative to
-    # the stroke's (0, 0) series term
+    # far below the default abs_tol = 1e-14, which the quadrature takes relative
+    # to the stroke's (0, 0) series term
     model, regen = GevaKosloff(1.0, -0.05), LinearEngineRegenerator(1.4, 0.6)
     spec = EngineSpec(B, 1.0, 2.0, 12.0, 20.0, 40.0, 40.4)
     cfg = QuadratureConfig()
@@ -311,15 +437,18 @@ def test_deep_high_temperature_stroke_is_finite(stat):
 @pytest.mark.parametrize("stat", [B, F])
 def test_high_temperature_form_meets_gk15_at_its_threshold(stat, monkeypatch):
     # the same isotherm just below and just above products of 2^-60, where
-    # the quadrature takes over
+    # the quadrature takes over: each within ULPS ulp of the oracle and within its
+    # estimate, and the two within 1e-13 of each other
     model = GevaKosloff(1.0, -0.05)
     limit = 2.0 ** -60 / 2.0  # omega_f = 2 is the stroke's largest frequency
-    below, calls = _timed(("A->B", stat, model, True, 0.6 * limit, limit, 2.0, 1.0), monkeypatch)
-    assert calls == 0
-    above, calls = _timed(("A->B", stat, model, True, 0.6 * limit * (1 + 2 * EPS),
-                           limit * (1 + 2 * EPS), 2.0, 1.0), monkeypatch)
-    assert calls == 1
-    assert rel(below.duration * (1 + 2 * EPS), above.duration) < 1e-13
+    below = ("A->B", stat, model, True, 0.6 * limit, limit, 2.0, 1.0)
+    above = ("A->B", stat, model, True, 0.6 * limit * (1 + 2 * EPS), limit * (1 + 2 * EPS),
+             2.0, 1.0)
+    (form, form_calls), (quadrature, quadrature_calls) = (_timed(stroke, monkeypatch)
+                                                          for stroke in (below, above))
+    assert (form_calls, quadrature_calls) == (0, 1)
+    assert _within(form, below) and _within(quadrature, above)
+    assert rel(form.duration * (1 + 2 * EPS), quadrature.duration) < 1e-13
 
 
 @pytest.mark.parametrize("stat", [B, F])
@@ -335,8 +464,8 @@ def test_oracle_resolves_a_stroke_over_300_decades(stat):
         with mp.workdps(40):
             exact = 1 / (2 * (mp.mpf(1.4) - 1) * mp.mpf(1e-300))
         assert rel(value, float(exact)) < EPS
-    program = isochoric_time(stat, model, 1.4, 1.0, 1e-300, hi, GK15)
-    assert abs(program.duration - value) <= GK15.rel_tol * value
+    program = isochoric_time(stat, model, 1.4, 1.0, 1e-300, hi, SHIPPED)
+    assert abs(program.duration - value) <= SHIPPED.rel_tol * value
 
 
 def test_oracle_raises_on_an_unresolved_quadrature():
@@ -347,9 +476,9 @@ def test_oracle_raises_on_an_unresolved_quadrature():
 @pytest.mark.parametrize("slope", [0.0, -1.4, math.inf, math.nan, lambda b: 1.4 * b])
 def test_invalid_linear_slope_rejected(slope):
     with pytest.raises(ParameterError, match="slope"):
-        isochoric_time(B, GevaKosloff(1.0, -0.05), slope, 1.0, 10.0, 20.0, GK15)
+        isochoric_time(B, GevaKosloff(1.0, -0.05), slope, 1.0, 10.0, 20.0, SHIPPED)
 
 
 def test_unit_slope_is_singular():
     with pytest.raises(SingularityError, match="infinite relaxation time"):
-        isochoric_time(B, GevaKosloff(1.0, -0.05), 1.0, 1.0, 10.0, 20.0, GK15)
+        isochoric_time(B, GevaKosloff(1.0, -0.05), 1.0, 1.0, 10.0, 20.0, SHIPPED)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qstirling.series
 import qstirling.timing
 from qstirling import (
     ConvergenceError,
@@ -52,18 +51,21 @@ FRIDGE_REGEN = LinearFridgeRegenerator(1.4, 0.6)
 # that none of them returns a result for took the high-temperature form
 METHODS = {"integrate_linear": "series", "_gauss_legendre": "gauss_legendre", "integrate": "gk15"}
 # a wrong-direction isotherm (bath beta, beta_s, omega_i, omega_f) and isochore
-# (slope, omega, beta_i, beta_f) for each method
+# (slope, omega, beta_i, beta_f), each of which takes the method it is listed under
+# when swept the other way
 WRONG_WAY = [
-    ("series", isothermal_time, (12.0, 20.0, 1.0, 2.0)),
-    ("series", isochoric_time, (1.5, 1.0, 20.0, 10.0)),
+    ("series", B, isothermal_time, (12.0, 20.0, 1.0, 2.0)),
+    ("series", B, isochoric_time, (1.5, 1.0, 20.0, 10.0)),
     # every product below 2^-60
-    ("high_temp", isothermal_time, (2e-20, 1e-20, 2.0, 1.0)),
-    ("high_temp", isochoric_time, (1.4, 1e-20, 2.0, 1.0)),
-    ("gauss_legendre", isothermal_time, (0.6, 1.0, 1.0, 2.0)),
-    ("gauss_legendre", isochoric_time, (1.4, 1.0, 2.0, 1.0)),
-    # colder strokes, each needing 13 or more Gauss-Legendre nodes
-    ("gk15", isothermal_time, (3.0, 5.0, 1.0, 2.0)),
-    ("gk15", isochoric_time, (1.4, 1.0, 10.0, 5.0)),
+    ("high_temp", B, isothermal_time, (2e-20, 1e-20, 2.0, 1.0)),
+    ("high_temp", B, isochoric_time, (1.4, 1e-20, 2.0, 1.0)),
+    ("gauss_legendre", B, isothermal_time, (0.6, 1.0, 1.0, 2.0)),
+    ("gauss_legendre", B, isochoric_time, (1.4, 1.0, 2.0, 1.0)),
+    # ends far enough apart that no Gauss-Legendre rule within the cap covers them
+    ("gk15", B, isothermal_time, (2.0, 1.0, 2.0, 1e-15)),
+    ("gk15", B, isochoric_time, (1.4, 1.0, 2.0, 1e-308)),
+    # swept the other way, its gap 0.5 * 5e-324 rounds to zero
+    ("zero_gap", F, isothermal_time, (0.5, 1.0, 5e-324, 2.0)),
 ]
 
 
@@ -82,27 +84,38 @@ class TestIsothermalTime:
         with pytest.raises(SingularityError, match="infinite relaxation"):
             isothermal_time(B, MODEL, 1.0, 1.0, 1.0, 2.0, TIGHT)
 
-    @pytest.mark.parametrize("method,fn,args", WRONG_WAY,
-                             ids=[f"{method}-{fn.__name__[:-5]}" for method, fn, _ in WRONG_WAY])
-    def test_wrong_direction_rejected(self, method, fn, args, monkeypatch):
+    @pytest.mark.parametrize("method,stat,fn,args", WRONG_WAY,
+                             ids=[f"{method}-{fn.__name__[:-5]}" for method, _, fn, _ in WRONG_WAY])
+    def test_wrong_direction_rejected(self, method, stat, fn, args, monkeypatch):
         # each stroke sweeps away from its reservoir's equilibrium (a hot bath, or a
-        # regenerator slope above 1, drives omega or beta_s down), whichever method sums it
-        taken = []
+        # regenerator slope above 1, drives omega or beta_s down).  The direction is
+        # checked before the stroke's setup: no series term, node or panel is spent
+        calls, taken = [], []
 
-        def counting(name, real):
+        def recording(name, real):
             def wrapped(*call):
+                calls.append(name)
                 result = real(*call)
-                if result is not None:  # None: the series or Gauss-Legendre declined it
+                if name in METHODS and result is not None:  # None: the method declined it
                     taken.append(METHODS[name])
                 return result
             return wrapped
 
-        for name in METHODS:
+        for name in (*METHODS, "leading_exponential"):  # the setup every method follows
             monkeypatch.setattr(qstirling.timing, name,
-                                counting(name, getattr(qstirling.timing, name)))
+                                recording(name, getattr(qstirling.timing, name)))
         with pytest.raises(ParameterError, match="negative duration"):
-            fn(B, MODEL, *args, TIGHT)
-        assert (taken or ["high_temp"]) == [method]
+            fn(stat, MODEL, *args, TIGHT)
+        assert calls == []
+        # swept the right way, the stroke reaches the method it is listed under
+        *drive, start, end = args
+        if method == "zero_gap":
+            with pytest.raises(SingularityError, match="gap or weight underflows to zero at "
+                                                       "u = 5e-324"):
+                fn(stat, MODEL, *drive, end, start, TIGHT)
+        else:
+            assert fn(stat, MODEL, *drive, end, start, TIGHT).duration > 0.0
+            assert (taken or ["high_temp"]) == [method]
 
     def test_wrong_direction_rejected_when_its_duration_underflows(self):
         # at a = 1e308 this series stroke's magnitude rounds to zero
@@ -409,13 +422,13 @@ class TestFloatRangeEdges:
         out = isothermal_time(B, model, *args)
         assert rel(out.duration, mp_isothermal_time(B, model, *args)) < 1e-15
 
-    @pytest.mark.parametrize("ends", [(2.0, 5e-324), (5e-324, 2.0)])
-    def test_gap_underflowing_to_zero_is_named(self, ends):
+    def test_gap_underflowing_to_zero_is_named(self):
         # the gap 0.5 * 5e-324 rounds to zero, which GK15 divided by: a bare
-        # ZeroDivisionError escaped
+        # ZeroDivisionError escaped.  Swept the other way the stroke runs backwards
+        # and is rejected first (test_wrong_direction_rejected)
         with pytest.raises(SingularityError, match="gap or weight underflows to zero at "
                                                    "u = 5e-324"):
-            isothermal_time(F, MODEL, 0.5, 1.0, *ends)
+            isothermal_time(F, MODEL, 0.5, 1.0, 2.0, 5e-324)
 
 
 # endpoints across the whole float range: normal values, the bottom of the
@@ -470,32 +483,6 @@ class TestRegimeExtents:
             engine_regime_extents(reference_engine_spec(B, 10.0), FRIDGE_REGEN)
         with pytest.raises(ParameterError, match="requires a LinearFridgeRegenerator"):
             fridge_regime_extents(lowtemp_fridge_spec(B, 9.0), ENGINE_REGEN)
-
-
-@pytest.mark.parametrize("name", ["engine_lowtemp.ini", "fridge_lowtemp.ini"])
-def test_shipped_lowtemp_exact_point_work_budget(name, monkeypatch):
-    # deterministic GK15 work of the shipped EXACT points with every stroke
-    # pinned to GK15: 22 panel evaluations (2*panels - 1 per stroke) and 330
-    # integrand calls; more is a regression
-    counts = {"panel_evals": 0, "integrand_evals": 0}
-    real_integrate = qstirling.timing.integrate
-
-    def counting_integrate(f, a, b, cfg=None):
-        def counted(x):
-            counts["integrand_evals"] += 1
-            return f(x)
-        result = real_integrate(counted, a, b, cfg)
-        counts["panel_evals"] += max(2 * result.panels - 1, 0)
-        return result
-
-    monkeypatch.setattr(qstirling.timing, "integrate", counting_integrate)
-    monkeypatch.setattr(qstirling.series, "SERIES_TERM_BUDGET", 0)
-    cfg = load_run_config(str(CONFIG_DIR / name))
-    report = cycle_performance(cfg.spec, cfg.model, cfg.regen, cfg.quad, cfg.mode)
-    assert report.status == "ok"
-    assert 0 < counts["panel_evals"] <= 22
-    assert counts["integrand_evals"] <= 330
-    assert counts["integrand_evals"] == 15 * counts["panel_evals"]
 
 
 @pytest.mark.parametrize("name,budget", [("engine_lowtemp.ini", 48), ("fridge_lowtemp.ini", 54)])

@@ -72,16 +72,16 @@ def test_stroke_text_is_deterministic_with_one_line_per_call():
     assert (code, err) == (0, b"")
     lines = out.decode().splitlines()
     assert len(lines) == len(tool.STROKES)
-    # the zero gap at u = 5e-324 is named either way round, each infinite end or
-    # frequency by its argument, and the wrong-direction stroke by its bath;
-    # every other call returns
+    # the zero gap at u = 5e-324 is named, each infinite end or frequency by its
+    # argument, and each wrong-direction stroke by its bath, the one swept up from
+    # the zero gap included; every other call returns
+    backwards = ("ParameterError: integration direction yields a negative duration; the "
+                 "stroke must run toward the bath-driven equilibrium")
     named = [line for line in lines if not line.startswith("StrokeTime(duration=")]
     assert named == ["SingularityError: the integrand's gap or weight underflows to zero "
-                     "at u = 5e-324"] * 2 + [
+                     "at u = 5e-324", backwards] + [
         f"ParameterError: {name} must be positive and finite, got inf"
-        for name in ("omega_f", "omega_f", "beta_f", "omega")] + [
-        "ParameterError: integration direction yields a negative duration; the stroke "
-        "must run toward the bath-driven equilibrium"]
+        for name in ("omega_f", "omega_f", "beta_f", "omega")] + [backwards]
 
 
 def test_mutation_text_is_deterministic_with_one_line_per_mutation(tmp_path):
@@ -111,16 +111,42 @@ def test_reach_lists_only_functions_no_input_runs():
 
 
 def test_ulp_report_judges_every_stroke_of_a_tiny_sample():
-    # one point of each pool and the three shipped EXACT configs: four strokes
-    # each, all within a few ulp of the 40-digit oracle
+    # one point of each pool and the three shipped EXACT configs (four strokes
+    # each) and the first of the parity tool's STROKES, all within a few ulp of
+    # the 40-digit oracle; then the strokes each method took
     out = subprocess.run([sys.executable, str(ULP), "--sample", "1"], capture_output=True,
                          text=True, check=True).stdout
-    header, *rows = out.splitlines()
+    ulp_table, method_table = out.split("\n\n")
+    header, *rows = ulp_table.splitlines()
     assert header.split() == ["group", "strokes", "unjudged", "head", "max", "head", "median"]
-    assert [row.split()[0] for row in rows] == [
-        "exact_crossover", "exact_lowtemp", "engine_hightemp_bosonic.ini", "engine_lowtemp.ini",
-        "fridge_lowtemp.ini"]
+    groups = ["exact_crossover", "exact_lowtemp", "engine_hightemp_bosonic.ini",
+              "engine_lowtemp.ini", "fridge_lowtemp.ini", "STROKES"]
+    assert [row.split()[0] for row in rows] == groups
     for row in rows:
-        _, judged, unjudged, worst, median = row.split()
-        assert (judged, unjudged) == ("4", "0"), row
+        group, judged, unjudged, worst, median = row.split()
+        assert (judged, unjudged) == ("1" if group == "STROKES" else "4", "0"), row
         assert 0.0 <= float(median) <= float(worst) <= 8.0, row
+    header, *rows = method_table.splitlines()
+    assert header.split() == ["group", "tree", "series", "high_temp", "gauss_legendre", "gk15",
+                              "raised"]
+    # the first STROKES call is the bosonic high-temperature form; GK15 takes no
+    # stroke of the pools or configs
+    taken = {row.split()[0]: [int(n) for n in row.split()[2:]] for row in rows}
+    assert list(taken) == groups
+    assert taken["STROKES"] == [0, 1, 0, 0, 0]
+    assert all(sum(counts) == 4 and counts[3:] == [0, 0] for group, counts in taken.items()
+               if group != "STROKES"), taken
+
+
+def test_ulp_report_names_the_method_that_took_each_stroke():
+    # rows as the tool builds them: (stat, a, q, isotherm, drive, held, start, end)
+    tool = _load(ULP)
+    rows = [["bosonic", 1.0, -0.05, True, 12.0, 20.0, 2.0, 1.0],
+            ["bosonic", 1.0, -0.05, True, 2e-20, 1e-20, 1.0, 2.0],
+            ["bosonic", 1.0, -0.05, True, 0.6, 1.0, 2.0, 1.0],
+            ["bosonic", 1.0, -0.05, False, 1.4, 1.0, 1e-308, 2.0],
+            ["bosonic", 1.0, -0.05, True, 12.0, 20.0, 1.0, 2.0]]  # run backwards
+    timed = tool._tree_durations(ROOT / "src", rows)
+    assert [method for _, method in timed] == ["series", "high_temp", "gauss_legendre", "gk15",
+                                               "raised"]
+    assert [value is None for value, _ in timed] == [False] * 4 + [True]

@@ -13,8 +13,8 @@ It also runs the library from both trees on the benchmark's seed-0 pools of
 ``exact_lowtemp``, ``exact_crossover`` and ``closed_form_scan``, through
 ``make_pool`` and ``OPS`` of ``bench/workloads.py`` (imported, never
 changed), and compares the ``repr`` of every result field of every point, or
-the exception text.  These reach the GK15 and series strokes that the four
-configs barely touch.
+the exception text.  These reach the series and Gauss-Legendre strokes that
+the four configs barely touch.
 
 It calls the stroke functions of both trees on ``STROKES``, a fixed list of
 library calls that reach branches of ``timing._linear_time`` no config, pool
@@ -76,7 +76,8 @@ STROKES = (
     # a bosonic 1/u^2 floor near the float range raises GK15's 2^k
     f"isochoric_time({_B}, GevaKosloff(1e10, -0.05), 1.4, 1.0, 1e-310, 2.0)",
     f"isochoric_time({_B}, {_MODEL}, 1.4, 1.0, 1e-308, 2.0)",
-    # a gap 0.5 * 5e-324 that rounds to zero, either way round, and one that does not
+    # a gap 0.5 * 5e-324 that rounds to zero (swept up from 5e-324 the stroke runs
+    # backwards, and is named by its direction), and one that does not
     f"isothermal_time({_F}, {_MODEL}, 0.5, 1.0, 2.0, 5e-324)",
     f"isothermal_time({_F}, {_MODEL}, 0.5, 1.0, 5e-324, 2.0)",
     f"isothermal_time({_F}, {_MODEL}, 2.0, 1.0, 5e-324, 2.0)",
