@@ -83,7 +83,8 @@ class TestEngineCommand:
 
     def test_convergence_failure_exits_3_naming_stroke(self, tmp_path, capsys):
         # a hot bath this close to the medium needs more series terms than the
-        # budget, so the hot isotherm goes to the starved GK15
+        # budget, and rel_tol = 1e-14 is below Gauss-Legendre's 51 eps estimate,
+        # so the hot isotherm goes to the starved GK15
         text = Path(ENGINE_CFG).read_text(encoding="utf-8").replace(
             "alpha_h = 0.6", "alpha_h = 0.99").replace(
             "rel_tol = 1e-10", "rel_tol = 1e-14").replace(

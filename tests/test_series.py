@@ -28,10 +28,10 @@ from qstirling import (
     GevaKosloff,
     LinearEngineRegenerator,
     LinearFridgeRegenerator,
+    Mode,
     ParameterError,
     QuadratureConfig,
     SingularityError,
-    Mode,
     Statistics,
     cycle_time,
     isochoric_time,
@@ -143,8 +143,7 @@ def test_pool_covers_both_statistics_stroke_kinds_and_cycles():
 
 
 def test_series_strokes_match_the_oracle_at_least_as_well_as_gk15(monkeypatch):
-    # every series stroke within ULPS ulp of the oracle (at most 4 eps relative,
-    # the slack it once had over a GK15 result), and within its own bound
+    # every series stroke within ULPS ulp of the oracle and within its own bound
     series_strokes = 0
     for stroke in POOL:
         out, declined = _timed(stroke, monkeypatch)
@@ -410,7 +409,8 @@ def test_default_abs_tol_holds_rel_tol_on_a_declined_stroke():
 @pytest.mark.parametrize("stat", [B, F])
 def test_nan_leading_exponential_falls_back_to_gk15(stat):
     # beta*lo and beta_s*lo are ~10 and ~15, but splitting beta = 1e301 into
-    # Dekker halves overflows: the T00 factor is NaN and the series declines
+    # Dekker halves overflows: the T00 factor is NaN and the series declines;
+    # the quadrature (Gauss-Legendre, since the node cap is 32) takes the stroke
     model = GevaKosloff(1.0, -0.05)
     assert math.isnan(qstirling.series.leading_exponential(-0.05, 1e301, 1.0, 1.5e301, 1e-300))
     out = isothermal_time(stat, model, 1e301, 1.5e301, 2e-300, 1e-300)

@@ -378,7 +378,8 @@ class TestIndependentQuadratureOracle:
 
 class TestConvergenceFailure:
     def test_failure_names_stroke(self):
-        # alpha_h = 0.99 puts A->B past the series term budget, on GK15
+        # alpha_h = 0.99 puts A->B past the series term budget, and rel_tol = 1e-14,
+        # below Gauss-Legendre's 51 eps estimate, on GK15
         spec = reference_engine_spec(B, 10.0, alpha_h=0.99)
         starved = QuadratureConfig(1e-14, 1e-300, 1)
         with pytest.raises(ConvergenceError, match=r"^stroke A->B: quadrature error \S+ "
