@@ -10,8 +10,9 @@ precision allows.  Strokes whose series converges slowly (bath or
 regenerator close to the medium, or small ``B*u``) are declined and left
 to :mod:`qstirling.timing`'s other methods: the high-temperature form and
 Gauss-Legendre, which take every declined stroke of the benchmark's pools,
-and GK15 quadrature (:mod:`qstirling.quadrature`) for a stroke whose ends
-lie more than about 100-fold apart or a tolerance below 51 eps.
+and GK15 quadrature (:mod:`qstirling.quadrature`) for a range whose ends
+lie more than about 100-fold apart, such as the rest of a stroke whose
+high-temperature head below 2^-60/max(A, B) was split off.
 """
 
 from __future__ import annotations

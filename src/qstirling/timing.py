@@ -10,27 +10,23 @@ temperature.  Every stroke of the cycles is linear in its integration
 variable u: x = A*u and x_s = B*u, with u = omega, A = beta, B = beta_s on
 isotherms and u = beta_s, A = c*omega, B = omega on isochores, whose
 regenerator is linear, beta_r = c*beta_s.  A stroke is summed as an
-exponential series (:mod:`qstirling.series`) to machine precision, whatever
-``rel_tol`` says, when that fits ``SERIES_TERM_BUDGET`` terms; one whose
-every product stays below 2^-60 takes the high-temperature form, exact
-there to rounding.  Any other stroke is integrated in the anchored log
-variable v = ln(u/lo), where the integrand times u, which behaves like 1/u
-near a hot stroke's lower end, is nearly flat: by Gauss-Legendre, again to
-machine precision, where a node count fixed a priori from the integrand's
-poles is small, and by adaptive GK15 otherwise.  The gap ``x - x_s`` is
-carried as ``(A - B)*u``, so a slope within ulps of 1 keeps its digits.  In
-the integrand in v the exponential difference is taken as
-``e^{max} * (1 - e^{-|gap|})``, e^{max} kept out of the quotient, so large
-products never overflow.  The a-priori node counts of the seed-0 benchmark
-pools reach 31, so every pool stroke the series declines takes
-Gauss-Legendre.  GK15 takes what no rule sized in advance covers: a stroke
-whose ends lie more than about 100-fold apart (an end near the bottom of the
-float range, or a frequency or temperature 1,000-fold its neighbour's), and
-a tolerance below Gauss-Legendre's 51 eps estimate.  Every
-method sums the stroke's magnitude over its ascending range; the sweep
-direction is checked once, before any of them: a stroke run away from the
-equilibrium its bath or regenerator drives would take a negative time, and
-is rejected.
+exponential series (:mod:`qstirling.series`) to machine precision when that
+fits ``SERIES_TERM_BUDGET`` terms.  One whose every product stays below
+2^-60 takes the high-temperature form, exact there to rounding, and one
+that starts below u* = 2^-60/max(A, B) is split there, that form taking the
+head.  Any other range is integrated in the anchored log variable
+v = ln(u/lo), where the integrand times u is nearly flat: by Gauss-Legendre,
+again to machine precision, where a node count fixed a priori from the
+integrand's poles is small, and by adaptive GK15 otherwise, which no pool
+stroke needs: a range whose ends lie more than about 100-fold apart, the
+rest of a split stroke or a cold stroke from a value 1,000-fold its
+neighbour's.  The gap ``x - x_s`` is carried as ``(A - B)*u``, so a slope
+within ulps of 1 keeps its digits.  In the integrand in v the exponential
+difference is taken as ``e^{max} * (1 - e^{-|gap|})``, e^{max} kept out of
+the quotient, so large products never overflow.  Every method sums the
+stroke's magnitude over its ascending range; the sweep direction is checked
+once, before any of them: a stroke run away from the equilibrium its bath
+or regenerator drives would take a negative time, and is rejected.
 """
 
 from __future__ import annotations
@@ -62,11 +58,11 @@ _HIGH_TEMP_EXACT = 2.0 ** -60
 # Gauss-Legendre takes a declined stroke needing at most this many nodes.  The
 # benchmark's seed-0 pools need at most 23 (exact_crossover) and 31
 # (exact_lowtemp), so GK15 takes no pool stroke.  It keeps what no count fixed in
-# advance covers: a stroke whose ends lie more than about 100-fold apart (even a
-# hot stroke needs more than 32 nodes past ln(hi/lo) = 4.5), which among the
-# inputs of tools/output_parity.py only its three float-range STROKES and 23 of
-# its 1,433 config mutations (a value set to 1e308, 1_000, 1e-310 or 5e-324)
-# make, and a rel_tol below the 51 eps estimate.
+# advance covers: a range whose ends lie more than about 100-fold apart (even a
+# hot stroke needs more than 32 nodes past ln(hi/lo) = 4.5).  Among the inputs
+# of tools/output_parity.py only the rests of its four split float-range STROKES
+# and of 2 of its 1,433 config mutations (omega1 set to 1e-310 or 5e-324), and
+# the cold strokes of 19 more (a value set to 1e308 or 1_000), make one.
 # _LOG_TARGET: ln(32/15 / eps), Theorem 4.5's constant over the error target
 # eps (see _gauss_legendre); _GL_ERROR: that target plus GK15's round-off
 # floor, relative to the stroke
@@ -144,12 +140,7 @@ def isochoric_time(stat: Statistics, model: GevaKosloff, regenerator: float,
 
 def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: float,
                  d: float, u_i: float, u_f: float, cfg, reservoir: str) -> StrokeTime:
-    """Duration of a stroke with x = a1*a2*u, x_s = b*u and gap d*u: b/(2a) times the integral.
-
-    The exponential series when it fits the term budget, the high-temperature
-    form where that is exact to rounding, Gauss-Legendre where its a-priori
-    node count fits ``_GL_MAX_NODES``, GK15 otherwise.
-    """
+    """Duration of a stroke with x = a1*a2*u, x_s = b*u and gap d*u: b/(2a) times the integral."""
     if u_i == u_f:
         return StrokeTime(0.0, 0.0)
     # the stroke runs toward its reservoir when the sweep direction agrees with the
@@ -157,8 +148,24 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
     if (u_f > u_i) != (d > 0.0):
         raise ParameterError("integration direction yields a negative duration; the stroke "
                              f"must run toward the {reservoir}-driven equilibrium")
-    lo, hi = min(u_i, u_f), max(u_i, u_f)
-    a, q, dd, span = a1 * a2, model.q, abs(d), hi - lo
+    duration, error = _ascending_time(stat, model, a1, a2, b, abs(d), min(u_i, u_f),
+                                      max(u_i, u_f), cfg)
+    if not duration < math.inf:
+        raise SingularityError("duration is past the float range")
+    return StrokeTime(duration, error)
+
+
+def _ascending_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: float,
+                    dd: float, lo: float, hi: float, cfg) -> tuple[float, float]:
+    """Duration and error estimate of the stroke's magnitude over [lo, hi], its gap dd*u.
+
+    The exponential series when it fits the term budget, the high-temperature
+    form where that is exact to rounding, the head [lo, u*] and the rest
+    [u*, hi] of a stroke that neither takes but that starts below u* =
+    2^-60/max(A, B), Gauss-Legendre where its a-priori node count fits
+    ``_GL_MAX_NODES``, GK15 otherwise.
+    """
+    a, q, span = a1 * a2, model.q, hi - lo
     # the series and GK15 both read lambda00 = (1+q)A + (B - A if B > A), a sum of
     # positive parts, its factor e^{-lambda00 lo} and T00 / e^{-lambda00 lo} from here
     base = (1.0 + q) * a + (dd if b > a else 0.0)
@@ -167,7 +174,7 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
     series = integrate_linear(stat, b, dd, base, leading, width, lo, hi)
     if series is not None:
         value, error, _ = series
-        return _checked(b / (2.0 * model.a) * value, b / (2.0 * model.a) * error)
+        return b / (2.0 * model.a) * value, b / (2.0 * model.a) * error
     x_max = max(a, b) * hi
     if x_max <= _HIGH_TEMP_EXACT:
         # 1/[(x - x_s) x_s] (bosonic) or 1/[2 (x - x_s)] (fermionic) is the
@@ -175,35 +182,28 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
         # as b/dd, so a duration whose raw integral would overflow stays finite
         if stat is Statistics.BOSONIC:
             den = 2.0 * model.a * dd  # may underflow to zero
-            duration = span / hi / lo / den if den else math.inf
+            # lo last: the quotient leaves the range only where the duration does
+            duration = span / hi / den / lo if den else math.inf
         else:
             duration = b / dd * math.log(hi / lo) / (4.0 * model.a)
-        return _checked(duration, duration * (2.0 * x_max + 4.0 * _EPS))
+        return duration, duration * (2.0 * x_max + 4.0 * _EPS)
+    cut = _HIGH_TEMP_EXACT / max(a, b)
+    if lo < cut:
+        # the head holds the 1/u^2 or ln(u*/lo) of an end near the float range's
+        # bottom; one past the range spends no quadrature on the rest
+        head, head_error = _ascending_time(stat, model, a1, a2, b, dd, lo, cut, cfg)
+        if not head < math.inf:
+            return head, head_error
+        rest, rest_error = _ascending_time(stat, model, a1, a2, b, dd, cut, hi, cfg)
+        return head + rest, head_error + rest_error
     # the quadrature integrates x_s f(u), the integrand in v times b, over 2^k,
-    # the power of two just above a floor on the integral: abs_tol then acts
-    # relative to the stroke.  Near lo, where a cold stroke's time accrues, the
-    # exponent lambda00 (u - lo) is small and keeps its digits; e^{-lambda00 lo}
-    # comes in once, as a factor
+    # the power of two just above b T00, a floor on the integral: abs_tol then
+    # acts relative to the stroke.  Near lo, where a cold stroke's time accrues,
+    # the exponent lambda00 (u - lo) is small and keeps its digits;
+    # e^{-lambda00 lo} comes in once, as a factor
     if math.isnan(leading):
         leading = math.exp(-base * lo)
-    k = math.frexp(b * leading * width)[1]  # the floor b T00
-    if stat is Statistics.BOSONIC:
-        # |f(u)| >= e^{-lambda00 u} / (dd b u^2), so the integral is at least
-        # e^{-lambda00 h} (1/lo - 1/h) / dd for any h in (lo, hi], a floor that
-        # grows like 1/lo.  A duration past the float range would only spend
-        # GK15's budget on overflowing panels.  Near the range, 2^k rises until
-        # the floor sits 2^100 below it, room for GK15's weighted sums; a
-        # stroke further from it keeps b T00's k, and so its bytes
-        h = min(hi, 2.0 * lo)
-        log_floor = math.log((h - lo) / h) - math.log(lo) - math.log(dd) - base * h
-        if log_floor - math.log(2.0 * model.a) > _LOG_MAX:
-            raise SingularityError(f"duration is past the float range: the integrand "
-                                   f"grows like 1/u^2 down to u = {lo!r}")
-        # the k that leaves the floor 2^100 below the range; -inf if dd or lambda00 h overflowed
-        excess = (log_floor - _LOG_MAX) / math.log(2.0) + 100.0
-        if excess > k:
-            k = math.ceil(excess)
-    k = min(max(k, -1000), 1000)
+    k = min(max(math.frexp(b * leading * width)[1], -1000), 1000)
     # 2^-k divides the gap factor when k > 0 and multiplies e^{-lambda00 lo}
     # otherwise: either is exact, and near a tiny lo the scaled gap factor
     # keeps the bosonic 1/u^2 from overflowing before the weight divides it
@@ -236,7 +236,7 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
     # range; where it is subnormal it would drop digits, so the integral is divided by a last
     half = 2.0 ** (k - 1)
     scale, over = (half / model.a, 1.0) if half / model.a >= _MIN else (half, model.a)
-    return _checked(scale * result.value / over, scale * result.error_estimate / over)
+    return scale * result.value / over, scale * result.error_estimate / over
 
 
 def _gauss_legendre(f, fermi: bool, dl: float, bl: float, c: float, ratio: float,
@@ -297,13 +297,6 @@ def _gauss_legendre(f, fermi: bool, dl: float, bl: float, c: float, ratio: float
     if not (total < inf and error <= max(cfg.rel_tol * length * total, cfg.abs_tol)):
         return None
     return QuadratureResult(length * total, error, 0)
-
-
-def _checked(duration: float, error_estimate: float) -> StrokeTime:
-    """The stroke time ``duration``, unless it is past the float range."""
-    if not duration < math.inf:
-        raise SingularityError("duration is past the float range")
-    return StrokeTime(duration, error_estimate)
 
 
 def _stroke(label: str, fn, *args) -> StrokeTime:

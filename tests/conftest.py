@@ -2,6 +2,8 @@
 an mpmath stroke-time oracle that raises rather than return a stroke it did
 not resolve."""
 
+import functools
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -82,7 +84,16 @@ def mp_isochoric_time(stat, model, slope, omega, beta_i, beta_f, dps=40):
 
 
 def _mp_stroke(stat, model, a, b, held, u_i, u_f):
-    # held/(2a) * integral du / [e^{q a u} (e^{a u} - e^{b u}) (1 -+ e^{-b u})].
+    # held/(2a) * integral du / [e^{q a u} (e^{a u} - e^{b u}) (1 -+ e^{-b u})]; the
+    # integral does not depend on the rate a, so strokes that differ only in a share it
+    integral = _mp_integral(stat, mp.mpf(model.q), a, b, u_i, u_f, mp.mp.dps)
+    return (1 if u_f > u_i else -1) * held / (2 * mp.mpf(model.a)) * integral
+
+
+@functools.cache
+def _mp_integral(stat, q, a, b, u_i, u_f, dps):
+    """The stroke integral over [min(u_i, u_f), max(u_i, u_f)] at ``dps`` digits, the
+    working precision, which is part of the cache key."""
     # The integrand is e^{-lam u} g(u), with g like a power of u below the
     # decay length 1/lam and smooth above it.  The range is split there, each
     # piece in the variable that makes it smooth:
@@ -91,7 +102,6 @@ def _mp_stroke(stat, model, a, b, held, u_i, u_f):
     # - above, t = e^{-lam (u - split)} removes the exponential, which tanh-sinh
     #   alone resolves poorly over a span of many decay lengths.
     # A stroke with lam*lo >= 1 is all t, one with lam*hi <= 2 all v.
-    q = mp.mpf(model.q)
     weight_sign = -1 if stat is Statistics.BOSONIC else 1
     lam = q * a + max(a, b)
     lo, hi = sorted((mp.mpf(u_i), mp.mpf(u_f)))
@@ -103,9 +113,14 @@ def _mp_stroke(stat, model, a, b, held, u_i, u_f):
             weight = -mp.expm1(-b * u) if weight_sign < 0 else 1 + mp.exp(-b * u)
             return u / (mp.exp((q * a + b) * u) * mp.expm1((a - b) * u) * weight)
 
+        # mp.quad stops refining a subinterval on an absolute error, so f is
+        # integrated relative to f(0): near a bosonic lo of 1e-300, f of 1e300
+        # would take every subinterval to the highest degree
+        scale = f(0)
         end = mp.log(split / lo)
         steps = [mp.mpf(2) ** j for j in range(int(mp.log(end, 2)) + 1)] if end > 1 else []
-        integral += _mp_quad(f, sorted({mp.mpf(0), end, *steps, *(end - s for s in steps)}))
+        integral += scale * _mp_quad(lambda v: f(v) / scale,
+                                     sorted({mp.mpf(0), end, *steps, *(end - s for s in steps)}))
     if hi > split:
         def g(t):
             u = split - mp.log(t) / lam
@@ -114,7 +129,7 @@ def _mp_stroke(stat, model, a, b, held, u_i, u_f):
         t_hi = mp.exp(-lam * (hi - split))
         integral += ((1 if a > b else -1) * mp.exp(-lam * split) / lam
                      * _mp_quad(g, [t_hi, (t_hi + 1) / 2, 1]))
-    return (1 if u_f > u_i else -1) * held / (2 * mp.mpf(model.a)) * integral
+    return integral
 
 
 def _mp_quad(f, points):

@@ -5,7 +5,8 @@ functions by identity (``bench/spans.py``).  A rename or deletion of one of
 those names would silently empty a per-layer metric; this test makes it
 fail instead.  ``bench/selfcheck.py`` covers the same ground end to end but
 takes about a minute.  GK15 takes no stroke of the EXACT op, so its spans are
-reached through a stroke chosen for GK15.
+reached through a stroke chosen for GK15: it sums the rest of that stroke
+above the high-temperature head.
 """
 
 import importlib.util
@@ -38,7 +39,8 @@ def test_tracer_records_every_layer_of_an_exact_and_a_low_temp_op():
         qs.engine_performance(spec, model, regen, cfg, qs.Mode.EXACT)
         qs.engine_performance(spec, model, regen, mode=qs.Mode.LOW_TEMP)
         # a stroke a rule sized in advance does not cover: its ends lie 308 decades
-        # apart, so GK15 sums it (9 panels)
+        # apart.  The high-temperature form takes it up to u* = 2^-60/1.4, and GK15
+        # sums the rest: 9 panel evaluations, 5 of them leaves, 135 integrand calls
         op_calls = {key: tracer.calls(key) for key in SPAN_CALLS}
         qs.isochoric_time(qs.Statistics.BOSONIC, model, 1.4, 1.0, 1e-308, 2.0)
     finally:

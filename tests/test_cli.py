@@ -424,9 +424,11 @@ def test_non_finite_result_exits_3(tmp_path, capsys, edits, mode, message, out_f
                             "gamma1 = 1.4": "gamma1 = 1.0000000000000002"}, 3,
      "error: stroke B->C: regenerator and medium temperatures coincide: "
      "infinite relaxation time\n"),
-    # omega2/omega1 is past the float range, and so is e^v at the GK15 nodes
+    # omega2/omega1 is past the float range: D->C is summed as a high-temperature
+    # head and a rest, and then the gap (bp - 1)*omega1 of C->B underflows to zero
     ("fridge", FRIDGE_CFG, {"omega1 = 1.0": "omega1 = 5e-324"}, 3,
-     "error: stroke D->C: quadrature error "),
+     "error: stroke C->B: regenerator and medium temperatures coincide: "
+     "infinite relaxation time\n"),
 ], ids=["gamma1-huge", "a-omega1-tiny", "gap-underflow", "omega-ratio-overflow"])
 def test_extreme_stroke_ends_named(tmp_path, capsys, command, config, edits, code, message):
     # each run used to end in a ValueError, ZeroDivisionError or OverflowError traceback

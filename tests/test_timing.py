@@ -48,7 +48,8 @@ FRIDGE_REGEN = LinearFridgeRegenerator(1.4, 0.6)
 
 
 # the method of timing._linear_time whose result each name returns; a stroke
-# that none of them returns a result for took the high-temperature form
+# that none of them returns a result for took the high-temperature form, and one
+# that timing._ascending_time sums in two pieces is split
 METHODS = {"integrate_linear": "series", "_gauss_legendre": "gauss_legendre", "integrate": "gk15"}
 # a wrong-direction isotherm (bath beta, beta_s, omega_i, omega_f) and isochore
 # (slope, omega, beta_i, beta_f), each of which takes the method it is listed under
@@ -63,9 +64,13 @@ WRONG_WAY = [
     ("gauss_legendre", B, isochoric_time, (1.4, 1.0, 2.0, 1.0)),
     # ends far enough apart that no Gauss-Legendre rule within the cap covers them
     ("gk15", B, isothermal_time, (2.0, 1.0, 2.0, 1e-15)),
-    ("gk15", B, isochoric_time, (1.4, 1.0, 2.0, 1e-308)),
-    # swept the other way, its gap 0.5 * 5e-324 rounds to zero
-    ("zero_gap", F, isothermal_time, (0.5, 1.0, 5e-324, 2.0)),
+    ("gk15", B, isochoric_time, (1.4, 1.0, 2.0, 1e-15)),
+    # a lower end below u* = 2^-60/max(A, B): a high-temperature head and a rest
+    ("split", B, isochoric_time, (1.4, 1.0, 2.0, 1e-308)),
+    ("split", F, isothermal_time, (0.5, 1.0, 5e-324, 2.0)),
+    # swept the other way, its gap or weight rounds to zero at the lower end: here
+    # the boson weight beta_s * 1e-18
+    ("zero_gap", B, isothermal_time, (1.0, 1e-307, 2.0, 1e-18)),
 ]
 
 
@@ -101,7 +106,8 @@ class TestIsothermalTime:
                 return result
             return wrapped
 
-        for name in (*METHODS, "leading_exponential"):  # the setup every method follows
+        # the setup every method follows, and the sum of each piece
+        for name in (*METHODS, "leading_exponential", "_ascending_time"):
             monkeypatch.setattr(qstirling.timing, name,
                                 recording(name, getattr(qstirling.timing, name)))
         with pytest.raises(ParameterError, match="negative duration"):
@@ -111,10 +117,13 @@ class TestIsothermalTime:
         *drive, start, end = args
         if method == "zero_gap":
             with pytest.raises(SingularityError, match="gap or weight underflows to zero at "
-                                                       "u = 5e-324"):
+                                                       "u = 1e-18"):
                 fn(stat, MODEL, *drive, end, start, TIGHT)
         else:
             assert fn(stat, MODEL, *drive, end, start, TIGHT).duration > 0.0
+            if calls.count("_ascending_time") > 1:  # the whole stroke, its head and its rest
+                assert calls.count("_ascending_time") == 3 and taken == ["gk15"]
+                taken = ["split"]
             assert (taken or ["high_temp"]) == [method]
 
     def test_wrong_direction_rejected_when_its_duration_underflows(self):
@@ -424,12 +433,61 @@ class TestFloatRangeEdges:
         assert rel(out.duration, mp_isothermal_time(B, model, *args)) < 1e-15
 
     def test_gap_underflowing_to_zero_is_named(self):
-        # the gap 0.5 * 5e-324 rounds to zero, which GK15 divided by: a bare
-        # ZeroDivisionError escaped.  Swept the other way the stroke runs backwards
-        # and is rejected first (test_wrong_direction_rejected)
-        with pytest.raises(SingularityError, match="gap or weight underflows to zero at "
-                                                   "u = 5e-324"):
-            isothermal_time(F, MODEL, 0.5, 1.0, 2.0, 5e-324)
+        # a gap or weight that rounds to zero at the lower end, which the quadrature
+        # divided by: a bare ZeroDivisionError escaped.  Below u* = 2^-60/max(A, B)
+        # the high-temperature head takes a stroke, so from u* up only a boson
+        # weight B*u with B/A below about 3e-306 still rounds to zero: at lo, or at
+        # u* where a head was split off
+        for lo, at in ((1e-18, "1e-18"), (1e-30, "8.673617379884035e-19")):
+            with pytest.raises(SingularityError, match="gap or weight underflows to zero at "
+                                                       f"u = {at}$"):
+                isothermal_time(B, MODEL, 1.0, 1e-307, lo, 2.0)
+
+
+# hot strokes between lo and 2, 20 to 323 decades apart: an isotherm against a
+# bath at beta = 0.5 (beta_s = 1, swept down), and an isochore against a
+# regenerator slope above 1 (swept up) and below 1 (swept down)
+LONG_STROKES = [("isotherm", isothermal_time, mp_isothermal_time, 0.5, True),
+                ("isochore-up", isochoric_time, mp_isochoric_time, 1.4, False),
+                ("isochore-down", isochoric_time, mp_isochoric_time, 0.6, True)]
+
+
+@pytest.mark.parametrize("a", [1.0, 1e10])
+@pytest.mark.parametrize("stat", [B, F])
+@pytest.mark.parametrize("fn, oracle, drive, down", [row[1:] for row in LONG_STROKES],
+                         ids=[row[0] for row in LONG_STROKES])
+def test_long_hot_strokes_match_the_oracle(fn, oracle, drive, down, stat, a, monkeypatch):
+    # each is summed as a high-temperature head below u* and a rest: within 4 ulp
+    # of the oracle and its own estimate, in fewer integrand calls than GK15's 255
+    # over the whole stroke.  A bosonic duration past the float range is named,
+    # with no integrand call spent on the rest
+    calls = 0
+
+    def counted(real):
+        def wrapped(f, *args):
+            def integrand(v):
+                nonlocal calls
+                calls += 1
+                return f(v)
+            return real(integrand, *args)
+        return wrapped
+
+    for name in ("integrate", "_gauss_legendre"):
+        monkeypatch.setattr(qstirling.timing, name, counted(getattr(qstirling.timing, name)))
+    model = GevaKosloff(a, -0.05)
+    for lo in (5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-40, 1e-20):
+        ends = (2.0, lo) if down else (lo, 2.0)
+        exact = oracle(stat, model, drive, 1.0, *ends)
+        calls = 0
+        if exact == math.inf:
+            with pytest.raises(SingularityError, match="^duration is past the float range$"):
+                fn(stat, model, drive, 1.0, *ends)
+            assert calls == 0, lo
+            continue
+        out = fn(stat, model, drive, 1.0, *ends)
+        assert abs(out.duration - exact) <= 4 * math.ulp(exact), lo
+        assert abs(out.duration - exact) <= out.error_estimate, lo
+        assert calls < 255, lo
 
 
 # endpoints across the whole float range: normal values, the bottom of the

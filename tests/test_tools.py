@@ -72,14 +72,15 @@ def test_stroke_text_is_deterministic_with_one_line_per_call():
     assert (code, err) == (0, b"")
     lines = out.decode().splitlines()
     assert len(lines) == len(tool.STROKES)
-    # the zero gap at u = 5e-324 is named, each infinite end or frequency by its
-    # argument, and each wrong-direction stroke by its bath, the one swept up from
-    # the zero gap included; every other call returns
+    # the boson weight that rounds to zero at u = 1e-18 is named, each infinite end
+    # or frequency by its argument, and each wrong-direction stroke by its bath, the
+    # one swept up from 5e-324 included; every other call returns, the strokes down
+    # to 5e-324 or 1e-310 summed as a high-temperature head and a rest among them
     backwards = ("ParameterError: integration direction yields a negative duration; the "
                  "stroke must run toward the bath-driven equilibrium")
     named = [line for line in lines if not line.startswith("StrokeTime(duration=")]
-    assert named == ["SingularityError: the integrand's gap or weight underflows to zero "
-                     "at u = 5e-324", backwards] + [
+    assert named == [backwards, "SingularityError: the integrand's gap or weight underflows "
+                     "to zero at u = 1e-18"] + [
         f"ParameterError: {name} must be positive and finite, got inf"
         for name in ("omega_f", "omega_f", "beta_f", "omega")] + [backwards]
 
@@ -128,13 +129,13 @@ def test_ulp_report_judges_every_stroke_of_a_tiny_sample():
         assert 0.0 <= float(median) <= float(worst) <= 8.0, row
     header, *rows = method_table.splitlines()
     assert header.split() == ["group", "tree", "series", "high_temp", "gauss_legendre", "gk15",
-                              "raised"]
+                              "split", "raised"]
     # the first STROKES call is the bosonic high-temperature form; GK15 takes no
     # stroke of the pools or configs
     taken = {row.split()[0]: [int(n) for n in row.split()[2:]] for row in rows}
     assert list(taken) == groups
-    assert taken["STROKES"] == [0, 1, 0, 0, 0]
-    assert all(sum(counts) == 4 and counts[3:] == [0, 0] for group, counts in taken.items()
+    assert taken["STROKES"] == [0, 1, 0, 0, 0, 0]
+    assert all(sum(counts) == 4 and counts[3:] == [0, 0, 0] for group, counts in taken.items()
                if group != "STROKES"), taken
 
 
@@ -144,9 +145,11 @@ def test_ulp_report_names_the_method_that_took_each_stroke():
     rows = [["bosonic", 1.0, -0.05, True, 12.0, 20.0, 2.0, 1.0],
             ["bosonic", 1.0, -0.05, True, 2e-20, 1e-20, 1.0, 2.0],
             ["bosonic", 1.0, -0.05, True, 0.6, 1.0, 2.0, 1.0],
+            ["bosonic", 1.0, -0.05, False, 1.4, 1.0, 1e-15, 2.0],
+            # a high-temperature head below u* = 2^-60/1.4, and GK15 on the rest
             ["bosonic", 1.0, -0.05, False, 1.4, 1.0, 1e-308, 2.0],
             ["bosonic", 1.0, -0.05, True, 12.0, 20.0, 1.0, 2.0]]  # run backwards
     timed = tool._tree_durations(ROOT / "src", rows)
     assert [method for _, method in timed] == ["series", "high_temp", "gauss_legendre", "gk15",
-                                               "raised"]
-    assert [value is None for value, _ in timed] == [False] * 4 + [True]
+                                               "split", "raised"]
+    assert [value is None for value, _ in timed] == [False] * 5 + [True]

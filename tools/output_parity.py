@@ -18,11 +18,12 @@ the four configs barely touch.
 
 It calls the stroke functions of both trees on ``STROKES``, a fixed list of
 library calls that reach branches of ``timing._linear_time`` no config, pool
-or mutation reaches (the bosonic high-temperature form, GK15's floor-raised
-2^k, a gap that rounds to zero), a bath rate whose GK15 scale 2^(k-1)/a is
-subnormal, an infinite stroke end or frequency and a wrong-direction stroke
-whose magnitude underflows, and compares the ``repr`` of each result or its
-exception text.
+or mutation reaches (the bosonic high-temperature form, a stroke down to the
+bottom of the float range split into a high-temperature head and a rest, a
+boson weight that rounds to zero), a bath rate whose quadrature scale
+2^(k-1)/a is subnormal, an infinite stroke end or frequency and a
+wrong-direction stroke whose magnitude underflows, and compares the ``repr``
+of each result or its exception text.
 
 Last, it reaches the config reader's error paths: each shipped config is
 mutated (every line deleted, duplicated, or with its value replaced by each
@@ -73,14 +74,20 @@ _INF = "float('inf')"
 STROKES = (
     # the bosonic high-temperature form
     f"isothermal_time({_B}, {_MODEL}, 2e-20, 1e-20, 1.0, 2.0)",
-    # a bosonic 1/u^2 floor near the float range raises GK15's 2^k
+    # strokes down to the bottom of the float range: the high-temperature head
+    # below u* = 2^-60/max(A, B) carries a bosonic 1/u^2 near the range's top,
+    # and GK15 sums the rest
     f"isochoric_time({_B}, GevaKosloff(1e10, -0.05), 1.4, 1.0, 1e-310, 2.0)",
     f"isochoric_time({_B}, {_MODEL}, 1.4, 1.0, 1e-308, 2.0)",
-    # a gap 0.5 * 5e-324 that rounds to zero (swept up from 5e-324 the stroke runs
-    # backwards, and is named by its direction), and one that does not
+    # a gap 0.5 * 5e-324 that rounds to zero, inside the head (swept up from
+    # 5e-324 the stroke runs backwards, and is named by its direction), and one
+    # that does not
     f"isothermal_time({_F}, {_MODEL}, 0.5, 1.0, 2.0, 5e-324)",
     f"isothermal_time({_F}, {_MODEL}, 0.5, 1.0, 5e-324, 2.0)",
     f"isothermal_time({_F}, {_MODEL}, 2.0, 1.0, 5e-324, 2.0)",
+    # a boson weight beta_s * 1e-18 that rounds to zero at the lower end of a
+    # stroke that starts above u*
+    f"isothermal_time({_B}, {_MODEL}, 1.0, 1e-307, 1e-18, 2.0)",
     # stroke A->B of engine_hightemp_bosonic.ini, whose GK15 scale is subnormal at these a
     *(f"isothermal_time({_B}, GevaKosloff({a}, -0.05), 0.00010714285714285714, "
       "0.00017857142857142857, 2.0, 1.0)" for a in ("1e306", "1e307", "3e307", "1e308")),

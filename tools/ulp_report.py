@@ -17,8 +17,9 @@ Prints one line per group (pool, config or ``STROKES``) with the strokes
 judged, those left unjudged (the oracle did not resolve the stroke, or the
 tree raised), and the max and median ulp of each tree.  A second table gives,
 per group and tree, how many strokes each method of ``timing._linear_time``
-took: ``series``, ``high_temp``, ``gauss_legendre`` or ``gk15``, or ``raised``
-for a stroke the tree rejected.
+took: ``series``, ``high_temp``, ``gauss_legendre`` or ``gk15``, ``split`` for
+a stroke summed as a high-temperature head and a rest, or ``raised`` for a
+stroke the tree rejected.
 
     python3 tools/ulp_report.py --sample 64 --base HEAD~1
 
@@ -43,9 +44,10 @@ POOLS = ("exact_crossover", "exact_lowtemp")
 POOL_SEED = 0
 CYCLE_CONFIGS = ("engine_hightemp_bosonic.ini", "engine_lowtemp.ini", "fridge_lowtemp.ini")
 # the names each method's result comes from; a stroke none of them returns took the
-# high-temperature form
+# high-temperature form, and one that PIECES sums more than once is split
 METHODS = {"integrate_linear": "series", "_gauss_legendre": "gauss_legendre", "integrate": "gk15"}
-METHOD_COLUMNS = ("series", "high_temp", "gauss_legendre", "gk15", "raised")
+PIECES = "_ascending_time"
+METHOD_COLUMNS = ("series", "high_temp", "gauss_legendre", "gk15", "split", "raised")
 
 
 def strokes(sample: int | None = None) -> list[tuple[str, list]]:
@@ -101,11 +103,11 @@ def durations(rows: list[list]) -> list[tuple[float | None, str]]:
         def wrapped(*args):
             result = real(*args)
             if result is not None:  # None: the series or Gauss-Legendre declined the stroke
-                taken.append(METHODS[name])
+                taken.append(METHODS.get(name, name))
             return result
         return wrapped
 
-    for name in METHODS:
+    for name in (*METHODS, PIECES):
         if hasattr(qstirling.timing, name):  # an older tree may lack a method
             setattr(qstirling.timing, name, recording(name, getattr(qstirling.timing, name)))
     out = []
@@ -118,7 +120,8 @@ def durations(rows: list[list]) -> list[tuple[float | None, str]]:
         except Exception:  # a stroke the tree rejects goes unjudged
             out.append((None, "raised"))
         else:
-            out.append((duration, taken[-1] if taken else "high_temp"))
+            methods = [m for m in taken if m != PIECES] or ["high_temp"]
+            out.append((duration, "split" if taken.count(PIECES) > 1 else methods[-1]))
     return out
 
 
