@@ -26,7 +26,9 @@ difference is taken as ``e^{max} * (1 - e^{-|gap|})``, e^{max} kept out of
 the quotient, so large products never overflow.  Every method sums the
 stroke's magnitude over its ascending range; the sweep direction is checked
 once, before any of them: a stroke run away from the equilibrium its bath
-or regenerator drives would take a negative time, and is rejected.
+or regenerator drives would take a negative time, and is rejected.  A
+stroke whose error estimate exceeds ``max(rel_tol*t, abs_tol)`` raises a
+``ConvergenceError``, whichever method summed it.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from .series import integrate_linear, leading_exponential
 from .statistics import Statistics, require_statistics, weight_function
 
 _EPS, _MIN = sys.float_info.epsilon, sys.float_info.min
+# the tolerances a stroke without a config is held to
+_DEFAULT_CFG = QuadratureConfig()
 # below this largest product the high-temperature integrand is exact to rounding
 _HIGH_TEMP_EXACT = 2.0 ** -60
 # Gauss-Legendre takes a declined stroke needing at most this many nodes.  The
@@ -152,6 +156,10 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
                                       max(u_i, u_f), cfg)
     if not duration < math.inf:
         raise SingularityError("duration is past the float range")
+    cfg = cfg or _DEFAULT_CFG
+    if error > max(cfg.rel_tol * duration, cfg.abs_tol):
+        rel = error / duration if duration else math.inf
+        raise ConvergenceError(f"error estimate {error:.3e} ({rel:.1e} relative) above tolerance")
     return StrokeTime(duration, error)
 
 
@@ -231,7 +239,7 @@ def _ascending_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, 
     ratio = hi / lo
     end = math.log(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
     result = (_gauss_legendre(integrand, stat is Statistics.FERMIONIC, dd * lo, b * lo, exponent,
-                              ratio, end, cfg) or integrate(integrand, 0.0, end, cfg))
+                              ratio, end) or integrate(integrand, 0.0, end, cfg))
     # the scale 2^(k-1)/a in one rounding, inf rather than OverflowError past the
     # range; where it is subnormal it would drop digits, so the integral is divided by a last
     half = 2.0 ** (k - 1)
@@ -240,7 +248,7 @@ def _ascending_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, 
 
 
 def _gauss_legendre(f, fermi: bool, dl: float, bl: float, c: float, ratio: float,
-                    length: float, cfg) -> QuadratureResult | None:
+                    length: float) -> QuadratureResult | None:
     """``f`` over [0, L], L = ``length``, by Gauss-Legendre at a node count fixed a priori.
 
     Up to constants ``f`` is e^{-c (e^v - 1)} h(dl e^v) h(bl e^v)/(dl e^v) for
@@ -267,12 +275,11 @@ def _gauss_legendre(f, fermi: bool, dl: float, bl: float, c: float, ratio: float
     Im v = pi/2 where the decay grows, saved about one node on average but
     took three times as long to place, more than the node saves.
 
-    n is the least count, at least 2, whose bound is at most eps, whatever
-    ``rel_tol`` says, as for the series; the error estimate is eps plus GK15's
-    round-off floor of 50 eps, times I.  Returns None when n exceeds
-    ``_GL_MAX_NODES``, when the bound cannot be formed (a product past the
-    float range), when the sum is not finite, or when the estimate exceeds
-    ``max(rel_tol*I, abs_tol)``.
+    n is the least count, at least 2, whose bound is at most eps, as for the
+    series; the error estimate is eps plus GK15's round-off floor of 50 eps,
+    times I.  Returns None when n exceeds ``_GL_MAX_NODES``, when the bound
+    cannot be formed (a product past the float range) or when the sum is not
+    finite.
     """
     # relative to [-1, 1] the semi-minor axis is beta = sinh(ln rho); cosh(ln rho)
     # then fixes A, and rho^2 - 1 = 2 beta rho
@@ -292,11 +299,8 @@ def _gauss_legendre(f, fermi: bool, dl: float, bl: float, c: float, ratio: float
                            for t, w in zip(*gauss_legendre(max(2, 1 + math.ceil(need))))])
     except OverflowError:  # the sum passed the float range
         return None
-    error = length * total * _GL_ERROR  # the bound, at most eps, plus GK15's floor
-    cfg = cfg or QuadratureConfig()
-    if not (total < inf and error <= max(cfg.rel_tol * length * total, cfg.abs_tol)):
-        return None
-    return QuadratureResult(length * total, error, 0)
+    # the error estimate: the bound, at most eps, plus GK15's floor
+    return QuadratureResult(length * total, length * total * _GL_ERROR, 0) if total < inf else None
 
 
 def _stroke(label: str, fn, *args) -> StrokeTime:

@@ -386,15 +386,28 @@ class TestIndependentQuadratureOracle:
 
 
 class TestConvergenceFailure:
-    def test_failure_names_stroke(self):
-        # alpha_h = 0.99 puts A->B past the series term budget, and rel_tol = 1e-14,
-        # below Gauss-Legendre's 51 eps estimate, on GK15
+    def test_failure_names_stroke(self, monkeypatch):
+        # alpha_h = 0.99 puts A->B past the series term budget, on Gauss-Legendre,
+        # whose 51 eps estimate is above rel_tol = 1e-14: named at once, with no
+        # GK15 panel spent on it
+        monkeypatch.setattr(qstirling.timing, "integrate", lambda *_: pytest.fail("GK15 ran"))
         spec = reference_engine_spec(B, 10.0, alpha_h=0.99)
-        starved = QuadratureConfig(1e-14, 1e-300, 1)
-        with pytest.raises(ConvergenceError, match=r"^stroke A->B: quadrature error \S+ "
-                                                   r"\(\d\.\de-\d\d relative\) still above "
-                                                   r"tolerance after 1 subdivisions$"):
-            engine_cycle_time(spec, MODEL, ENGINE_REGEN, starved)
+        with pytest.raises(ConvergenceError, match=r"^stroke A->B: error estimate \S+ "
+                                                   r"\(1\.1e-14 relative\) above tolerance$"):
+            engine_cycle_time(spec, MODEL, ENGINE_REGEN, QuadratureConfig(1e-14, 1e-300, 200))
+
+    @pytest.mark.parametrize("fn, args, relative", [
+        (isothermal_time, (12.0, 20.0, 2.0, 1.0), "1.8e-15"),  # the series
+        (isothermal_time, (2e-20, 1e-20, 1.0, 2.0), "8.9e-16"),  # the high-temperature form
+        (isothermal_time, (0.6, 1.0, 2.0, 1.0), "1.1e-14"),  # Gauss-Legendre
+    ], ids=["series", "high_temp", "gauss_legendre"])
+    def test_every_method_is_held_to_the_tolerance(self, fn, args, relative):
+        # each method sums to its own accuracy whatever rel_tol says; a stroke whose
+        # estimate is above max(rel_tol*t, abs_tol) is rejected, not returned
+        fn(B, MODEL, *args, TIGHT)
+        with pytest.raises(ConvergenceError, match=rf"^error estimate \S+ \({relative} relative\) "
+                                                   "above tolerance$"):
+            fn(B, MODEL, *args, QuadratureConfig(1e-17, 1e-300, 200))
 
     @pytest.mark.parametrize("fn, args", [
         (isochoric_time, (1.4, 1.0, 1e-310, 2.0)),
