@@ -414,8 +414,9 @@ class TestConvergenceFailure:
         (isothermal_time, (0.5, 1.0, 2.0, 1e-310)),
     ])
     def test_duration_past_float_range_named_before_quadrature(self, fn, args, monkeypatch):
-        # bosonic strokes down to u = 1e-310 last ~1e310: named as such, with
-        # no GK15 panel spent on them
+        # bosonic strokes down to u = 1e-310 last ~1e310, their high-temperature
+        # head alone past the float range: named as such, with no GK15 panel
+        # spent on the rest
         def no_quadrature(*_):
             raise AssertionError("GK15 ran")
 

@@ -130,8 +130,8 @@ def test_ulp_report_judges_every_stroke_of_a_tiny_sample():
     header, *rows = method_table.splitlines()
     assert header.split() == ["group", "tree", "series", "high_temp", "gauss_legendre", "gk15",
                               "split", "raised"]
-    # the first STROKES call is the bosonic high-temperature form; GK15 takes no
-    # stroke of the pools or configs
+    # the first STROKES call is the bosonic high-temperature form; no stroke of the
+    # pools or configs is split, taken by GK15 or rejected
     taken = {row.split()[0]: [int(n) for n in row.split()[2:]] for row in rows}
     assert list(taken) == groups
     assert taken["STROKES"] == [0, 1, 0, 0, 0, 0]

@@ -75,8 +75,8 @@ STROKES = (
     # the bosonic high-temperature form
     f"isothermal_time({_B}, {_MODEL}, 2e-20, 1e-20, 1.0, 2.0)",
     # strokes down to the bottom of the float range: the high-temperature head
-    # below u* = 2^-60/max(A, B) carries a bosonic 1/u^2 near the range's top,
-    # and GK15 sums the rest
+    # below u* = 2^-60/max(A, B) holds a bosonic 1/u^2 that takes the duration
+    # near the top of the range, and GK15 sums the rest
     f"isochoric_time({_B}, GevaKosloff(1e10, -0.05), 1.4, 1.0, 1e-310, 2.0)",
     f"isochoric_time({_B}, {_MODEL}, 1.4, 1.0, 1e-308, 2.0)",
     # a gap 0.5 * 5e-324 that rounds to zero, inside the head (swept up from
@@ -88,7 +88,7 @@ STROKES = (
     # a boson weight beta_s * 1e-18 that rounds to zero at the lower end of a
     # stroke that starts above u*
     f"isothermal_time({_B}, {_MODEL}, 1.0, 1e-307, 1e-18, 2.0)",
-    # stroke A->B of engine_hightemp_bosonic.ini, whose GK15 scale is subnormal at these a
+    # stroke A->B of engine_hightemp_bosonic.ini, whose quadrature scale is subnormal at these a
     *(f"isothermal_time({_B}, GevaKosloff({a}, -0.05), 0.00010714285714285714, "
       "0.00017857142857142857, 2.0, 1.0)" for a in ("1e306", "1e307", "3e307", "1e308")),
     # an infinite end or frequency, which the config reader never passes on
