@@ -396,18 +396,18 @@ class TestConvergenceFailure:
                                                    r"\(1\.1e-14 relative\) above tolerance$"):
             engine_cycle_time(spec, MODEL, ENGINE_REGEN, QuadratureConfig(1e-14, 1e-300, 200))
 
-    @pytest.mark.parametrize("fn, args, relative", [
-        (isothermal_time, (12.0, 20.0, 2.0, 1.0), "1.8e-15"),  # the series
-        (isothermal_time, (2e-20, 1e-20, 1.0, 2.0), "8.9e-16"),  # the high-temperature form
-        (isothermal_time, (0.6, 1.0, 2.0, 1.0), "1.1e-14"),  # Gauss-Legendre
+    @pytest.mark.parametrize("args, relative", [
+        ((12.0, 20.0, 2.0, 1.0), "1.8e-15"),  # the series
+        ((2e-20, 1e-20, 1.0, 2.0), "8.9e-16"),  # the high-temperature form
+        ((0.6, 1.0, 2.0, 1.0), "1.1e-14"),  # Gauss-Legendre
     ], ids=["series", "high_temp", "gauss_legendre"])
-    def test_every_method_is_held_to_the_tolerance(self, fn, args, relative):
+    def test_every_method_is_held_to_the_tolerance(self, args, relative):
         # each method sums to its own accuracy whatever rel_tol says; a stroke whose
         # estimate is above max(rel_tol*t, abs_tol) is rejected, not returned
-        fn(B, MODEL, *args, TIGHT)
+        isothermal_time(B, MODEL, *args, TIGHT)
         with pytest.raises(ConvergenceError, match=rf"^error estimate \S+ \({relative} relative\) "
                                                    "above tolerance$"):
-            fn(B, MODEL, *args, QuadratureConfig(1e-17, 1e-300, 200))
+            isothermal_time(B, MODEL, *args, QuadratureConfig(1e-17, 1e-300, 200))
 
     @pytest.mark.parametrize("fn, args", [
         (isochoric_time, (1.4, 1.0, 1e-310, 2.0)),
