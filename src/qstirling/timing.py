@@ -26,9 +26,11 @@ difference is taken as ``e^{max} * (1 - e^{-|gap|})``, e^{max} kept out of
 the quotient, so large products never overflow.  Every method sums the
 stroke's magnitude over its ascending range; the sweep direction is checked
 once, before any of them: a stroke run away from the equilibrium its bath
-or regenerator drives would take a negative time, and is rejected.  A
-stroke whose error estimate exceeds ``max(rel_tol*t, abs_tol)`` raises a
-``ConvergenceError``, whichever method summed it.
+or regenerator drives would take a negative time, and is rejected.  Each
+method's error estimate is held to ``rel_tol`` times its duration t, and a
+quadrature's to ``max(rel_tol*t, abs_tol*2^(k-1)/a)``, GK15's own rule, with
+2^(k-1)/a the stroke's leading term rounded up to a power of two: one that
+misses it raises a ``ConvergenceError`` at once.
 """
 
 from __future__ import annotations
@@ -55,8 +57,6 @@ from .series import integrate_linear, leading_exponential
 from .statistics import Statistics, require_statistics, weight_function
 
 _EPS, _MIN = sys.float_info.epsilon, sys.float_info.min
-# the tolerances a stroke without a config is held to
-_DEFAULT_CFG = QuadratureConfig()
 # below this largest product the high-temperature integrand is exact to rounding
 _HIGH_TEMP_EXACT = 2.0 ** -60
 # Gauss-Legendre takes a declined stroke needing at most this many nodes.  The
@@ -153,13 +153,9 @@ def _linear_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, b: 
         raise ParameterError("integration direction yields a negative duration; the stroke "
                              f"must run toward the {reservoir}-driven equilibrium")
     duration, error = _ascending_time(stat, model, a1, a2, b, abs(d), min(u_i, u_f),
-                                      max(u_i, u_f), cfg)
+                                      max(u_i, u_f), cfg or QuadratureConfig())
     if not duration < math.inf:
         raise SingularityError("duration is past the float range")
-    cfg = cfg or _DEFAULT_CFG
-    if error > max(cfg.rel_tol * duration, cfg.abs_tol):
-        rel = error / duration if duration else math.inf
-        raise ConvergenceError(f"error estimate {error:.3e} ({rel:.1e} relative) above tolerance")
     return StrokeTime(duration, error)
 
 
@@ -168,10 +164,12 @@ def _ascending_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, 
     """Duration and error estimate of the stroke's magnitude over [lo, hi], its gap dd*u.
 
     The exponential series when it fits the term budget, the high-temperature
-    form where that is exact to rounding, the head [lo, u*] and the rest
-    [u*, hi] of a stroke that neither takes but that starts below u* =
-    2^-60/max(A, B), Gauss-Legendre where its a-priori node count fits
-    ``_GL_MAX_NODES``, GK15 otherwise.
+    form up to u* = 2^-60/max(A, B), where that is exact to rounding, the
+    head [lo, u*] and the rest [u*, hi] of a stroke that neither takes but
+    that starts below u*, Gauss-Legendre where its a-priori node count fits
+    ``_GL_MAX_NODES``, GK15 otherwise.  Each method's estimate is held to
+    ``rel_tol`` times its duration; a quadrature's also to ``abs_tol`` times
+    its scale 2^(k-1)/a, the unit in which GK15 compares it.
     """
     a, q, span = a1 * a2, model.q, hi - lo
     # the series and GK15 both read lambda00 = (1+q)A + (B - A if B > A), a sum of
@@ -181,12 +179,14 @@ def _ascending_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, 
     width = -expm1(-base * span) / base if base * span else span
     series = integrate_linear(stat, b, dd, base, leading, width, lo, hi)
     if series is not None:
-        value, error, _ = series
-        return b / (2.0 * model.a) * value, b / (2.0 * model.a) * error
-    x_max = max(a, b) * hi
-    if x_max <= _HIGH_TEMP_EXACT:
-        # 1/[(x - x_s) x_s] (bosonic) or 1/[2 (x - x_s)] (fermionic) is the
-        # integrand to a relative 2 x_max, below rounding; b cancels or stays
+        duration = b / (2.0 * model.a) * series[0]
+        return _held(duration, b / (2.0 * model.a) * series[1], cfg.rel_tol * duration)
+    # hi <= u*, not max(A, B)*hi <= 2^-60: a subnormal u* may round up, and a head
+    # [lo, u*] must end here
+    cut = _HIGH_TEMP_EXACT / max(a, b)
+    if hi <= cut:
+        # 1/[(x - x_s) x_s] (bosonic) or 1/[2 (x - x_s)] (fermionic) is the integrand
+        # to a relative 2 max(A, B) hi, below rounding; b cancels or stays
         # as b/dd, so a duration whose raw integral would overflow stays finite
         if stat is Statistics.BOSONIC:
             den = 2.0 * model.a * dd  # may underflow to zero
@@ -194,15 +194,14 @@ def _ascending_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, 
             duration = span / hi / den / lo if den else math.inf
         else:
             duration = b / dd * math.log(hi / lo) / (4.0 * model.a)
-        return duration, duration * (2.0 * x_max + 4.0 * _EPS)
-    cut = _HIGH_TEMP_EXACT / max(a, b)
+        return _held(duration, duration * (2.0 * max(a, b) * hi + 4.0 * _EPS),
+                     cfg.rel_tol * duration)
     if lo < cut:
         # the head holds the 1/u^2 or ln(u*/lo) of an end near the float range's
         # bottom; one past the range spends no quadrature on the rest
         head, head_error = _ascending_time(stat, model, a1, a2, b, dd, lo, cut, cfg)
-        if not head < math.inf:
-            return head, head_error
-        rest, rest_error = _ascending_time(stat, model, a1, a2, b, dd, cut, hi, cfg)
+        rest, rest_error = (_ascending_time(stat, model, a1, a2, b, dd, cut, hi, cfg)
+                            if head < math.inf else (0.0, 0.0))
         return head + rest, head_error + rest_error
     # the quadrature integrates x_s f(u), the integrand in v times b, over 2^k,
     # the power of two just above b T00, a floor on the integral: abs_tol then
@@ -244,7 +243,17 @@ def _ascending_time(stat: Statistics, model: GevaKosloff, a1: float, a2: float, 
     # range; where it is subnormal it would drop digits, so the integral is divided by a last
     half = 2.0 ** (k - 1)
     scale, over = (half / model.a, 1.0) if half / model.a >= _MIN else (half, model.a)
-    return scale * result.value / over, scale * result.error_estimate / over
+    # integrate's own acceptance rule, so only a Gauss-Legendre sum can fail it
+    return _held(scale * result.value / over, scale * result.error_estimate / over,
+                 scale * max(cfg.rel_tol * result.value, cfg.abs_tol) / over)
+
+
+def _held(duration: float, error: float, tolerance: float) -> tuple[float, float]:
+    """``(duration, error)``, unless ``error`` exceeds ``tolerance``: a ``ConvergenceError``."""
+    if error > tolerance:
+        rel = error / duration if duration else math.inf
+        raise ConvergenceError(f"error estimate {error:.3e} ({rel:.1e} relative) above tolerance")
+    return duration, error
 
 
 def _gauss_legendre(f, fermi: bool, dl: float, bl: float, c: float, ratio: float,

@@ -403,11 +403,26 @@ class TestConvergenceFailure:
     ], ids=["series", "high_temp", "gauss_legendre"])
     def test_every_method_is_held_to_the_tolerance(self, args, relative):
         # each method sums to its own accuracy whatever rel_tol says; a stroke whose
-        # estimate is above max(rel_tol*t, abs_tol) is rejected, not returned
+        # estimate is above rel_tol*t (and, for a quadrature, above abs_tol in units
+        # of the stroke's leading term) is rejected, not returned
         isothermal_time(B, MODEL, *args, TIGHT)
         with pytest.raises(ConvergenceError, match=rf"^error estimate \S+ \({relative} relative\) "
                                                    "above tolerance$"):
             isothermal_time(B, MODEL, *args, QuadratureConfig(1e-17, 1e-300, 200))
+
+    @pytest.mark.parametrize("a", [1e-6, 1.0, 1e20])
+    def test_abs_tol_is_relative_to_the_stroke(self, a):
+        # abs_tol is compared in the quadratures' unit, the stroke's leading term
+        # 2^(k-1)/a, so whether it admits a Gauss-Legendre estimate of 1.1e-14
+        # relative does not depend on the bath rate that sets the stroke's length
+        # in seconds.  The series is held to rel_tol alone: at a = 1e20 its stroke
+        # lasts 2e-29 s, and is not accepted unresolved for lasting less than abs_tol
+        model = GevaKosloff(a, -0.05)
+        isothermal_time(B, model, 0.6, 1.0, 2.0, 1.0, QuadratureConfig(1e-17, 1e-12, 200))
+        for args, cfg in (((0.6, 1.0, 2.0, 1.0), QuadratureConfig(1e-17, 1e-14, 200)),
+                          ((12.0, 20.0, 2.0, 1.0), QuadratureConfig(1e-17, 1e-12, 200))):
+            with pytest.raises(ConvergenceError, match="above tolerance$"):
+                isothermal_time(B, model, *args, cfg)
 
     @pytest.mark.parametrize("fn, args", [
         (isochoric_time, (1.4, 1.0, 1e-310, 2.0)),
@@ -445,6 +460,16 @@ class TestFloatRangeEdges:
         args = (0.00010714285714285714, 0.00017857142857142857, 2.0, 1.0)
         out = isothermal_time(B, model, *args)
         assert rel(out.duration, mp_isothermal_time(B, model, *args)) < 1e-15
+
+    def test_head_ends_where_a_subnormal_cut_rounds_up(self):
+        # u* = 2^-60/beta is subnormal here and rounds up, so beta*u* is above
+        # 2^-60: the head [lo, u*] still takes the high-temperature form, where
+        # choosing it on beta*hi <= 2^-60 split [lo, u*] again until RecursionError
+        beta = 3.0 * 2.0 ** 1001
+        assert beta * (2.0 ** -60 / beta) > 2.0 ** -60
+        out = isothermal_time(F, MODEL, beta, 1.0, 5e-324, 2.0)
+        exact = mp_isothermal_time(F, MODEL, beta, 1.0, 5e-324, 2.0)
+        assert abs(out.duration - exact) <= out.error_estimate <= 1e-10 * out.duration
 
     def test_gap_underflowing_to_zero_is_named(self):
         # a gap or weight that rounds to zero at the lower end, which the quadrature
